@@ -41,13 +41,14 @@ class DiffReport:
 
 def difference_series(a: BitSeq, b: BitSeq) -> DiffReport:
     """Element-wise XOR over the common prefix; lengths reported separately."""
-    series = tuple(
-        0 if bit_a == bit_b else 1 for bit_a, bit_b in zip(a.bits, b.bits)
-    )
+    common = min(len(a), len(b))
+    d = int(a.bits[:common] or "0", 2) ^ int(b.bits[:common] or "0", 2)
+    xor_bits = BitSeq.from_int(d, common).bits.encode()
+    series = tuple(xor_bits.translate(bytes.maketrans(b"01", b"\0\1")))
     return DiffReport(
         length_a=len(a),
         length_b=len(b),
-        hamming=sum(series),
+        hamming=d.bit_count(),
         length_delta=abs(len(a) - len(b)),
         series=series,
     )

@@ -20,7 +20,7 @@ class BitSeq:
     bits: str = ""
 
     def __post_init__(self):
-        if self.bits and not set(self.bits) <= {"0", "1"}:
+        if self.bits.encode().translate(None, b"01"):
             raise ValueError("bit sequence may contain only '0' and '1'")
 
     def __len__(self) -> int:
@@ -34,9 +34,18 @@ class BitSeq:
         return BitSeq(self.bits[:index] + flipped + self.bits[index + 1:])
 
     @classmethod
+    def from_int(cls, value: int, length: int) -> "BitSeq":
+        """The ``length``-bit MSB-first form of ``value`` (requires value < 2^length)."""
+        return cls(format(value, f"0{length}b") if length else "")
+
+    def to_int(self) -> int:
+        """The bits read as one MSB-first unsigned integer; 0 when empty."""
+        return int(self.bits, 2) if self.bits else 0
+
+    @classmethod
     def from_bytes(cls, data: bytes, bit_len: int | None = None) -> "BitSeq":
         """Unpack bytes MSB-first; ``bit_len`` trims the zero-filled tail."""
-        bits = "".join(format(b, "08b") for b in data)
+        bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") if data else ""
         if bit_len is not None:
             if bit_len > len(bits):
                 raise LengthUnderflow(
@@ -88,6 +97,12 @@ class SentinelSet:
         return index in self.indices
 
 
+def padded_group_count(bit_len: int, x: int, n: int) -> int:
+    """ceil(bit_len / x) groups rounded up to whole blocks of n; 0 for no bits."""
+    groups = -(-bit_len // x)
+    return n * -(-groups // n)
+
+
 def pad_and_group(bits: BitSeq, x: int, n: int) -> GroupedSeq:
     """Read ``bits`` in x-bit MSB-first windows, zero-padded to a multiple of n groups.
 
@@ -96,10 +111,7 @@ def pad_and_group(bits: BitSeq, x: int, n: int) -> GroupedSeq:
     recorded so the padding can be stripped exactly on the way back.
     """
     length = len(bits)
-    if length == 0:
-        return GroupedSeq((), x, 0)
-    groups = -(-length // x)
-    total = n * -(-groups // n)
+    total = padded_group_count(length, x, n)
     padded = bits.bits.ljust(total * x, "0")
     values = tuple(int(padded[i:i + x], 2) for i in range(0, total * x, x))
     return GroupedSeq(values, x, length)

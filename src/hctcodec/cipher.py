@@ -1,12 +1,18 @@
 """Chained multi-level cipher pipeline, hashing mode, and ciphertext envelope.
 
-Encryption walks the key exponents in order.  Each level regroups the
-running bit sequence into x-bit values, pads to whole blocks, records the
+Encryption walks the key exponents in order.  Each level reads the
+running bit sequence as x-bit groups, pads to whole blocks, records the
 sentinel positions and the pre-padding bit length, transforms every block
 with the mod-(2^x - 1) Hadamard matrix, and re-emits bits.  Decryption
 replays the levels in reverse with the inverse transform, restoring the
 sentinels and stripping the recorded padding, which makes the round trip
 exact for every input including lengths the exponents do not divide.
+
+Each level runs on the whole message packed into one Python int, one x-bit
+lane per group (``hadamard.apply_lanes``): padding is a shift, sentinels
+are the all-ones lanes, restoring them is one OR and truncation one shift.
+The per-group ``bitcodec`` helpers and the per-block ``hadamard`` kernels
+describe the same steps one value at a time; tests use them as the oracle.
 
 The envelope is the self-contained ciphertext container: without the
 per-level bit lengths and sentinel sets the payload alone is not
@@ -15,19 +21,13 @@ decrypted by the matching key, at the documented cost that sentinel
 metadata reveals which plaintext groups were all ones.
 """
 
+import re
 import struct
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from bisect import bisect_left
+from dataclasses import dataclass
+from typing import Iterable
 
-from .bitcodec import (
-    BitSeq,
-    SentinelSet,
-    detect_sentinels,
-    pad_and_group,
-    restore_sentinels,
-    truncate,
-    ungroup,
-)
+from .bitcodec import BitSeq, SentinelSet, padded_group_count
 from .errors import (
     InvalidKeyElement,
     LengthUnderflow,
@@ -36,7 +36,7 @@ from .errors import (
     SentinelConflict,
     UnsupportedBlockOrder,
 )
-from .hadamard import SUPPORTED_ORDERS, HadamardSpec, apply_fast, apply_inverse
+from .hadamard import SUPPORTED_ORDERS, apply_lanes, full_lanes
 from .modmath import ModulusParams, validate_key_element
 
 ENVELOPE_MAGIC = b"HCT1"
@@ -75,10 +75,7 @@ class LevelRecord:
 
     def padded_group_count(self, block_order: int) -> int:
         """Group count after padding to whole blocks; 0 for empty input."""
-        if self.orig_bit_len == 0:
-            return 0
-        groups = -(-self.orig_bit_len // self.x)
-        return block_order * -(-groups // block_order)
+        return padded_group_count(self.orig_bit_len, self.x, block_order)
 
 
 @dataclass(frozen=True)
@@ -159,10 +156,14 @@ class CipherEnvelope:
         payload_bytes = cursor.take(-(-payload_bit_len // 8), "payload")
         if cursor.remaining():
             raise MalformedEnvelope(f"{cursor.remaining()} trailing bytes after payload")
-        unpacked = BitSeq.from_bytes(payload_bytes)
-        if "1" in unpacked.bits[payload_bit_len:]:
+        filler = 8 * len(payload_bytes) - payload_bit_len
+        payload = int.from_bytes(payload_bytes, "big")
+        if payload & ((1 << filler) - 1):
             raise MalformedEnvelope("nonzero filler bits after payload")
-        return cls(version, block_order, tuple(levels), BitSeq(unpacked.bits[:payload_bit_len]))
+        return cls(
+            version, block_order, tuple(levels),
+            BitSeq.from_int(payload >> filler, payload_bit_len),
+        )
 
 
 class _Cursor:
@@ -184,11 +185,11 @@ class _Cursor:
         return len(self.data) - self.offset
 
 
-def _transform_blocks(spec: HadamardSpec, values: Sequence[int], kernel) -> list[int]:
-    out: list[int] = []
-    for start in range(0, len(values), spec.n):
-        out.extend(kernel(spec, values[start:start + spec.n]))
-    return out
+def _check_block_order(block_order: int) -> None:
+    if block_order not in SUPPORTED_ORDERS:
+        raise UnsupportedBlockOrder(
+            f"block order {block_order} not in supported set {SUPPORTED_ORDERS}"
+        )
 
 
 def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> CipherEnvelope:
@@ -198,20 +199,88 @@ def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> Cipher
     exponent x, so it generally differs from the plaintext length.  Empty
     input is legal and produces an empty payload with one record per level.
     """
-    if block_order not in SUPPORTED_ORDERS:
-        raise UnsupportedBlockOrder(
-            f"block order {block_order} not in supported set {SUPPORTED_ORDERS}"
-        )
-    bits = plaintext
+    _check_block_order(block_order)
+    v, length = plaintext.to_int(), len(plaintext)
     levels = []
     for params in key.elements:
-        grouped = pad_and_group(bits, params.x, block_order)
-        sentinels = detect_sentinels(grouped)
-        spec = HadamardSpec(block_order, params.p)
-        transformed = _transform_blocks(spec, grouped.values, apply_fast)
-        levels.append(LevelRecord(params.x, grouped.orig_bit_len, sentinels))
-        bits = ungroup(transformed, params.x)
-    return CipherEnvelope(ENVELOPE_VERSION, block_order, tuple(levels), bits)
+        x = params.x
+        count = padded_group_count(length, x, block_order)
+        v <<= count * x - length
+        flags = full_lanes(v, x, count)
+        marks = format(flags, f"0{count * x}b")[x - 1::x] if flags else ""
+        sentinels = SentinelSet(tuple(m.start() for m in re.finditer("1", marks)))
+        levels.append(LevelRecord(x, length, sentinels))
+        v = apply_lanes(v, x, block_order, count, False)
+        length = count * x
+    return CipherEnvelope(
+        ENVELOPE_VERSION, block_order, tuple(levels), BitSeq.from_int(v, length)
+    )
+
+
+def _decrypt_levels(
+    envelope: CipherEnvelope, key: KeySchedule, anomalies: "DecryptAnomalies | None"
+) -> BitSeq:
+    """Undo the levels in reverse order; raise on the first anomaly, or count it.
+
+    Without ``anomalies`` a sentinel index past the lane count or over a
+    nonzero lane raises SentinelConflict (naming the first such index), then
+    a too-short level LengthUnderflow, then nonzero padding NonZeroPadding.
+    With it, each is counted and skipped as decrypt_tolerant documents.
+    """
+    if len(key.elements) != len(envelope.levels):
+        raise MalformedEnvelope(
+            f"envelope has {len(envelope.levels)} levels but key supplies "
+            f"{len(key.elements)} exponents"
+        )
+    n = envelope.block_order
+    _check_block_order(n)
+    v, length = envelope.payload.to_int(), len(envelope.payload)
+    for params, record in zip(reversed(key.elements), reversed(envelope.levels)):
+        x, p = params.x, params.p
+        count = padded_group_count(length, x, n)
+        size = count * x
+        v = apply_lanes(v << size - length, x, n, count, True)
+        indices = record.sentinels.indices
+        if indices:
+            in_range = bisect_left(indices, count)
+            marks = bytearray(b"0") * size
+            for i in indices[:in_range]:
+                marks[i * x + x - 1] = 49  # ord("1"): the lowest bit of group i's lane
+            flags = int(marks, 2) if size else 0
+            # Sentinel lanes not holding 0, i.e. not all ones once complemented.
+            held = flags & ~full_lanes(v ^ ((1 << size) - 1), x, count)
+            if held or in_range < len(indices):
+                if anomalies is None:
+                    if held:
+                        lane = (held.bit_length() - 1) // x
+                        raise SentinelConflict(
+                            f"sentinel position {count - 1 - lane} holds "
+                            f"{v >> lane * x & p}, expected 0"
+                        )
+                    raise SentinelConflict(
+                        f"sentinel index {indices[in_range]} beyond value count {count}"
+                    )
+                anomalies.sentinel_conflicts += len(indices) - in_range + held.bit_count()
+            v |= (flags ^ held) * p
+        keep = record.orig_bit_len
+        if keep > size:
+            if anomalies is None:
+                raise LengthUnderflow(
+                    f"recorded length {keep} exceeds available {size} bits"
+                )
+            anomalies.length_underflows += 1
+            keep = size
+        else:
+            padding = v & ((1 << size - keep) - 1)
+            if padding:
+                if anomalies is None:
+                    raise NonZeroPadding(
+                        f"discarded padding contains {padding.bit_count()} one bits"
+                    )
+                anomalies.padding_violations += 1
+        v >>= size - keep
+        length = keep
+    return BitSeq.from_int(v, length)
 
 
 def decrypt(envelope: CipherEnvelope, key: KeySchedule) -> BitSeq:
@@ -223,23 +292,7 @@ def decrypt(envelope: CipherEnvelope, key: KeySchedule) -> BitSeq:
     surfaces as SentinelConflict / NonZeroPadding / LengthUnderflow when
     the recorded metadata stops matching what the arithmetic produces.
     """
-    if len(key.elements) != len(envelope.levels):
-        raise MalformedEnvelope(
-            f"envelope has {len(envelope.levels)} levels but key supplies "
-            f"{len(key.elements)} exponents"
-        )
-    if envelope.block_order not in SUPPORTED_ORDERS:
-        raise UnsupportedBlockOrder(
-            f"block order {envelope.block_order} not in supported set {SUPPORTED_ORDERS}"
-        )
-    bits = envelope.payload
-    for params, record in zip(reversed(key.elements), reversed(envelope.levels)):
-        grouped = pad_and_group(bits, params.x, envelope.block_order)
-        spec = HadamardSpec(envelope.block_order, params.p)
-        recovered = _transform_blocks(spec, grouped.values, apply_inverse)
-        restored = restore_sentinels(recovered, record.sentinels, params.x)
-        bits = truncate(ungroup(restored, params.x), record.orig_bit_len)
-    return bits
+    return _decrypt_levels(envelope, key, None)
 
 
 @dataclass
@@ -266,32 +319,8 @@ def decrypt_tolerant(
     whatever bits exist.  Used by diffusion experiments, where corrupted
     ciphertext must still produce an output to compare against.
     """
-    if len(key.elements) != len(envelope.levels):
-        raise MalformedEnvelope(
-            f"envelope has {len(envelope.levels)} levels but key supplies "
-            f"{len(key.elements)} exponents"
-        )
     anomalies = DecryptAnomalies()
-    bits = envelope.payload
-    for params, record in zip(reversed(key.elements), reversed(envelope.levels)):
-        grouped = pad_and_group(bits, params.x, envelope.block_order)
-        spec = HadamardSpec(envelope.block_order, params.p)
-        recovered = _transform_blocks(spec, grouped.values, apply_inverse)
-        maximum = (1 << params.x) - 1
-        for i in record.sentinels:
-            if i < len(recovered) and recovered[i] == 0:
-                recovered[i] = maximum
-            else:
-                anomalies.sentinel_conflicts += 1
-        raw = ungroup(recovered, params.x)
-        keep = record.orig_bit_len
-        if keep > len(raw):
-            anomalies.length_underflows += 1
-            keep = len(raw)
-        elif "1" in raw.bits[keep:]:
-            anomalies.padding_violations += 1
-        bits = BitSeq(raw.bits[:keep])
-    return bits, anomalies
+    return _decrypt_levels(envelope, key, anomalies), anomalies
 
 
 def hash_digest(

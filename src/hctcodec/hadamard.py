@@ -6,6 +6,10 @@ Sylvester recursion H_{2m} = [[H_m, H_m], [H_m, -H_m]] with -1 folded into
 the residue p - 1.  The fast path never materializes the matrix; the naive
 path multiplies against a cached materialized copy and serves as the
 independent oracle for the butterfly kernel.
+
+The cipher itself runs ``apply_lanes``, which transforms every block of a
+whole message at once on one Python int; the per-block kernels above it are
+kept as the reference that tests compare it with.
 """
 
 from dataclasses import dataclass
@@ -123,3 +127,56 @@ def self_check(spec: HadamardSpec) -> bool:
             if acc != (target if i == j else 0):
                 return False
     return True
+
+
+def _repeat(pattern: int, width: int, count: int) -> int:
+    """``count`` copies of ``pattern``, one every ``width`` bits."""
+    out, span, total = pattern, width, width * count
+    while span < total:
+        out |= out << span
+        span *= 2
+    return out & ((1 << total) - 1)
+
+
+def full_lanes(v: int, x: int, count: int) -> int:
+    """A 1 at bit j*x for every x-bit lane j of ``v`` that is all ones (count even)."""
+    ones = _repeat(1, 2 * x, count // 2)
+    p = (1 << x) - 1
+    even = ((v & ones * p) + ones) >> x & ones
+    odd = ((v >> x & ones * p) + ones) >> x & ones
+    return even | odd << x
+
+
+def apply_lanes(v: int, x: int, n: int, count: int, inverse: bool) -> int:
+    """Transform all blocks of ``count`` x-bit lanes packed MSB-first in ``v``.
+
+    Equal, block by block, to ``apply_fast`` (or ``apply_inverse``) with
+    p = 2^x - 1; lanes may hold p, and the result is canonical.  Even and odd
+    lanes go into the low and high halves of one int, each lane in a 2x-bit
+    slot, so a butterfly has x bits of headroom and reduces with the Mersenne
+    end-around carry.  Lanes run backwards inside a block, so the sum lands
+    in the slot with the higher index.  The inverse scale (n mod p)^-1 is
+    2^(-log2 n mod x): a rotation of each lane.
+    """
+    p = (1 << x) - 1
+    slot, half = 2 * x, count * x
+    low = _repeat(p, slot, count // 2)
+    pm = low | low << half
+    w = v & low | (v >> x & low) << half
+    stages = [(low << half, half)]  # odd lane 2k+1 against even lane 2k
+    g = 1
+    while g < n // 2:  # slot k against slot k - g inside each half
+        pattern = _repeat(p, slot, g) << g * slot
+        stages.append((_repeat(pattern, 2 * g * slot, count // (2 * g)), g * slot))
+        g *= 2
+    for hi_mask, shift in stages:
+        hi = w & hi_mask
+        lo = w ^ hi
+        w = hi + (lo << shift) + (hi >> shift) + (pm ^ hi_mask) - lo
+        w = (w & pm) + (w >> x & pm)
+    if inverse:
+        r = -(n.bit_length() - 1) % x
+        w = (w << r & pm) | (w >> (x - r) & pm)
+    ones = pm // p
+    w ^= ((w + ones) >> x & ones) * p
+    return w & low | (w >> half) << x

@@ -1,12 +1,23 @@
 """End-to-end pipeline: encrypt, decrypt, keys, hashing."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hctcodec.bitcodec import BitSeq, SentinelSet
+from hctcodec.bitcodec import (
+    BitSeq,
+    SentinelSet,
+    detect_sentinels,
+    pad_and_group,
+    restore_sentinels,
+    truncate,
+    ungroup,
+)
 from hctcodec.cipher import (
     CipherEnvelope,
+    DecryptAnomalies,
     KeySchedule,
     LevelRecord,
     decrypt,
@@ -21,6 +32,7 @@ from hctcodec.errors import (
     SentinelConflict,
     UnsupportedBlockOrder,
 )
+from hctcodec.hadamard import HadamardSpec, apply_fast, apply_inverse
 from vectors import (
     CIPHER_BITS,
     DIGEST16,
@@ -231,3 +243,100 @@ def test_hash_differs_across_keys_and_messages():
     c = hash_digest(BitSeq(PLAIN_BITS).flip(0), KEY35, 8, 40)
     assert a != b
     assert a != c
+
+
+def per_block(kernel, spec, values):
+    return [out for start in range(0, len(values), spec.n)
+            for out in kernel(spec, values[start:start + spec.n])]
+
+
+def reference_encrypt(bits, key, n):
+    """encrypt() rebuilt from the per-group helpers and the per-block kernel."""
+    levels = []
+    for params in key.elements:
+        grouped = pad_and_group(bits, params.x, n)
+        levels.append(LevelRecord(params.x, grouped.orig_bit_len, detect_sentinels(grouped)))
+        bits = ungroup(per_block(apply_fast, HadamardSpec(n, params.p), grouped.values), params.x)
+    return CipherEnvelope(1, n, tuple(levels), bits)
+
+
+def reference_decrypt(envelope, key, anomalies):
+    """decrypt() (anomalies None) or decrypt_tolerant() from the per-group helpers."""
+    bits = envelope.payload
+    for params, record in zip(reversed(key.elements), reversed(envelope.levels)):
+        grouped = pad_and_group(bits, params.x, envelope.block_order)
+        spec = HadamardSpec(envelope.block_order, params.p)
+        recovered = per_block(apply_inverse, spec, grouped.values)
+        if anomalies is None:
+            restored = restore_sentinels(recovered, record.sentinels, params.x)
+            bits = truncate(ungroup(restored, params.x), record.orig_bit_len)
+            continue
+        for i in record.sentinels:
+            if i < len(recovered) and recovered[i] == 0:
+                recovered[i] = params.p
+            else:
+                anomalies.sentinel_conflicts += 1
+        raw = ungroup(recovered, params.x)
+        keep = record.orig_bit_len
+        if keep > len(raw):
+            anomalies.length_underflows += 1
+            keep = len(raw)
+        elif "1" in raw.bits[keep:]:
+            anomalies.padding_violations += 1
+        bits = BitSeq(raw.bits[:keep])
+    return bits
+
+
+def outcome(run):
+    try:
+        return run()
+    except CodecError as exc:
+        return type(exc), str(exc)
+
+
+def damaged_envelopes(env, rng):
+    """The envelope itself, then corrupted payloads, bogus sentinels and lengths."""
+    yield env
+    payload = env.payload
+    for _ in range(2):
+        if len(payload):
+            yield CipherEnvelope(env.version, env.block_order, env.levels,
+                                 payload.flip(rng.randrange(len(payload))))
+    for level, record in enumerate(env.levels):
+        limit = record.padded_group_count(env.block_order)
+        damaged = [LevelRecord(record.x, record.orig_bit_len + extra, record.sentinels)
+                   for extra in (1, 4096)]
+        for index in (rng.randrange(limit + 1), limit, limit + 5):
+            sentinels = SentinelSet.from_positions(set(record.sentinels) | {index})
+            damaged.append(LevelRecord(record.x, record.orig_bit_len, sentinels))
+        for bad in damaged:
+            levels = env.levels[:level] + (bad,) + env.levels[level + 1:]
+            yield CipherEnvelope(env.version, env.block_order, levels, payload)
+
+
+def test_level_loops_match_per_block_reference():
+    # Lengths no width or order divides, damaged envelopes and wrong keys:
+    # records, payload, output bits, exception class and message, anomaly counts.
+    rng = random.Random(20261018)
+    keys = [(3, 5, 31), (2, 7), (13,), (5, 3), (3, 3), (7, 2), (17, 19)]
+    for trial in range(60):
+        exponents = rng.choice(keys)
+        key = KeySchedule.from_exponents(exponents)
+        n = rng.choice((8, 16, 32, 64, 128))
+        length = rng.choice((0, 1, 2, rng.randrange(3, 200), rng.randrange(200, 3000)))
+        ones = rng.random() < 0.2  # all-ones runs make many sentinels
+        bits = BitSeq("".join(
+            "1" if ones and rng.random() < 0.9 else rng.choice("01") for _ in range(length)
+        ))
+        env = encrypt(bits, key, n)
+        assert env == reference_encrypt(bits, key, n)
+        for damaged in damaged_envelopes(env, rng):
+            for other in (exponents, rng.choice(keys)):
+                wrong = KeySchedule.from_exponents(other)
+                if len(wrong) != len(damaged.levels):
+                    continue
+                assert outcome(lambda: decrypt(damaged, wrong)) == outcome(
+                    lambda: reference_decrypt(damaged, wrong, None))
+                anomalies = DecryptAnomalies()
+                assert outcome(lambda: decrypt_tolerant(damaged, wrong)) == outcome(
+                    lambda: (reference_decrypt(damaged, wrong, anomalies), anomalies))

@@ -7,14 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hctcodec.errors import DimensionMismatch, UnsupportedBlockOrder
+from hctcodec.modmath import SUPPORTED_EXPONENTS
 from hctcodec.hadamard import (
     SUPPORTED_ORDERS,
     HadamardSpec,
     apply_fast,
     apply_inverse,
+    apply_lanes,
     apply_naive,
     build_matrix,
     entry,
+    full_lanes,
     multiply_raw,
     self_check,
 )
@@ -197,3 +200,34 @@ def test_inputs_may_exceed_modulus():
     out = apply_fast(SPEC7, [7, 14, 0, 0, 0, 0, 0, 0])
     assert out == apply_naive(SPEC7, [7, 14, 0, 0, 0, 0, 0, 0])
     assert out == apply_fast(SPEC7, [0, 0, 0, 0, 0, 0, 0, 0])
+
+
+def pack(values, x):
+    """MSB-first int holding one x-bit lane per value."""
+    out = 0
+    for value in values:
+        out = out << x | value
+    return out
+
+
+def test_lane_engine_matches_block_kernels():
+    # Every (x, n) pair, 1-4 blocks, lanes drawn from 0, p and random values.
+    rng = random.Random(20261018)
+    for x in SUPPORTED_EXPONENTS:
+        p = (1 << x) - 1
+        for n in SUPPORTED_ORDERS:
+            spec = HadamardSpec(n, p)
+            for blocks in (1, 2, 3, 4):
+                count = blocks * n
+                values = [rng.choice((0, p, rng.randrange(p + 1))) for _ in range(count)]
+                v = pack(values, x)
+                for inverse, kernel in ((False, apply_fast), (True, apply_inverse)):
+                    want = [
+                        out
+                        for start in range(0, count, n)
+                        for out in kernel(spec, values[start:start + n])
+                    ]
+                    assert apply_lanes(v, x, n, count, inverse) == pack(want, x), (
+                        x, n, blocks, inverse,
+                    )
+                assert full_lanes(v, x, count) == pack([int(a == p) for a in values], x)
