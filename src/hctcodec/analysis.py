@@ -42,8 +42,8 @@ class DiffReport:
 def difference_series(a: BitSeq, b: BitSeq) -> DiffReport:
     """Element-wise XOR over the common prefix; lengths reported separately."""
     common = min(len(a), len(b))
-    d = int(a.bits[:common] or "0", 2) ^ int(b.bits[:common] or "0", 2)
-    xor_bits = BitSeq.from_int(d, common).bits.encode()
+    d = (a.value >> len(a) - common) ^ (b.value >> len(b) - common)
+    xor_bits = format(d, f"0{common}b").encode() if common else b""
     series = tuple(xor_bits.translate(bytes.maketrans(b"01", b"\0\1")))
     return DiffReport(
         length_a=len(a),
@@ -81,12 +81,11 @@ def degenerate_check(plaintext: BitSeq) -> str | None:
     to 0), so the ciphertext body carries no information; only sentinel
     metadata distinguishes them.  Empty input gets no warning.
     """
-    if not plaintext.bits:
+    if not plaintext.length:
         return None
-    distinct = set(plaintext.bits)
-    if distinct == {"0"}:
+    if plaintext.value == 0:
         return "input is all zeros; payload will be all zeros"
-    if distinct == {"1"}:
+    if plaintext.value == (1 << plaintext.length) - 1:
         return "input is all ones; payload will be all zeros (sentinels carry the data)"
     return None
 
@@ -95,8 +94,8 @@ def write_csv(a: BitSeq, b: BitSeq, stream) -> DiffReport:
     """Emit the difference series as CSV rows plus a '#' summary comment row."""
     report = difference_series(a, b)
     stream.write("position,bit_a,bit_b,diff\n")
-    for i, d in enumerate(report.series):
-        stream.write(f"{i},{a.bits[i]},{b.bits[i]},{d}\n")
+    for i, (bit_a, bit_b, d) in enumerate(zip(a.bits, b.bits, report.series)):
+        stream.write(f"{i},{bit_a},{bit_b},{d}\n")
     stream.write(
         f"# length_a={report.length_a} length_b={report.length_b} "
         f"common={report.common} hamming={report.hamming} "

@@ -5,61 +5,87 @@ windows, pads the resulting value sequence up to a multiple of the block
 order with zeros, and remembers two things needed for lossless inversion:
 the pre-padding bit length and the positions holding the group maximum
 2^x - 1 (which is congruent to 0 mod p and would otherwise be lost).
+
+``BitSeq`` holds a sequence once, as an MSB-first int and a bit count, so
+the cipher's packed level loop, the envelope and the byte packing never
+format text.  The per-group helpers below (``pad_and_group``, ``ungroup``,
+``truncate``, ...) work on the '0'/'1' text form one value at a time; the
+tests use them as the oracle for the packed path.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import lt
 from typing import Iterable, Sequence
 
 from .errors import LengthUnderflow, NonZeroPadding, SentinelConflict, ValueOverflow
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BitSeq:
-    """An ordered bit sequence; the string length is the authoritative bit count."""
+    """An ordered bit sequence: one MSB-first int and its bit count.
 
-    bits: str = ""
+    ``BitSeq("0101")`` parses and validates text; ``from_int`` and
+    ``from_bytes`` build one without any text, and ``bits`` formats the
+    text form on demand.  Leading zeros are carried by ``length``.
+    """
 
-    def __post_init__(self):
-        if self.bits.encode().translate(None, b"01"):
+    value: int
+    length: int
+
+    def __init__(self, bits: str = ""):
+        if not isinstance(bits, str):
+            raise TypeError(f"BitSeq takes a str of '0'/'1', not {type(bits).__name__}")
+        if bits.encode().translate(None, b"01"):
             raise ValueError("bit sequence may contain only '0' and '1'")
+        object.__setattr__(self, "value", int(bits, 2) if bits else 0)
+        object.__setattr__(self, "length", len(bits))
+
+    def __repr__(self) -> str:
+        return f"BitSeq({self.bits!r})"
+
+    @property
+    def bits(self) -> str:
+        """The '0'/'1' text form, formatted on each access."""
+        return format(self.value, f"0{self.length}b") if self.length else ""
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.length
 
     def flip(self, index: int) -> "BitSeq":
         """Return a copy with the bit at ``index`` inverted."""
-        if not 0 <= index < len(self.bits):
-            raise IndexError(f"bit index {index} out of range 0..{len(self.bits) - 1}")
-        flipped = "1" if self.bits[index] == "0" else "0"
-        return BitSeq(self.bits[:index] + flipped + self.bits[index + 1:])
+        if not 0 <= index < self.length:
+            raise IndexError(f"bit index {index} out of range 0..{self.length - 1}")
+        return BitSeq.from_int(self.value ^ (1 << self.length - 1 - index), self.length)
 
     @classmethod
     def from_int(cls, value: int, length: int) -> "BitSeq":
-        """The ``length``-bit MSB-first form of ``value`` (requires value < 2^length)."""
-        return cls(format(value, f"0{length}b") if length else "")
+        """The ``length``-bit MSB-first form of ``value``; needs 0 <= value < 2^length."""
+        if value < 0 or value >> length:
+            raise ValueError(f"value does not fit in {length} unsigned bits")
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "value", value)
+        object.__setattr__(seq, "length", length)
+        return seq
 
     def to_int(self) -> int:
         """The bits read as one MSB-first unsigned integer; 0 when empty."""
-        return int(self.bits, 2) if self.bits else 0
+        return self.value
 
     @classmethod
     def from_bytes(cls, data: bytes, bit_len: int | None = None) -> "BitSeq":
         """Unpack bytes MSB-first; ``bit_len`` trims the zero-filled tail."""
-        bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") if data else ""
-        if bit_len is not None:
-            if bit_len > len(bits):
-                raise LengthUnderflow(
-                    f"bit length {bit_len} exceeds {len(bits)} unpacked bits"
-                )
-            bits = bits[:bit_len]
-        return cls(bits)
+        total = 8 * len(data)
+        if bit_len is None:
+            bit_len = total
+        elif bit_len > total:
+            raise LengthUnderflow(f"bit length {bit_len} exceeds {total} unpacked bits")
+        return cls.from_int(int.from_bytes(data, "big") >> total - bit_len, bit_len)
 
     def to_bytes(self) -> bytes:
         """Pack MSB-first, zero-filling the final partial byte."""
-        if not self.bits:
-            return b""
-        padded = self.bits.ljust(-(-len(self.bits) // 8) * 8, "0")
-        return int(padded, 2).to_bytes(len(padded) // 8, "big")
+        fill = -self.length % 8
+        return (self.value << fill).to_bytes((self.length + fill) // 8, "big")
 
 
 @dataclass(frozen=True)
@@ -78,9 +104,10 @@ class SentinelSet:
     indices: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
+        idx = self.indices
+        if not all(map(lt, idx, islice(idx, 1, None))):
             raise ValueError("sentinel indices must be strictly ascending")
-        if self.indices and self.indices[0] < 0:
+        if idx and idx[0] < 0:
             raise ValueError("sentinel indices must be non-negative")
 
     @classmethod
@@ -163,9 +190,10 @@ def truncate(bits: BitSeq, orig_bit_len: int) -> BitSeq:
         raise LengthUnderflow(
             f"recorded length {orig_bit_len} exceeds available {len(bits)} bits"
         )
-    tail = bits.bits[orig_bit_len:]
+    text = bits.bits
+    tail = text[orig_bit_len:]
     if "1" in tail:
         raise NonZeroPadding(
             f"discarded padding contains {tail.count('1')} one bits"
         )
-    return BitSeq(bits.bits[:orig_bit_len])
+    return BitSeq(text[:orig_bit_len])

@@ -8,10 +8,12 @@ replays the levels in reverse with the inverse transform, restoring the
 sentinels and stripping the recorded padding, which makes the round trip
 exact for every input including lengths the exponents do not divide.
 
-Each level runs on the whole message packed into one Python int, one x-bit
-lane per group (``hadamard.apply_lanes``): padding is a shift, sentinels
-are the all-ones lanes, restoring them is one OR and truncation one shift.
-The per-group ``bitcodec`` helpers and the per-block ``hadamard`` kernels
+Each level runs on the whole message as one Python int, one x-bit lane
+per group (``hadamard.apply_lanes``): padding is a shift, sentinels are the
+all-ones lanes, restoring them is one OR and truncation one shift.  A
+``BitSeq`` already holds that int, so encrypt, decrypt, the envelope and
+the digest take it and hand it on without formatting any bit text.  The
+per-group ``bitcodec`` helpers and the per-block ``hadamard`` kernels
 describe the same steps one value at a time; tests use them as the oracle.
 
 The envelope is the self-contained ciphertext container: without the
@@ -133,11 +135,13 @@ class CipherEnvelope:
                 raise MalformedEnvelope(f"level {index} has group width 0")
             raw = cursor.take(4 * sentinel_count, f"level {index} sentinel indices")
             indices = struct.unpack(f">{sentinel_count}I", raw)
-            if any(b <= a for a, b in zip(indices, indices[1:])):
+            try:
+                sentinels = SentinelSet(indices)
+            except ValueError:
                 raise MalformedEnvelope(
                     f"level {index} sentinel indices not strictly ascending"
-                )
-            record = LevelRecord(x, orig_bit_len, SentinelSet(indices))
+                ) from None
+            record = LevelRecord(x, orig_bit_len, sentinels)
             limit = record.padded_group_count(block_order)
             if indices and indices[-1] >= limit:
                 raise MalformedEnvelope(
@@ -200,7 +204,7 @@ def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> Cipher
     input is legal and produces an empty payload with one record per level.
     """
     _check_block_order(block_order)
-    v, length = plaintext.to_int(), len(plaintext)
+    v, length = plaintext.value, plaintext.length
     levels = []
     for params in key.elements:
         x = params.x
@@ -234,7 +238,7 @@ def _decrypt_levels(
         )
     n = envelope.block_order
     _check_block_order(n)
-    v, length = envelope.payload.to_int(), len(envelope.payload)
+    v, length = envelope.payload.value, envelope.payload.length
     for params, record in zip(reversed(key.elements), reversed(envelope.levels)):
         x, p = params.x, params.p
         count = padded_group_count(length, x, n)
@@ -243,9 +247,11 @@ def _decrypt_levels(
         indices = record.sentinels.indices
         if indices:
             in_range = bisect_left(indices, count)
-            marks = bytearray(b"0") * size
+            lane_marks = bytearray(b"0") * count
             for i in indices[:in_range]:
-                marks[i * x + x - 1] = 49  # ord("1"): the lowest bit of group i's lane
+                lane_marks[i] = 49  # ord("1")
+            marks = bytearray(b"0") * size
+            marks[x - 1::x] = lane_marks  # the lowest bit of each lane
             flags = int(marks, 2) if size else 0
             # Sentinel lanes not holding 0, i.e. not all ones once complemented.
             held = flags & ~full_lanes(v ^ ((1 << size) - 1), x, count)
@@ -335,4 +341,6 @@ def hash_digest(
     if digest_bits < 1:
         raise ValueError(f"digest_bits must be >= 1, got {digest_bits}")
     payload = encrypt(data, key, block_order).payload
-    return BitSeq(payload.bits[:digest_bits].ljust(digest_bits, "0"))
+    spare = len(payload) - digest_bits
+    value = payload.value >> spare if spare >= 0 else payload.value << -spare
+    return BitSeq.from_int(value, digest_bits)

@@ -70,6 +70,7 @@ def test_difference_series_symmetry(a, b):
     assert fwd.series == rev.series
     assert fwd.length_delta == rev.length_delta
     assert fwd.length_a == rev.length_b
+    assert fwd.series == tuple(int(x != y) for x, y in zip(a, b))
 
 
 @given(bit_strings)
@@ -106,6 +107,8 @@ def test_degenerate_detection():
     assert "zero" in degenerate_check(BitSeq("0000"))
     assert "ones" in degenerate_check(BitSeq("1111"))
     assert degenerate_check(BitSeq("0100")) is None
+    assert degenerate_check(BitSeq("0111")) is None
+    assert degenerate_check(BitSeq("1110")) is None
     assert degenerate_check(BitSeq("")) is None
 
 

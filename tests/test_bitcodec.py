@@ -40,6 +40,55 @@ def test_bitseq_rejects_foreign_characters():
             BitSeq(bad)
 
 
+def test_bitseq_rejects_non_str():
+    for bad in (b"01", 5, None, ["0", "1"]):
+        with pytest.raises(TypeError):
+            BitSeq(bad)
+
+
+def ref_pack(bits: str) -> bytes:
+    """Plain-string reference for BitSeq.to_bytes."""
+    padded = bits + "0" * (-len(bits) % 8)
+    return bytes(int(padded[i:i + 8], 2) for i in range(0, len(padded), 8))
+
+
+@given(st.text(alphabet="01", max_size=300), st.data())
+def test_bitseq_matches_string_reference(bits, data):
+    seq = BitSeq(bits)
+    assert seq.bits == bits
+    assert len(seq) == len(bits)
+    assert seq.to_int() == sum(int(c) << len(bits) - 1 - i for i, c in enumerate(bits))
+    assert BitSeq.from_int(seq.to_int(), len(bits)) == seq
+    packed = seq.to_bytes()
+    assert packed == ref_pack(bits)
+    assert BitSeq.from_bytes(packed, bit_len=len(bits)) == seq
+    cut = data.draw(st.integers(0, 8 * len(packed)))
+    unpacked = "".join(f"{byte:08b}" for byte in packed)
+    assert BitSeq.from_bytes(packed, bit_len=cut).bits == unpacked[:cut]
+    assert BitSeq.from_bytes(packed).bits == unpacked
+    if bits:
+        i = data.draw(st.integers(0, len(bits) - 1))
+        flipped = bits[:i] + ("1" if bits[i] == "0" else "0") + bits[i + 1:]
+        assert seq.flip(i).bits == flipped
+    # Equal value at another length, and one changed bit, are different sequences.
+    variants = {bits, "0" + bits, bits[1:], bits + "0"}
+    if bits:
+        variants.add(flipped)
+    for other in variants:
+        assert (BitSeq(other) == seq) == (other == bits)
+    assert len({BitSeq(v) for v in variants}) == len(variants)
+    assert hash(BitSeq(bits)) == hash(seq)
+
+
+@given(st.integers(0, 300), st.integers(1, 1 << 310))
+def test_from_int_rejects_values_outside_length(length, excess):
+    with pytest.raises(ValueError):
+        BitSeq.from_int(-excess, length)
+    with pytest.raises(ValueError):
+        BitSeq.from_int((1 << length) - 1 + excess, length)
+    assert BitSeq.from_int((1 << length) - 1, length).bits == "1" * length
+
+
 def test_bitseq_length_and_empty():
     assert len(BitSeq("")) == 0
     assert len(BitSeq("0101")) == 4

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hctcodec.analysis import avalanche_experiment
 from hctcodec.bitcodec import (
     BitSeq,
     SentinelSet,
@@ -340,3 +341,27 @@ def test_level_loops_match_per_block_reference():
                 anomalies = DecryptAnomalies()
                 assert outcome(lambda: decrypt_tolerant(damaged, wrong)) == outcome(
                     lambda: (reference_decrypt(damaged, wrong, anomalies), anomalies))
+
+
+def test_product_path_never_formats_bit_text(monkeypatch):
+    # Level 1 of the (3, 5) key finds sentinels in the 0xff run, the length is
+    # not byte-aligned, and the flipped payload bit makes the tolerant decrypt
+    # skip sentinel restorations.
+    message = BitSeq.from_bytes(bytes(range(256)) + b"\xff" * 16, bit_len=2171)
+
+    def no_text(self):
+        raise AssertionError("bit text formatted on the product path")
+
+    monkeypatch.setattr(BitSeq, "bits", property(no_text))
+    blob = encrypt(message, KEY35).to_bytes()
+    envelope = CipherEnvelope.from_bytes(blob)
+    assert envelope.to_bytes() == blob
+    recovered = decrypt(envelope, KEY35)
+    assert recovered == message
+    assert BitSeq.from_bytes(recovered.to_bytes(), bit_len=2171) == message
+    assert decrypt_tolerant(envelope, KEY35) == (message, DecryptAnomalies())
+    assert len(hash_digest(message, KEY35, 8, 64)) == 64
+    assert len(hash_digest(message, KEY35, 8, 4096)) == 4096
+    report = avalanche_experiment(message, KEY35, 8, len(envelope.payload) - 1)
+    assert report.length_a == report.length_b == 2171
+    assert report.sentinel_conflicts > 0
