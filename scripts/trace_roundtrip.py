@@ -5,53 +5,48 @@ The default run traces the 24-bit demo message under key 3,5 and shows the
 decimated groups, sentinel positions, transformed blocks, and the recovery
 of each on the way back.  Useful for eyeballing what the codec does to a
 specific input.
+
+Each level runs as a one-exponent encrypt of the previous level's payload,
+and is undone as a one-exponent decrypt of a one-level envelope.
 """
 
 import argparse
 
-from hctcodec.bitcodec import BitSeq, detect_sentinels, pad_and_group, restore_sentinels, truncate, ungroup
-from hctcodec.cipher import KeySchedule, decrypt, encrypt
-from hctcodec.hadamard import HadamardSpec, apply_fast, apply_inverse
+from hctcodec.bitcodec import BitSeq, pad_and_group
+from hctcodec.cipher import CipherEnvelope, KeySchedule, decrypt, encrypt
 
 DEMO_BITS = "110010011101111110000011"
 
 
-def chunks(values, n):
-    return [list(values[i:i + n]) for i in range(0, len(values), n)]
-
-
-def trace_encrypt(bits: BitSeq, key: KeySchedule, n: int) -> BitSeq:
+def trace_encrypt(bits: BitSeq, key: KeySchedule, n: int) -> CipherEnvelope:
     print(f"plaintext ({len(bits)} bits): {bits.bits}")
-    current = bits
+    current, records = bits, []
     for depth, params in enumerate(key.elements, 1):
-        grouped = pad_and_group(current, params.x, n)
-        sentinels = detect_sentinels(grouped)
-        spec = HadamardSpec(n, params.p)
-        transformed = []
-        for block in chunks(grouped.values, n):
-            transformed.extend(apply_fast(spec, block))
-        current = ungroup(transformed, params.x)
+        step = encrypt(current, KeySchedule((params,)), n)
+        records.extend(step.levels)
         print(f"\nlevel {depth}: x={params.x}, modulus {params.p}")
-        print(f"  groups     {list(grouped.values)}")
-        print(f"  sentinels  {list(sentinels)}")
-        print(f"  transformed{transformed}")
-        print(f"  bits out   {current.bits}")
-    return current
+        print(f"  groups     {list(pad_and_group(current, params.x, n).values)}")
+        print(f"  sentinels  {list(step.levels[0].sentinels)}")
+        print(f"  transformed{list(pad_and_group(step.payload, params.x, n).values)}")
+        print(f"  bits out   {step.payload.bits}")
+        current = step.payload
+    envelope = encrypt(bits, key, n)
+    assert envelope.levels == tuple(records) and envelope.payload == current
+    return envelope
 
 
-def trace_decrypt(envelope, key: KeySchedule) -> BitSeq:
+def trace_decrypt(envelope: CipherEnvelope, key: KeySchedule) -> BitSeq:
     n = envelope.block_order
     current = envelope.payload
     for depth, (params, record) in enumerate(
         zip(reversed(key.elements), reversed(envelope.levels)), 1
     ):
-        grouped = pad_and_group(current, params.x, n)
-        spec = HadamardSpec(n, params.p)
-        recovered = []
-        for block in chunks(grouped.values, n):
-            recovered.extend(apply_inverse(spec, block))
-        restored = restore_sentinels(recovered, record.sentinels, params.x)
-        current = truncate(ungroup(restored, params.x), record.orig_bit_len)
+        one_level = CipherEnvelope(envelope.version, n, (record,), current)
+        current = decrypt(one_level, KeySchedule((params,)))
+        # The output only lost zero padding, which pad_and_group puts back;
+        # restoration only turned the recorded sentinel lanes from 0 into p.
+        restored = list(pad_and_group(current, params.x, n).values)
+        recovered = [0 if i in record.sentinels else v for i, v in enumerate(restored)]
         print(f"\nundo level {len(key) - depth + 1}: x={params.x}, modulus {params.p}")
         print(f"  recovered  {recovered}")
         print(f"  restored   {restored}")
@@ -69,15 +64,12 @@ def main() -> int:
     key = KeySchedule.from_exponents(int(x) for x in args.key.split(","))
     bits = BitSeq(args.text)
 
-    payload = trace_encrypt(bits, key, args.block_size)
-    envelope = encrypt(bits, key, args.block_size)
-    assert envelope.payload == payload
+    envelope = trace_encrypt(bits, key, args.block_size)
     blob = envelope.to_bytes()
     print(f"\nenvelope ({len(blob)} bytes): {blob.hex()}")
 
     recovered = trace_decrypt(envelope, key)
-    print(f"\nround trip {'OK' if recovered == bits else 'MISMATCH'}: "
-          f"{recovered.bits}")
+    print(f"\nround trip {'OK' if recovered == bits else 'MISMATCH'}: {recovered.bits}")
     assert decrypt(envelope, key) == recovered
     return 0 if recovered == bits else 1
 

@@ -90,15 +90,13 @@ def degenerate_check(plaintext: BitSeq) -> str | None:
     return None
 
 
-def write_csv(a: BitSeq, b: BitSeq, stream) -> DiffReport:
-    """Emit the difference series as CSV rows plus a '#' summary comment row."""
-    report = difference_series(a, b)
+def write_csv(a: BitSeq, report: DiffReport, stream) -> None:
+    """Emit ``report`` on ``a`` as CSV rows (bit_b = bit_a ^ diff) plus a '#' summary row."""
     stream.write("position,bit_a,bit_b,diff\n")
-    for i, (bit_a, bit_b, d) in enumerate(zip(a.bits, b.bits, report.series)):
-        stream.write(f"{i},{bit_a},{bit_b},{d}\n")
+    for i, (bit_a, d) in enumerate(zip(a.bits, report.series)):
+        stream.write(f"{i},{bit_a},{int(bit_a) ^ d},{d}\n")
     stream.write(
         f"# length_a={report.length_a} length_b={report.length_b} "
         f"common={report.common} hamming={report.hamming} "
         f"length_delta={report.length_delta} fraction={report.fraction:.4f}\n"
     )
-    return report

@@ -8,9 +8,9 @@ the pre-padding bit length and the positions holding the group maximum
 
 ``BitSeq`` holds a sequence once, as an MSB-first int and a bit count, so
 the cipher's packed level loop, the envelope and the byte packing never
-format text.  The per-group helpers below (``pad_and_group``, ``ungroup``,
-``truncate``, ...) work on the '0'/'1' text form one value at a time; the
-tests use them as the oracle for the packed path.
+format it as text.  The per-group helpers below (``pad_and_group``,
+``ungroup``, ``truncate``, ...) work on the '0'/'1' text form one value at
+a time; the tests use them as the oracle for the packed path.
 """
 
 from dataclasses import dataclass, field

@@ -11,8 +11,8 @@ exact for every input including lengths the exponents do not divide.
 Each level runs on the whole message as one Python int, one x-bit lane
 per group (``hadamard.apply_lanes``): padding is a shift, sentinels are the
 all-ones lanes, restoring them is one OR and truncation one shift.  A
-``BitSeq`` already holds that int, so encrypt, decrypt, the envelope and
-the digest take it and hand it on without formatting any bit text.  The
+``BitSeq`` already holds that int, and encrypt, decrypt, the envelope and
+the digest keep it; only the sentinel flags go through '0'/'1' text.  The
 per-group ``bitcodec`` helpers and the per-block ``hadamard`` kernels
 describe the same steps one value at a time; tests use them as the oracle.
 
@@ -36,9 +36,8 @@ from .errors import (
     MalformedEnvelope,
     NonZeroPadding,
     SentinelConflict,
-    UnsupportedBlockOrder,
 )
-from .hadamard import SUPPORTED_ORDERS, apply_lanes, full_lanes
+from .hadamard import apply_lanes, check_order, full_lanes
 from .modmath import ModulusParams, validate_key_element
 
 ENVELOPE_MAGIC = b"HCT1"
@@ -189,13 +188,6 @@ class _Cursor:
         return len(self.data) - self.offset
 
 
-def _check_block_order(block_order: int) -> None:
-    if block_order not in SUPPORTED_ORDERS:
-        raise UnsupportedBlockOrder(
-            f"block order {block_order} not in supported set {SUPPORTED_ORDERS}"
-        )
-
-
 def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> CipherEnvelope:
     """Run the full multi-level pipeline and wrap the result in an envelope.
 
@@ -203,7 +195,7 @@ def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> Cipher
     exponent x, so it generally differs from the plaintext length.  Empty
     input is legal and produces an empty payload with one record per level.
     """
-    _check_block_order(block_order)
+    check_order(block_order)
     v, length = plaintext.value, plaintext.length
     levels = []
     for params in key.elements:
@@ -237,7 +229,7 @@ def _decrypt_levels(
             f"{len(key.elements)} exponents"
         )
     n = envelope.block_order
-    _check_block_order(n)
+    check_order(n)
     v, length = envelope.payload.value, envelope.payload.length
     for params, record in zip(reversed(key.elements), reversed(envelope.levels)):
         x, p = params.x, params.p

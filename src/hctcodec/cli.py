@@ -4,12 +4,11 @@ import argparse
 import random
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
-from .analysis import degenerate_check, write_csv
+from .analysis import avalanche_experiment, degenerate_check, difference_series, write_csv
 from .bitcodec import BitSeq
-from .cipher import CipherEnvelope, KeySchedule, decrypt, decrypt_tolerant, encrypt, hash_digest
+from .cipher import CipherEnvelope, KeySchedule, decrypt, encrypt, hash_digest
 from .errors import CodecError
 from .hadamard import HadamardSpec, apply_fast, apply_naive, build_matrix
 from .modmath import validate_key_element
@@ -29,14 +28,10 @@ def _read_bits(args) -> BitSeq:
     return BitSeq.from_bytes(Path(args.infile).read_bytes())
 
 
-def _add_input_flags(parser, envelope=False):
-    if envelope:
-        parser.add_argument("--in", dest="infile", required=True,
-                            help="envelope file to read")
-    else:
-        src = parser.add_mutually_exclusive_group(required=True)
-        src.add_argument("--text", help="input as an ASCII '0'/'1' string")
-        src.add_argument("--in", dest="infile", help="input file (bytes, MSB-first)")
+def _add_input_flags(parser):
+    src = parser.add_mutually_exclusive_group(required=True)
+    src.add_argument("--text", help="input as an ASCII '0'/'1' string")
+    src.add_argument("--in", dest="infile", help="input file (bytes, MSB-first)")
 
 
 def _add_key_flags(parser):
@@ -94,30 +89,21 @@ def _cmd_analyze(args) -> int:
     warning = degenerate_check(bits)
     if warning:
         print(f"warning: {warning}", file=sys.stderr)
-    envelope = encrypt(bits, key, args.block_size)
-    conflicts = 0
     if args.flip is not None:
-        if not 0 <= args.flip < len(envelope.payload):
-            raise ValueError(
-                f"flip index {args.flip} outside payload of {len(envelope.payload)} bits"
-            )
-        corrupted = replace(envelope, payload=envelope.payload.flip(args.flip))
-        recovered, anomalies = decrypt_tolerant(corrupted, key)
-        conflicts = anomalies.sentinel_conflicts
+        report = avalanche_experiment(bits, key, args.block_size, args.flip)
         label = f"single-flip avalanche (payload bit {args.flip})"
-        pair = (bits, recovered)
     else:
+        report = difference_series(bits, encrypt(bits, key, args.block_size).payload)
         label = "plaintext vs ciphertext payload"
-        pair = (bits, envelope.payload)
     if args.emit_csv:
         with open(args.emit_csv, "w") as stream:
-            report = write_csv(pair[0], pair[1], stream)
+            write_csv(bits, report, stream)
         print(f"wrote {args.emit_csv}")
     else:
-        report = write_csv(pair[0], pair[1], sys.stdout)
+        write_csv(bits, report, sys.stdout)
     print(f"# {label}: hamming={report.hamming} of {report.common} common bits "
           f"(fraction {report.fraction:.4f}), length_delta={report.length_delta}, "
-          f"sentinel_conflicts={conflicts}")
+          f"sentinel_conflicts={report.sentinel_conflicts}")
     return 0
 
 
@@ -170,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_encrypt)
 
     p = sub.add_parser("decrypt", help="decrypt an envelope file")
-    _add_key_flags(p)
-    _add_input_flags(p, envelope=True)
+    p.add_argument("--key", required=True, help="comma-separated exponent list, e.g. 3,5")
+    p.add_argument("--in", dest="infile", required=True, help="envelope file to read")
     p.add_argument("--out", help="recovered bytes output path (default: print bits)")
     p.set_defaults(func=_cmd_decrypt)
 

@@ -22,6 +22,12 @@ from .modmath import mod_inverse
 SUPPORTED_ORDERS = (8, 16, 32, 64, 128)
 
 
+def check_order(n: int) -> None:
+    """Raise UnsupportedBlockOrder unless ``n`` is one of SUPPORTED_ORDERS."""
+    if n not in SUPPORTED_ORDERS:
+        raise UnsupportedBlockOrder(f"block order {n} not in supported set {SUPPORTED_ORDERS}")
+
+
 @dataclass(frozen=True)
 class HadamardSpec:
     """Transform order n (power of two, 8..128) and prime modulus p."""
@@ -30,10 +36,7 @@ class HadamardSpec:
     p: int
 
     def __post_init__(self):
-        if self.n not in SUPPORTED_ORDERS:
-            raise UnsupportedBlockOrder(
-                f"order {self.n} not in supported set {SUPPORTED_ORDERS}"
-            )
+        check_order(self.n)
         if self.p < 2:
             raise ValueError(f"modulus {self.p} is not a prime")
 

@@ -114,7 +114,8 @@ def test_degenerate_detection():
 
 def test_csv_output_shape():
     stream = io.StringIO()
-    report = write_csv(BitSeq("101"), BitSeq("100"), stream)
+    report = difference_series(BitSeq("101"), BitSeq("100"))
+    write_csv(BitSeq("101"), report, stream)
     lines = stream.getvalue().splitlines()
     assert lines[0] == "position,bit_a,bit_b,diff"
     assert lines[1] == "0,1,1,0"
@@ -127,7 +128,8 @@ def test_csv_output_shape():
 
 def test_csv_empty_inputs():
     stream = io.StringIO()
-    report = write_csv(BitSeq(""), BitSeq(""), stream)
+    report = difference_series(BitSeq(""), BitSeq(""))
+    write_csv(BitSeq(""), report, stream)
     lines = stream.getvalue().splitlines()
     assert lines[0] == "position,bit_a,bit_b,diff"
     assert lines[1].startswith("#")

@@ -1,8 +1,11 @@
 """Command-line behavior, exercised through main() with string argv."""
 
+from dataclasses import replace
+
 import pytest
 
-from hctcodec.cipher import CipherEnvelope
+from hctcodec.bitcodec import BitSeq
+from hctcodec.cipher import CipherEnvelope, KeySchedule, decrypt_tolerant, encrypt
 from hctcodec.cli import main
 from vectors import CIPHER_BITS, DIGEST16, ENVELOPE_HEX, MOD7_MATRIX, PLAIN_BITS, PLAIN_BYTES
 
@@ -72,6 +75,14 @@ def test_decrypt_rejects_malformed_file(tmp_path, capsys):
     assert "MalformedEnvelope" in capsys.readouterr().err
 
 
+def test_decrypt_has_no_block_size_option(tmp_path, capsys):
+    env = tmp_path / "msg.hct"
+    env.write_bytes(bytes.fromhex(ENVELOPE_HEX))
+    with pytest.raises(SystemExit) as exc:
+        main(["decrypt", "--key", "3,5", "--in", str(env), "--block-size", "16"])
+    assert exc.value.code == 2
+
+
 def test_decrypt_missing_file(tmp_path, capsys):
     assert main(["decrypt", "--key", "3,5", "--in", str(tmp_path / "absent")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -137,6 +148,22 @@ def test_analyze_flip_mode(tmp_path, capsys):
     content = csv_path.read_text()
     assert content.startswith("position,bit_a,bit_b,diff\n")
     assert content.rstrip().splitlines()[-1].startswith("#")
+
+
+def test_analyze_flip_rows_match_tolerant_decrypt(capsys):
+    assert main(["analyze", "--key", "3,5", "--text", PLAIN_BITS, "--flip", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].endswith("sentinel_conflicts=1")
+    key = KeySchedule.from_exponents([3, 5])
+    envelope = encrypt(BitSeq(PLAIN_BITS), key, 8)
+    flipped = replace(envelope, payload=envelope.payload.flip(0))
+    recovered = decrypt_tolerant(flipped, key)[0].bits
+    rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+    assert len(rows) == len(PLAIN_BITS)
+    for position, bit_a, bit_b, diff in rows:
+        i = int(position)
+        assert (bit_a, bit_b) == (PLAIN_BITS[i], recovered[i])
+        assert int(diff) == (bit_a != bit_b)
 
 
 def test_analyze_flip_out_of_range(capsys):

@@ -1,16 +1,29 @@
 """The experiment scripts run to completion on small inputs.
 
-trace_roundtrip.py replays every level through the per-block kernels and
-asserts that the replay equals encrypt()/decrypt(), so running it checks the
-whole-message level loops end to end.
+trace_roundtrip.py runs each level as a one-exponent encrypt()/decrypt() and
+asserts that the chained encrypt() gives the same level records and payload;
+its default run must print the worked example's intermediate vectors.
 """
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from vectors import (
+    D1_RECOVERED,
+    D1_RESTORED,
+    D2_RECOVERED,
+    ENVELOPE_HEX,
+    L1_GROUPS,
+    L1_SENTINELS,
+    L1_TRANSFORMED,
+    L2_GROUPS,
+    L2_TRANSFORMED,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,3 +47,24 @@ def test_script_exits_zero(script, args):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_trace_prints_worked_example(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["trace_roundtrip.py"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "trace_roundtrip.py"), run_name="__main__")
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected = [
+        f"  groups     {list(L1_GROUPS)}",
+        f"  sentinels  {list(L1_SENTINELS)}",
+        f"  transformed{list(L1_TRANSFORMED)}",
+        f"  groups     {list(L2_GROUPS)}",
+        f"  transformed{list(L2_TRANSFORMED)}",
+        f"envelope ({len(ENVELOPE_HEX) // 2} bytes): {ENVELOPE_HEX}",
+        f"  recovered  {list(D2_RECOVERED)}",
+        f"  recovered  {list(D1_RECOVERED)}",
+        f"  restored   {list(D1_RESTORED)}",
+    ]
+    positions = [lines.index(line) for line in expected]
+    assert positions == sorted(positions)
