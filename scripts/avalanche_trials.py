@@ -29,11 +29,12 @@ def main() -> int:
 
     key = KeySchedule.from_exponents(int(x) for x in args.key.split(","))
     rng = random.Random(args.seed)
+    # The payload length depends only on the message length, key and block size.
+    payload_len = len(encrypt(BitSeq("0" * args.bits), key, args.block_size).payload)
 
     rows = []
     for trial in range(args.trials):
         message = BitSeq("".join(rng.choice("01") for _ in range(args.bits)))
-        payload_len = len(encrypt(message, key, args.block_size).payload)
         flip = rng.randrange(payload_len)
         report = avalanche_experiment(message, key, args.block_size, flip)
         rows.append((trial, flip, report.hamming, report.common,

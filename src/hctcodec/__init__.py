@@ -50,9 +50,7 @@ from .hadamard import (
 from .modmath import (
     SUPPORTED_EXPONENTS,
     ModulusParams,
-    is_prime,
     mod_inverse,
-    mod_reduce,
     validate_key_element,
 )
 from . import errors
@@ -88,9 +86,7 @@ __all__ = [
     "entry",
     "errors",
     "hash_digest",
-    "is_prime",
     "mod_inverse",
-    "mod_reduce",
     "multiply_raw",
     "pad_and_group",
     "restore_sentinels",

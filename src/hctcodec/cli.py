@@ -132,6 +132,8 @@ def run_bench(spec: HadamardSpec, trials: int, seed: int = 0) -> tuple[float, fl
 
 
 def _cmd_bench(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     params = validate_key_element(args.exponent)
     spec = HadamardSpec(args.order, params.p)
     naive_s, fast_s = run_bench(spec, args.trials)

@@ -1,8 +1,10 @@
-"""Exact modular arithmetic behind key validation and transform inversion.
+"""Key exponent table and validation, and the modular inverse.
 
 Every modulus used by the codec is a Mersenne prime p = 2^x - 1 with x itself
-prime.  Arithmetic stays in plain Python integers, which are arbitrary
-precision, so no intermediate product can overflow or lose exactness.
+prime.  For x <= 31 those exponents are a fixed set of eight, so a key
+element is validated by looking it up in that table.  Arithmetic stays in
+plain Python integers, which are arbitrary precision, so no intermediate
+product can overflow or lose exactness.
 """
 
 from dataclasses import dataclass
@@ -13,10 +15,6 @@ from .errors import InvalidKeyElement, NoInverse
 # modulus (2^31 - 1) comfortably inside exact machine-word range for callers
 # that care, while Python itself has no width limit.
 SUPPORTED_EXPONENTS = (2, 3, 5, 7, 13, 17, 19, 31)
-
-# Deterministic Miller-Rabin witness set: correct for all n < 3.3 * 10^24,
-# which covers the documented input range (u < 2^64) with a wide margin.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 @dataclass(frozen=True)
@@ -31,82 +29,27 @@ class ModulusParams:
             raise ValueError(f"p={self.p} is not 2^{self.x} - 1")
 
 
-def is_prime(u: int) -> bool:
-    """Deterministically decide primality for 0 <= u < 2^64.
-
-    Uses Miller-Rabin over a fixed witness set that is exact in this range;
-    there are no probabilistic false positives.
-    """
-    if u < 2:
-        return False
-    for b in _MR_BASES:
-        if u == b:
-            return True
-        if u % b == 0:
-            return False
-    d = u - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for b in _MR_BASES:
-        y = pow(b, d, u)
-        if y == 1 or y == u - 1:
-            continue
-        for _ in range(r - 1):
-            y = y * y % u
-            if y == u - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def validate_key_element(x: int) -> ModulusParams:
     """Check one key exponent and return its modulus parameters.
 
-    A usable exponent satisfies all of: x prime, 2^x - 1 prime, and
-    2 <= x <= 31.  Raises InvalidKeyElement otherwise.
+    A usable exponent is an int in SUPPORTED_EXPONENTS: x prime, 2^x - 1
+    prime, and 2 <= x <= 31.  Raises InvalidKeyElement otherwise.
     """
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise InvalidKeyElement(f"key element {x!r} is not an integer")
-    if x < 2 or x > 31:
-        raise InvalidKeyElement(f"key element {x} outside supported range 2..31")
-    if not is_prime(x):
-        raise InvalidKeyElement(f"key element {x} is not prime")
-    p = (1 << x) - 1
-    if not is_prime(p):
-        raise InvalidKeyElement(f"2^{x} - 1 = {p} is not prime")
-    return ModulusParams(x, p)
-
-
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Iterative extended Euclid: returns (g, s, t) with a*s + b*t = g."""
-    s0, s1 = 1, 0
-    t0, t1 = 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
+    # The type test comes first: 3.0 == 3, so a float would pass the lookup.
+    if not isinstance(x, int) or isinstance(x, bool) or x not in SUPPORTED_EXPONENTS:
+        raise InvalidKeyElement(
+            f"key element {x!r} is not one of the supported exponents {SUPPORTED_EXPONENTS}"
+        )
+    return ModulusParams(x, (1 << x) - 1)
 
 
 def mod_inverse(a: int, p: int) -> int:
     """Return b with (a * b) % p == 1 and 0 < b < p, for prime p.
 
-    Computed by the extended Euclidean algorithm.  Raises NoInverse when
-    a is congruent to zero mod p.
+    Computed by ``pow(a, -1, p)``.  Raises NoInverse when a is congruent to
+    zero mod p.
     """
-    a %= p
-    if a == 0:
-        raise NoInverse(f"0 has no multiplicative inverse mod {p}")
-    g, s, _ = _extended_gcd(a, p)
-    if g != 1:
-        raise NoInverse(f"{a} has no multiplicative inverse mod {p}")
-    return s % p
-
-
-def mod_reduce(v: int, p: int) -> int:
-    """Reduce v into the canonical residue range [0, p)."""
-    return v % p
+    try:
+        return pow(a, -1, p)
+    except ValueError:
+        raise NoInverse(f"{a % p} has no multiplicative inverse mod {p}") from None

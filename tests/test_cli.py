@@ -187,6 +187,14 @@ def test_bench_reports_both_kernels(capsys):
     assert "order=8 modulus=7" in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_bench_rejects_non_positive_trials(capsys, trials):
+    assert main(["bench", "--exponent", "3", "--order", "8", "--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --trials must be at least 1" in captured.err
+
+
 def test_mutually_exclusive_inputs(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["encrypt", "--key", "3", "--text", "101", "--in", "x"])

@@ -1,4 +1,4 @@
-"""Number-theory plumbing: primality, key validation, inverses."""
+"""Key exponent table, key validation, modular inverses."""
 
 import pytest
 from hypothesis import given
@@ -8,9 +8,7 @@ from hctcodec.errors import InvalidKeyElement, NoInverse
 from hctcodec.modmath import (
     SUPPORTED_EXPONENTS,
     ModulusParams,
-    is_prime,
     mod_inverse,
-    mod_reduce,
     validate_key_element,
 )
 from vectors import M11_FACTORS, M23_FACTORS, SUPPORTED_P, SUPPORTED_X
@@ -30,38 +28,15 @@ def trial_division(u: int) -> bool:
     return True
 
 
-def test_small_cases():
-    assert not is_prime(0)
-    assert not is_prime(1)
-    assert is_prime(2)
-    assert is_prime(3)
-    assert not is_prime(4)
-    assert is_prime(7)
-    assert not is_prime(9)
-
-
-def test_agrees_with_trial_division_exhaustively():
-    for u in range(0, 5000):
-        assert is_prime(u) == trial_division(u), u
-
-
-@given(st.integers(min_value=0, max_value=500_000))
-def test_agrees_with_trial_division_random(u):
-    assert is_prime(u) == trial_division(u)
-
-
-def test_carmichael_numbers_rejected():
-    # Fermat pseudoprimes to many bases; Miller-Rabin must not be fooled.
-    for u in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265):
-        assert not is_prime(u), u
-
-
-def test_mersenne_31_is_prime():
-    assert is_prime(2**31 - 1)
-
-
-def test_large_square_of_prime_rejected():
-    assert not is_prime((2**31 - 1) ** 2)
+def test_table_is_every_exponent_with_prime_mersenne():
+    derived = {x for x in range(2, 32) if trial_division(x) and trial_division(2**x - 1)}
+    assert derived == set(SUPPORTED_EXPONENTS)
+    for x in range(-64, 300):
+        if x in derived:
+            assert validate_key_element(x) == ModulusParams(x, 2**x - 1)
+        else:
+            with pytest.raises(InvalidKeyElement):
+                validate_key_element(x)
 
 
 def test_supported_exponents_all_validate():
@@ -152,17 +127,3 @@ def test_inverse_property(a, p):
             mod_inverse(a, p)
     else:
         assert (a * mod_inverse(a, p)) % p == 1
-
-
-def test_reduce_worked_values():
-    assert mod_reduce(7, 7) == 0
-    assert mod_reduce(97, 31) == 4
-    assert mod_reduce(-1, 7) == 6
-
-
-@given(st.integers(min_value=-(2**40), max_value=2**40), st.sampled_from(SUPPORTED_P))
-def test_reduce_idempotent_and_in_range(v, p):
-    r = mod_reduce(v, p)
-    assert 0 <= r < p
-    assert mod_reduce(r, p) == r
-    assert (r - v) % p == 0

@@ -28,6 +28,17 @@ from vectors import (
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _run_script(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "script, args",
     [
@@ -38,15 +49,20 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_exits_zero(script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    result = _run_script(script, args)
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_avalanche_trials_summary_is_pinned():
+    # A fixed seed must keep giving the same trials: no change may add or
+    # reorder rng calls.
+    result = _run_script("avalanche_trials.py", ["--trials", "5", "--bits", "100", "--seed", "1"])
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines() == [
+        "trials=5 message_bits=100 key=3,5 block=8",
+        "fraction changed: mean 0.2380, min 0.1300, max 0.3600",
+        "sentinel conflicts across all trials: 10",
+    ]
 
 
 def test_trace_prints_worked_example(monkeypatch, capsys):
