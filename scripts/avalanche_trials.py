@@ -26,6 +26,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--emit-csv", help="write per-trial rows to this path")
     args = parser.parse_args()
+    if min(args.trials, args.bits) < 1:
+        parser.error("--trials and --bits must be at least 1")
 
     key = KeySchedule.from_exponents(int(x) for x in args.key.split(","))
     rng = random.Random(args.seed)

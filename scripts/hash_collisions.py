@@ -27,6 +27,8 @@ def main() -> int:
 
     key = KeySchedule.from_exponents(int(x) for x in args.key.split(","))
     widths = [int(w) for w in args.widths.split(",")]
+    if min(args.pairs, args.bits, *widths) < 1:
+        parser.error("--pairs, --bits and every --widths entry must be at least 1")
     rng = random.Random(args.seed)
 
     pairs = []
@@ -35,11 +37,11 @@ def main() -> int:
         pairs.append((a, a.flip(rng.randrange(args.bits))))
 
     print(f"pairs={args.pairs} message_bits={args.bits} key={args.key}")
+    # A digest is a zero-extended payload prefix, so narrower ones are shifts.
+    widest = max(widths)
+    digests = [[hash_digest(m, key, 8, widest).value for m in pair] for pair in pairs]
     for width in widths:
-        collisions = sum(
-            1 for a, b in pairs
-            if hash_digest(a, key, 8, width) == hash_digest(b, key, 8, width)
-        )
+        collisions = sum(a >> widest - width == b >> widest - width for a, b in digests)
         print(f"digest {width:4d} bits: {collisions:4d} collisions "
               f"({collisions / args.pairs:.1%})")
     return 0

@@ -37,11 +37,15 @@ from .errors import (
     NonZeroPadding,
     SentinelConflict,
 )
-from .hadamard import apply_lanes, check_order, full_lanes
-from .modmath import ModulusParams, validate_key_element
+from .hadamard import SUPPORTED_ORDERS, apply_lanes, check_order, full_lanes
+from .modmath import SUPPORTED_EXPONENTS, ModulusParams, validate_key_element
 
 ENVELOPE_MAGIC = b"HCT1"
 ENVELOPE_VERSION = 1
+# HCT1: header; per level a record, then its sentinel indices as >I; payload.
+_HEADER = struct.Struct(">4sBBB")  # magic, version, block order, level count
+_LEVEL = struct.Struct(">BQI")  # x, pre-padding bit length, sentinel count
+_PAYLOAD_LEN = struct.Struct(">Q")
 
 
 @dataclass(frozen=True)
@@ -94,98 +98,77 @@ class CipherEnvelope:
             raise MalformedEnvelope(
                 f"level count {len(self.levels)} does not fit the format (1..255)"
             )
-        parts = [
-            ENVELOPE_MAGIC,
-            struct.pack(">BBB", self.version, self.block_order, len(self.levels)),
-        ]
+        parts = [_HEADER.pack(ENVELOPE_MAGIC, self.version, self.block_order, len(self.levels))]
         for rec in self.levels:
-            parts.append(struct.pack(">BQI", rec.x, rec.orig_bit_len, len(rec.sentinels)))
-            if rec.sentinels.indices:
-                parts.append(
-                    struct.pack(f">{len(rec.sentinels)}I", *rec.sentinels.indices)
-                )
-        parts.append(struct.pack(">Q", len(self.payload)))
+            parts.append(_LEVEL.pack(rec.x, rec.orig_bit_len, len(rec.sentinels)))
+            parts.append(struct.pack(f">{len(rec.sentinels)}I", *rec.sentinels.indices))
+        parts.append(_PAYLOAD_LEN.pack(len(self.payload)))
         parts.append(self.payload.to_bytes())
         return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CipherEnvelope":
-        """Parse and fully validate an HCT1 envelope; raises MalformedEnvelope."""
-        cursor = _Cursor(data)
-        magic = cursor.take(4, "magic")
-        if magic != ENVELOPE_MAGIC:
-            raise MalformedEnvelope(f"bad magic {magic!r}, expected {ENVELOPE_MAGIC!r}")
-        version, block_order, level_count = struct.unpack(
-            ">BBB", cursor.take(3, "header")
-        )
-        if version != ENVELOPE_VERSION:
-            raise MalformedEnvelope(f"unsupported version {version}")
-        if block_order == 0 or block_order & (block_order - 1):
-            raise MalformedEnvelope(f"block order {block_order} is not a power of two")
-        if level_count == 0:
-            raise MalformedEnvelope("envelope carries no levels")
+        """Parse and fully validate an HCT1 envelope; raises MalformedEnvelope.
 
-        levels = []
-        for index in range(level_count):
-            x, orig_bit_len, sentinel_count = struct.unpack(
-                ">BQI", cursor.take(13, f"level {index} record")
-            )
-            if x == 0:
-                raise MalformedEnvelope(f"level {index} has group width 0")
-            raw = cursor.take(4 * sentinel_count, f"level {index} sentinel indices")
-            indices = struct.unpack(f">{sentinel_count}I", raw)
-            try:
-                sentinels = SentinelSet(indices)
-            except ValueError:
+        The block order and each x must be supported, as ``encrypt`` checks,
+        so n >= 8 and the payload always fills whole bytes.
+        """
+        what = "header"
+        try:
+            magic, version, block_order, level_count = _HEADER.unpack_from(data)
+            if magic != ENVELOPE_MAGIC:
+                raise MalformedEnvelope(f"bad magic {magic!r}, expected {ENVELOPE_MAGIC!r}")
+            if version != ENVELOPE_VERSION:
+                raise MalformedEnvelope(f"unsupported version {version}")
+            if block_order not in SUPPORTED_ORDERS:
                 raise MalformedEnvelope(
-                    f"level {index} sentinel indices not strictly ascending"
-                ) from None
-            record = LevelRecord(x, orig_bit_len, sentinels)
-            limit = record.padded_group_count(block_order)
-            if indices and indices[-1] >= limit:
-                raise MalformedEnvelope(
-                    f"level {index} sentinel index {indices[-1]} out of range "
-                    f"(padded group count {limit})"
+                    f"block order {block_order} is not a supported power of two"
                 )
-            levels.append(record)
-
-        (payload_bit_len,) = struct.unpack(">Q", cursor.take(8, "payload length"))
-        expected = levels[-1].padded_group_count(block_order) * levels[-1].x
-        if payload_bit_len != expected:
-            raise MalformedEnvelope(
-                f"payload bit length {payload_bit_len} inconsistent with level "
-                f"records (expected {expected})"
-            )
-        payload_bytes = cursor.take(-(-payload_bit_len // 8), "payload")
-        if cursor.remaining():
-            raise MalformedEnvelope(f"{cursor.remaining()} trailing bytes after payload")
-        filler = 8 * len(payload_bytes) - payload_bit_len
-        payload = int.from_bytes(payload_bytes, "big")
-        if payload & ((1 << filler) - 1):
-            raise MalformedEnvelope("nonzero filler bits after payload")
-        return cls(
-            version, block_order, tuple(levels),
-            BitSeq.from_int(payload >> filler, payload_bit_len),
-        )
-
-
-class _Cursor:
-    """Byte reader that turns short reads into MalformedEnvelope."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.offset = 0
-
-    def take(self, count: int, what: str) -> bytes:
-        end = self.offset + count
-        if end > len(self.data):
-            raise MalformedEnvelope(f"truncated envelope while reading {what}")
-        chunk = self.data[self.offset:end]
-        self.offset = end
-        return chunk
-
-    def remaining(self) -> int:
-        return len(self.data) - self.offset
+            if level_count == 0:
+                raise MalformedEnvelope("envelope carries no levels")
+            offset = _HEADER.size
+            levels = []
+            for index in range(level_count):
+                what = f"level {index} record"
+                x, orig_bit_len, sentinel_count = _LEVEL.unpack_from(data, offset)
+                if x not in SUPPORTED_EXPONENTS:
+                    raise MalformedEnvelope(
+                        f"level {index} has group width {x}, not one of {SUPPORTED_EXPONENTS}"
+                    )
+                what = f"level {index} sentinel indices"
+                indices = struct.unpack_from(f">{sentinel_count}I", data, offset + _LEVEL.size)
+                offset += _LEVEL.size + 4 * sentinel_count
+                try:
+                    sentinels = SentinelSet(indices)
+                except ValueError:
+                    raise MalformedEnvelope(
+                        f"level {index} sentinel indices not strictly ascending"
+                    ) from None
+                record = LevelRecord(x, orig_bit_len, sentinels)
+                limit = record.padded_group_count(block_order)
+                if indices and indices[-1] >= limit:
+                    raise MalformedEnvelope(
+                        f"level {index} sentinel index {indices[-1]} out of range "
+                        f"(padded group count {limit})"
+                    )
+                levels.append(record)
+            what = "payload length"
+            (payload_bit_len,) = _PAYLOAD_LEN.unpack_from(data, offset)
+            offset += _PAYLOAD_LEN.size
+            expected = levels[-1].padded_group_count(block_order) * levels[-1].x
+            if payload_bit_len != expected:
+                raise MalformedEnvelope(
+                    f"payload bit length {payload_bit_len} inconsistent with level "
+                    f"records (expected {expected})"
+                )
+            what = "payload"
+            (payload,) = struct.unpack_from(f"{payload_bit_len // 8}s", data, offset)
+        except struct.error:
+            raise MalformedEnvelope(f"truncated envelope while reading {what}") from None
+        trailing = len(data) - offset - len(payload)
+        if trailing:
+            raise MalformedEnvelope(f"{trailing} trailing bytes after payload")
+        return cls(version, block_order, tuple(levels), BitSeq.from_bytes(payload))
 
 
 def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> CipherEnvelope:

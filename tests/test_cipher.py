@@ -1,6 +1,7 @@
 """End-to-end pipeline: encrypt, decrypt, keys, hashing."""
 
 import random
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,8 @@ from hctcodec.errors import (
     SentinelConflict,
     UnsupportedBlockOrder,
 )
-from hctcodec.hadamard import HadamardSpec, apply_fast, apply_inverse
+from hctcodec.hadamard import SUPPORTED_ORDERS, HadamardSpec, apply_fast, apply_inverse
+from hctcodec.modmath import SUPPORTED_EXPONENTS
 from vectors import (
     CIPHER_BITS,
     DIGEST16,
@@ -365,3 +367,81 @@ def test_product_path_never_formats_bit_text(monkeypatch):
     report = avalanche_experiment(message, KEY35, 8, len(envelope.payload) - 1)
     assert report.length_a == report.length_b == 2171
     assert report.sentinel_conflicts > 0
+
+
+def superblock_bits(key, n):
+    """S = n * lcm(x_1..x_k): every level maps each S-aligned range onto itself."""
+    return n * lcm(*key.exponents)
+
+
+def joined(seqs):
+    return BitSeq("".join(seq.bits for seq in seqs))
+
+
+def check_superblock_locality(chunks, tail, key, n, flip):
+    """Encrypting S-bit chunks and a tail whole equals encrypting them apart.
+
+    The payloads concatenate, each level's orig_bit_len adds up and its
+    sentinel indices shift by S / x per preceding chunk.  A flipped payload
+    bit changes the tolerant decrypt only inside its own superblock.
+    """
+    size = superblock_bits(key, n)
+    message = joined(chunks + [tail])
+    whole = encrypt(message, key, n)
+    parts = [encrypt(part, key, n) for part in chunks + [tail]]
+    assert whole.payload == joined(part.payload for part in parts)
+    for level, record in enumerate(whole.levels):
+        lanes = size // record.x
+        assert record.orig_bit_len == sum(p.levels[level].orig_bit_len for p in parts)
+        assert record.sentinels.indices == tuple(
+            j * lanes + i for j, p in enumerate(parts) for i in p.levels[level].sentinels
+        )
+    assert decrypt(whole, key) == message
+
+    flip %= len(whole.payload)
+    damaged = CipherEnvelope(whole.version, n, whole.levels, whole.payload.flip(flip))
+    recovered, _ = decrypt_tolerant(damaged, key)
+    assert len(recovered) == len(message)
+    start = flip // size * size
+    end = min(start + size, len(message))
+    diff = recovered.value ^ message.value
+    assert diff >> len(message) - start == 0  # nothing before the superblock
+    assert diff & (1 << len(message) - end) - 1 == 0  # nor after it
+
+
+def random_bits(rng, length):
+    return BitSeq.from_int(rng.getrandbits(length), length)
+
+
+@st.composite
+def superblock_cases(draw):
+    exponents = draw(
+        st.lists(st.sampled_from(SUPPORTED_EXPONENTS), min_size=1, max_size=3)
+        .filter(lambda xs: 8 * lcm(*xs) <= 1 << 16)
+    )
+    n = draw(st.sampled_from([n for n in SUPPORTED_ORDERS if n * lcm(*exponents) <= 1 << 16]))
+    key = KeySchedule.from_exponents(exponents)
+    size = superblock_bits(key, n)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    # A mostly-ones chunk gives every level sentinels; repeats give equal superblocks.
+    ones = rng.getrandbits(size) | rng.getrandbits(size) | rng.getrandbits(size)
+    pool = [BitSeq.from_int(ones, size), random_bits(rng, size)]
+    chunks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    tail = random_bits(rng, draw(st.integers(0, size - 1)))
+    return chunks, tail, key, n, draw(st.integers(0, 2**40))
+
+
+@settings(max_examples=100, deadline=None)
+@given(superblock_cases())
+def test_encryption_is_local_to_superblocks(case):
+    check_superblock_locality(*case)
+
+
+def test_superblock_locality_on_one_mebibyte():
+    key = KeySchedule.from_exponents([3, 5, 31])
+    size = superblock_bits(key, 8)
+    assert size == 3720
+    rng = random.Random(2010)
+    count, ragged = divmod(8 << 20, size)
+    chunks = [random_bits(rng, size) for _ in range(count)]
+    check_superblock_locality(chunks, random_bits(rng, ragged), key, 8, rng.randrange(8 << 20))

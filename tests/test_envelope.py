@@ -4,6 +4,8 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hctcodec.bitcodec import BitSeq, SentinelSet
 from hctcodec.cipher import (
@@ -13,14 +15,16 @@ from hctcodec.cipher import (
     KeySchedule,
     LevelRecord,
     decrypt,
+    decrypt_tolerant,
     encrypt,
 )
-from hctcodec.errors import MalformedEnvelope
+from hctcodec.errors import CodecError, MalformedEnvelope
 from vectors import (
     CIPHER_BITS,
     ENVELOPE_HEX,
     OFF_BLOCK_ORDER,
     OFF_L1_SENT_IDX,
+    OFF_L1_X,
     OFF_LEVEL_COUNT,
     OFF_PAYLOAD_BITLEN,
     OFF_VERSION,
@@ -187,21 +191,23 @@ def test_rejects_trailing_bytes():
         CipherEnvelope.from_bytes(GOLD + GOLD)
 
 
-def test_rejects_nonzero_filler_bits():
-    # A block order below 8 keeps the format parseable while making the
-    # payload end mid-byte, exposing the filler region.
-    env_bytes = (
+def test_rejects_metadata_encrypt_cannot_write():
+    # encrypt() only writes supported block orders and exponents.  Order 4
+    # would end this payload mid-byte; the others parse to consistent lengths
+    # or are caught here before the length check.
+    order4 = (
         ENVELOPE_MAGIC
         + struct.pack(">BBB", 1, 4, 1)
         + struct.pack(">BQI", 3, 3, 0)
         + struct.pack(">Q", 12)
         + b"\xa0\x00"
     )
-    parsed = CipherEnvelope.from_bytes(env_bytes)
-    assert parsed.payload == BitSeq("101000000000")
-    dirty = env_bytes[:-1] + b"\x08"
-    with pytest.raises(MalformedEnvelope, match="filler"):
-        CipherEnvelope.from_bytes(dirty)
+    for blob in [order4] + [patched(GOLD, OFF_BLOCK_ORDER, bytes([n])) for n in (1, 2, 4)]:
+        with pytest.raises(MalformedEnvelope, match="not a supported power of two"):
+            CipherEnvelope.from_bytes(blob)
+    for x in (4, 11, 200):
+        with pytest.raises(MalformedEnvelope, match=f"level 0 has group width {x},"):
+            CipherEnvelope.from_bytes(patched(GOLD, OFF_L1_X, bytes([x])))
 
 
 def test_rejects_garbage():
@@ -219,3 +225,40 @@ def test_to_bytes_rejects_unencodable_level_count():
     )
     with pytest.raises(MalformedEnvelope, match="level count"):
         env.to_bytes()
+
+
+edits = st.tuples(
+    st.sampled_from(["overwrite", "cut", "insert"]),
+    st.integers(0, 10**6),
+    st.binary(min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.binary(max_size=200),
+    st.sampled_from([(3, 5, 31), (2, 7), (13,), (3, 5)]),
+    st.sampled_from([8, 16, 32]),
+    st.lists(edits, min_size=1, max_size=4),
+)
+def test_mutated_envelopes_parse_exactly_or_raise_malformed(message, exponents, n, mutations):
+    key = KeySchedule.from_exponents(exponents)
+    blob = bytearray(encrypt(BitSeq.from_bytes(message), key, n).to_bytes())
+    for kind, where, chunk in mutations:
+        at = where % (len(blob) + 1)
+        if kind == "overwrite":
+            blob[at:at + len(chunk)] = chunk
+        elif kind == "cut":
+            del blob[at:at + len(chunk)]
+        else:
+            blob[at:at] = chunk
+    try:
+        env = CipherEnvelope.from_bytes(bytes(blob))
+    except MalformedEnvelope:
+        return
+    assert env.to_bytes() == blob
+    for run in (decrypt, decrypt_tolerant):
+        try:
+            run(env, key)
+        except CodecError:
+            pass

@@ -65,6 +65,37 @@ def test_avalanche_trials_summary_is_pinned():
     ]
 
 
+@pytest.mark.parametrize(
+    "script, flag",
+    [
+        ("hash_collisions.py", "--pairs"),
+        ("hash_collisions.py", "--bits"),
+        ("hash_collisions.py", "--widths"),
+        ("avalanche_trials.py", "--trials"),
+        ("avalanche_trials.py", "--bits"),
+    ],
+)
+def test_script_rejects_zero_count(script, flag):
+    result = _run_script(script, [flag, "0"])
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert "usage:" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_hash_collisions_summary_is_pinned():
+    # Each narrower digest is a shift of the widest one; the counts must match
+    # hashing at every width separately.
+    result = _run_script("hash_collisions.py", ["--pairs", "50", "--bits", "100"])
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines() == [
+        "pairs=50 message_bits=100 key=3,5",
+        "digest   32 bits:   28 collisions (56.0%)",
+        "digest   64 bits:    1 collisions (2.0%)",
+        "digest  128 bits:    0 collisions (0.0%)",
+        "digest  256 bits:    0 collisions (0.0%)",
+    ]
+
+
 def test_trace_prints_worked_example(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["trace_roundtrip.py"])
     with pytest.raises(SystemExit) as exc:
