@@ -15,6 +15,8 @@ import sys
 from hctcodec.analysis import avalanche_experiment
 from hctcodec.bitcodec import BitSeq
 from hctcodec.cipher import KeySchedule, encrypt
+from hctcodec.errors import CodecError
+from hctcodec.hadamard import check_order
 
 
 def main() -> int:
@@ -29,7 +31,11 @@ def main() -> int:
     if min(args.trials, args.bits) < 1:
         parser.error("--trials and --bits must be at least 1")
 
-    key = KeySchedule.from_exponents(int(x) for x in args.key.split(","))
+    try:
+        key = KeySchedule.from_exponents(int(x) for x in args.key.split(","))
+        check_order(args.block_size)
+    except (ValueError, CodecError) as exc:
+        parser.error(f"bad --key or --block-size: {exc}")
     rng = random.Random(args.seed)
     # The payload length depends only on the message length, key and block size.
     payload_len = len(encrypt(BitSeq("0" * args.bits), key, args.block_size).payload)

@@ -13,6 +13,7 @@ import random
 
 from hctcodec.bitcodec import BitSeq
 from hctcodec.cipher import KeySchedule, hash_digest
+from hctcodec.errors import CodecError
 
 
 def main() -> int:
@@ -25,8 +26,11 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    key = KeySchedule.from_exponents(int(x) for x in args.key.split(","))
-    widths = [int(w) for w in args.widths.split(",")]
+    try:
+        key = KeySchedule.from_exponents(int(x) for x in args.key.split(","))
+        widths = [int(w) for w in args.widths.split(",")]
+    except (ValueError, CodecError) as exc:
+        parser.error(f"bad --key or --widths: {exc}")
     if min(args.pairs, args.bits, *widths) < 1:
         parser.error("--pairs, --bits and every --widths entry must be at least 1")
     rng = random.Random(args.seed)

@@ -8,12 +8,17 @@ the pre-padding bit length and the positions holding the group maximum
 
 ``BitSeq`` holds a sequence once, as an MSB-first int and a bit count, so
 the cipher's packed level loop, the envelope and the byte packing never
-format it as text.  The per-group helpers below (``pad_and_group``,
-``ungroup``, ``truncate``, ...) work on the '0'/'1' text form one value at
-a time; the tests use them as the oracle for the packed path.
+format it as text.  ``SentinelSet`` likewise holds one form: the lane
+flags the cipher finds, or the index tuple the envelope carries; it
+converts between them only when asked.  The per-group helpers below
+(``pad_and_group``, ``ungroup``, ``truncate``, ...) work on the '0'/'1'
+text form one value at a time; the tests use them as the oracle for the
+packed path.
 """
 
-from dataclasses import dataclass, field
+import re
+from bisect import bisect_left
+from dataclasses import dataclass
 from itertools import islice
 from operator import lt
 from typing import Iterable, Sequence
@@ -97,31 +102,88 @@ class GroupedSeq:
     orig_bit_len: int
 
 
-@dataclass(frozen=True)
 class SentinelSet:
-    """Strictly ascending group positions that held the maximum value 2^x - 1."""
+    """Group positions that held the maximum value 2^x - 1.
 
-    indices: tuple[int, ...] = field(default=())
+    A set is held in one form only.  ``SentinelSet(indices)`` keeps the
+    strictly ascending index tuple that HCT1 carries.  ``from_lanes`` keeps
+    the lane flags ``encrypt`` finds: for ``count`` x-bit lanes, a 1 at bit
+    j*x marks lane j from the least significant end, which is group position
+    count - 1 - j.  ``indices`` formats the tuple from the flags on each
+    access and is not cached; ``==``, ``hash``, iteration and ``repr`` go
+    through it, so both forms of one set are equal.  ``lanes`` gives the
+    decrypt loop the flags, formatting no index from the flag form.
+    """
 
-    def __post_init__(self):
-        idx = self.indices
+    __slots__ = ("_indices", "_flags", "_x", "_count")
+
+    def __init__(self, indices: Iterable[int] = ()):
+        idx = tuple(indices)
         if not all(map(lt, idx, islice(idx, 1, None))):
             raise ValueError("sentinel indices must be strictly ascending")
         if idx and idx[0] < 0:
             raise ValueError("sentinel indices must be non-negative")
+        self._indices = idx
+
+    @classmethod
+    def from_lanes(cls, flags: int, x: int, count: int) -> "SentinelSet":
+        """The set whose flags over ``count`` x-bit lanes are ``flags`` (see above)."""
+        lanes = object.__new__(cls)
+        lanes._indices, lanes._flags, lanes._x, lanes._count = None, flags, x, count
+        return lanes
 
     @classmethod
     def from_positions(cls, positions: Iterable[int]) -> "SentinelSet":
-        return cls(tuple(sorted(set(positions))))
+        return cls(sorted(set(positions)))
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        """The ascending index tuple, formatted from the flags when held as lanes."""
+        if self._indices is not None:
+            return self._indices
+        if not self._flags:
+            return ()
+        x = self._x
+        marks = format(self._flags, f"0{self._count * x}b")[x - 1::x]
+        return tuple(map(re.Match.start, re.finditer("1", marks)))
+
+    def lanes(self, x: int, count: int) -> tuple[int, int]:
+        """Flags over ``count`` x-bit lanes, and how many indices lie at or past ``count``."""
+        if self._indices is None and x == self._x and count == self._count:
+            return self._flags, 0
+        indices = self.indices
+        in_range = bisect_left(indices, count)
+        if not in_range:
+            return 0, len(indices)
+        lane_marks = bytearray(b"0") * count
+        for i in indices[:in_range]:
+            lane_marks[i] = 49  # ord("1")
+        marks = bytearray(b"0") * (count * x)
+        marks[x - 1::x] = lane_marks  # the lowest bit of each lane
+        return int(marks, 2), len(indices) - in_range
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return self._flags.bit_count() if self._indices is None else len(self._indices)
 
     def __iter__(self):
         return iter(self.indices)
 
     def __contains__(self, index: int) -> bool:
-        return index in self.indices
+        if self._indices is not None:
+            return index in self._indices
+        lane = self._count - 1 - index
+        return 0 <= lane < self._count and self._flags >> lane * self._x & 1 == 1
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SentinelSet):
+            return NotImplemented
+        return self.indices == other.indices
+
+    def __hash__(self) -> int:
+        return hash(self.indices)
+
+    def __repr__(self) -> str:
+        return f"SentinelSet({self.indices!r})"
 
 
 def padded_group_count(bit_len: int, x: int, n: int) -> int:

@@ -12,9 +12,14 @@ Each level runs on the whole message as one Python int, one x-bit lane
 per group (``hadamard.apply_lanes``): padding is a shift, sentinels are the
 all-ones lanes, restoring them is one OR and truncation one shift.  A
 ``BitSeq`` already holds that int, and encrypt, decrypt, the envelope and
-the digest keep it; only the sentinel flags go through '0'/'1' text.  The
-per-group ``bitcodec`` helpers and the per-block ``hadamard`` kernels
-describe the same steps one value at a time; tests use them as the oracle.
+the digest keep it.  Each level's sentinels stay the lane flags that
+``full_lanes`` finds (``SentinelSet.from_lanes``), which decrypt ORs back
+in directly.  Index tuples exist only at the HCT1 boundary: ``to_bytes``
+formats them, ``from_bytes`` reads them, and decrypt turns parsed indices
+into flags once per level.  So the digest, the avalanche experiment and
+an in-memory round trip never form an index.  The per-group ``bitcodec``
+helpers and the per-block ``hadamard`` kernels describe the same steps one
+value at a time; tests use them as the oracle.
 
 The envelope is the self-contained ciphertext container: without the
 per-level bit lengths and sentinel sets the payload alone is not
@@ -23,9 +28,7 @@ decrypted by the matching key, at the documented cost that sentinel
 metadata reveals which plaintext groups were all ones.
 """
 
-import re
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -185,9 +188,7 @@ def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> Cipher
         x = params.x
         count = padded_group_count(length, x, block_order)
         v <<= count * x - length
-        flags = full_lanes(v, x, count)
-        marks = format(flags, f"0{count * x}b")[x - 1::x] if flags else ""
-        sentinels = SentinelSet(tuple(m.start() for m in re.finditer("1", marks)))
+        sentinels = SentinelSet.from_lanes(full_lanes(v, x, count), x, count)
         levels.append(LevelRecord(x, length, sentinels))
         v = apply_lanes(v, x, block_order, count, False)
         length = count * x
@@ -203,7 +204,8 @@ def _decrypt_levels(
 
     Without ``anomalies`` a sentinel index past the lane count or over a
     nonzero lane raises SentinelConflict (naming the first such index), then
-    a too-short level LengthUnderflow, then nonzero padding NonZeroPadding.
+    a too-short level LengthUnderflow, then nonzero padding NonZeroPadding;
+    each message starts with ``level k:``, k being the HCT1 record index.
     With it, each is counted and skipped as decrypt_tolerant documents.
     """
     if len(key.elements) != len(envelope.levels):
@@ -214,40 +216,36 @@ def _decrypt_levels(
     n = envelope.block_order
     check_order(n)
     v, length = envelope.payload.value, envelope.payload.length
-    for params, record in zip(reversed(key.elements), reversed(envelope.levels)):
+    for level in reversed(range(len(key.elements))):
+        params, record = key.elements[level], envelope.levels[level]
         x, p = params.x, params.p
         count = padded_group_count(length, x, n)
         size = count * x
         v = apply_lanes(v << size - length, x, n, count, True)
-        indices = record.sentinels.indices
-        if indices:
-            in_range = bisect_left(indices, count)
-            lane_marks = bytearray(b"0") * count
-            for i in indices[:in_range]:
-                lane_marks[i] = 49  # ord("1")
-            marks = bytearray(b"0") * size
-            marks[x - 1::x] = lane_marks  # the lowest bit of each lane
-            flags = int(marks, 2) if size else 0
+        flags, beyond = record.sentinels.lanes(x, count)
+        if flags or beyond:
             # Sentinel lanes not holding 0, i.e. not all ones once complemented.
             held = flags & ~full_lanes(v ^ ((1 << size) - 1), x, count)
-            if held or in_range < len(indices):
+            if held or beyond:
                 if anomalies is None:
                     if held:
                         lane = (held.bit_length() - 1) // x
                         raise SentinelConflict(
-                            f"sentinel position {count - 1 - lane} holds "
+                            f"level {level}: sentinel position {count - 1 - lane} holds "
                             f"{v >> lane * x & p}, expected 0"
                         )
+                    indices = record.sentinels.indices
                     raise SentinelConflict(
-                        f"sentinel index {indices[in_range]} beyond value count {count}"
+                        f"level {level}: sentinel index {indices[-beyond]} "
+                        f"beyond value count {count}"
                     )
-                anomalies.sentinel_conflicts += len(indices) - in_range + held.bit_count()
+                anomalies.sentinel_conflicts += beyond + held.bit_count()
             v |= (flags ^ held) * p
         keep = record.orig_bit_len
         if keep > size:
             if anomalies is None:
                 raise LengthUnderflow(
-                    f"recorded length {keep} exceeds available {size} bits"
+                    f"level {level}: recorded length {keep} exceeds available {size} bits"
                 )
             anomalies.length_underflows += 1
             keep = size
@@ -256,7 +254,8 @@ def _decrypt_levels(
             if padding:
                 if anomalies is None:
                     raise NonZeroPadding(
-                        f"discarded padding contains {padding.bit_count()} one bits"
+                        f"level {level}: discarded padding contains "
+                        f"{padding.bit_count()} one bits"
                     )
                 anomalies.padding_violations += 1
         v >>= size - keep

@@ -14,6 +14,7 @@ kept as the reference that tests compare it with.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Sequence
 
 from .errors import DimensionMismatch, UnsupportedBlockOrder
@@ -48,13 +49,16 @@ def entry(i: int, j: int, spec: HadamardSpec) -> int:
     return 1 if (i & j).bit_count() % 2 == 0 else spec.p - 1
 
 
+@lru_cache(maxsize=None)
+def _odd_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row i of the order-n selector: 1 where popcount(i & j) is odd, else 0."""
+    return tuple(tuple((i & j).bit_count() & 1 for j in range(n)) for i in range(n))
+
+
 @lru_cache(maxsize=32)
 def _matrix_rows(spec: HadamardSpec) -> tuple[tuple[int, ...], ...]:
-    pm1 = spec.p - 1
-    return tuple(
-        tuple(1 if (i & j).bit_count() % 2 == 0 else pm1 for j in range(spec.n))
-        for i in range(spec.n)
-    )
+    scale = spec.p - 2
+    return tuple(tuple(1 + scale * odd for odd in row) for row in _odd_rows(spec.n))
 
 
 def build_matrix(spec: HadamardSpec) -> list[list[int]]:
@@ -72,10 +76,12 @@ def multiply_raw(spec: HadamardSpec, v: Sequence[int]) -> list[int]:
 
     This is the textbook row-by-row multiply; apply_naive is its reduction
     mod p.  Kept public so the unreduced intermediate values are observable.
+    Row i is 1 + (p - 2) * [popcount(i & j) odd], so its product is sum(v)
+    plus p - 2 times the sum over the odd-parity columns, exactly.
     """
     _check_length(spec, v)
-    rows = _matrix_rows(spec)
-    return [sum(map(int.__mul__, row, v)) for row in rows]
+    total, scale = sum(v), spec.p - 2
+    return [total + scale * sum(compress(v, odd)) for odd in _odd_rows(spec.n)]
 
 
 def apply_naive(spec: HadamardSpec, v: Sequence[int]) -> list[int]:

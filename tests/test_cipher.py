@@ -31,6 +31,7 @@ from hctcodec.errors import (
     CodecError,
     InvalidKeyElement,
     MalformedEnvelope,
+    NonZeroPadding,
     SentinelConflict,
     UnsupportedBlockOrder,
 )
@@ -266,13 +267,17 @@ def reference_encrypt(bits, key, n):
 def reference_decrypt(envelope, key, anomalies):
     """decrypt() (anomalies None) or decrypt_tolerant() from the per-group helpers."""
     bits = envelope.payload
-    for params, record in zip(reversed(key.elements), reversed(envelope.levels)):
+    for level in reversed(range(len(key.elements))):
+        params, record = key.elements[level], envelope.levels[level]
         grouped = pad_and_group(bits, params.x, envelope.block_order)
         spec = HadamardSpec(envelope.block_order, params.p)
         recovered = per_block(apply_inverse, spec, grouped.values)
         if anomalies is None:
-            restored = restore_sentinels(recovered, record.sentinels, params.x)
-            bits = truncate(ungroup(restored, params.x), record.orig_bit_len)
+            try:
+                restored = restore_sentinels(recovered, record.sentinels, params.x)
+                bits = truncate(ungroup(restored, params.x), record.orig_bit_len)
+            except CodecError as exc:
+                raise type(exc)(f"level {level}: {exc}") from None
             continue
         for i in record.sentinels:
             if i < len(recovered) and recovered[i] == 0:
@@ -366,6 +371,71 @@ def test_product_path_never_formats_bit_text(monkeypatch):
     assert len(hash_digest(message, KEY35, 8, 4096)) == 4096
     report = avalanche_experiment(message, KEY35, 8, len(envelope.payload) - 1)
     assert report.length_a == report.length_b == 2171
+    assert report.sentinel_conflicts > 0
+
+
+def test_lane_flags_and_hct1_indices_decrypt_alike():
+    # encrypt() keeps each level's sentinels as lane flags, from_bytes() as
+    # indices; both must give the same sets and the same decrypt outcomes.
+    rng = random.Random(7071)
+    keys = [(3, 5, 31), (2, 7), (13,), (5, 3), (3, 3), (2, 2, 2), (17, 19)]
+    for _ in range(40):
+        exponents = rng.choice(keys)
+        key = KeySchedule.from_exponents(exponents)
+        n = rng.choice(SUPPORTED_ORDERS)
+        length = rng.choice((0, 1, rng.randrange(2, 300), rng.randrange(300, 4000)))
+        ones = rng.random() < 0.3
+        bits = BitSeq("".join(
+            "1" if ones and rng.random() < 0.9 else rng.choice("01") for _ in range(length)
+        ))
+        env = encrypt(bits, key, n)
+        parsed = CipherEnvelope.from_bytes(env.to_bytes())
+        assert parsed == env
+        length = len(env.payload)
+        for mem, wire in zip(reversed(env.levels), reversed(parsed.levels)):
+            lanes, index = mem.sentinels, wire.sentinels
+            assert lanes == index and hash(lanes) == hash(index)
+            assert len(lanes) == len(index) and list(lanes) == list(index)
+            assert repr(lanes) == repr(index)
+            count = length // mem.x
+            assert [i in lanes for i in range(-1, count + 1)] == [
+                i in index for i in range(-1, count + 1)]
+            assert lanes.lanes(mem.x, count) == index.lanes(mem.x, count)
+            length = mem.orig_bit_len
+        flips = [rng.randrange(len(env.payload)) for _ in range(2)] if len(env.payload) else []
+        for flip in [None, *flips]:
+            pair = [e if flip is None else CipherEnvelope(e.version, n, e.levels,
+                                                          e.payload.flip(flip))
+                    for e in (env, parsed)]
+            for other in (exponents, rng.choice(keys)):
+                wrong = KeySchedule.from_exponents(other)
+                if len(wrong) != len(key):
+                    continue
+                a, b = (outcome(lambda: decrypt(e, wrong)) for e in pair)
+                assert a == b
+                a, b = (outcome(lambda: decrypt_tolerant(e, wrong)) for e in pair)
+                assert a == b
+
+
+def test_lane_path_never_formats_sentinel_indices(monkeypatch):
+    # The digest, the avalanche experiment and an in-memory round trip read
+    # the lane flags only; indices are for HCT1 and for callers who ask.
+    message = BitSeq.from_bytes(bytes(range(256)) + b"\xff" * 16, bit_len=2171)
+
+    def no_indices(self):
+        raise AssertionError("sentinel indices formatted on the lane path")
+
+    monkeypatch.setattr(SentinelSet, "indices", property(no_indices))
+    env = encrypt(message, KEY35)
+    assert len(env.levels[0].sentinels) > 0
+    assert decrypt(env, KEY35) == message
+    assert decrypt_tolerant(env, KEY35) == (message, DecryptAnomalies())
+    flipped = CipherEnvelope(env.version, 8, env.levels, env.payload.flip(len(env.payload) - 1))
+    assert decrypt_tolerant(flipped, KEY35)[1].sentinel_conflicts > 0
+    with pytest.raises(NonZeroPadding, match="^level 1: discarded padding"):
+        decrypt(flipped, KEY35)
+    assert len(hash_digest(message, KEY35, 8, 128)) == 128
+    report = avalanche_experiment(message, KEY35, 8, len(env.payload) - 1)
     assert report.sentinel_conflicts > 0
 
 

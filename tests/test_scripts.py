@@ -82,6 +82,25 @@ def test_script_rejects_zero_count(script, flag):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("avalanche_trials.py", ["--block-size", "4"]),
+        ("avalanche_trials.py", ["--key", "4"]),
+        ("avalanche_trials.py", ["--key", "3,x"]),
+        ("hash_collisions.py", ["--key", "4"]),
+        ("hash_collisions.py", ["--key", "3,x"]),
+        ("hash_collisions.py", ["--widths", "32,,64"]),
+    ],
+)
+def test_script_rejects_bad_key_order_or_width(script, args):
+    result = _run_script(script, args)
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert "usage:" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert args[0] in result.stderr.splitlines()[-1]
+
+
 def test_hash_collisions_summary_is_pinned():
     # Each narrower digest is a shift of the widest one; the counts must match
     # hashing at every width separately.
