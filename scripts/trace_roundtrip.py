@@ -14,6 +14,8 @@ import argparse
 
 from hctcodec.bitcodec import BitSeq, pad_and_group
 from hctcodec.cipher import CipherEnvelope, KeySchedule, decrypt, encrypt
+from hctcodec.errors import CodecError
+from hctcodec.hadamard import check_order
 
 DEMO_BITS = "110010011101111110000011"
 
@@ -61,8 +63,12 @@ def main() -> int:
     parser.add_argument("--block-size", type=int, default=8)
     args = parser.parse_args()
 
-    key = KeySchedule.from_exponents(int(x) for x in args.key.split(","))
-    bits = BitSeq(args.text)
+    try:
+        key = KeySchedule.from_exponents(int(x) for x in args.key.split(","))
+        check_order(args.block_size)
+        bits = BitSeq(args.text)
+    except (ValueError, CodecError) as exc:
+        parser.error(f"bad --key, --block-size or --text: {exc}")
 
     envelope = trace_encrypt(bits, key, args.block_size)
     blob = envelope.to_bytes()

@@ -43,7 +43,6 @@ from .hadamard import (
     apply_inverse,
     apply_naive,
     build_matrix,
-    entry,
     multiply_raw,
     self_check,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "detect_sentinels",
     "difference_series",
     "encrypt",
-    "entry",
     "errors",
     "hash_digest",
     "mod_inverse",

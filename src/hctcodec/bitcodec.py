@@ -73,10 +73,6 @@ class BitSeq:
         object.__setattr__(seq, "length", length)
         return seq
 
-    def to_int(self) -> int:
-        """The bits read as one MSB-first unsigned integer; 0 when empty."""
-        return self.value
-
     @classmethod
     def from_bytes(cls, data: bytes, bit_len: int | None = None) -> "BitSeq":
         """Unpack bytes MSB-first; ``bit_len`` trims the zero-filled tail."""
@@ -113,6 +109,11 @@ class SentinelSet:
     access and is not cached; ``==``, ``hash``, iteration and ``repr`` go
     through it, so both forms of one set are equal.  ``lanes`` gives the
     decrypt loop the flags, formatting no index from the flag form.
+
+    Parsed indices stay a tuple because it grows with the sentinel count,
+    which the envelope's bytes bound, while flags grow with the lane count:
+    one 4-byte index can name lane 2^32 - 1.  Decrypt builds flags only for
+    the lane count it derives from the payload.
     """
 
     __slots__ = ("_indices", "_flags", "_x", "_count")
@@ -131,10 +132,6 @@ class SentinelSet:
         lanes = object.__new__(cls)
         lanes._indices, lanes._flags, lanes._x, lanes._count = None, flags, x, count
         return lanes
-
-    @classmethod
-    def from_positions(cls, positions: Iterable[int]) -> "SentinelSet":
-        return cls(sorted(set(positions)))
 
     @property
     def indices(self) -> tuple[int, ...]:

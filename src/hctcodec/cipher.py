@@ -65,10 +65,6 @@ class KeySchedule:
     def from_exponents(cls, exponents: Iterable[int]) -> "KeySchedule":
         return cls(tuple(validate_key_element(x) for x in exponents))
 
-    @property
-    def exponents(self) -> tuple[int, ...]:
-        return tuple(e.x for e in self.elements)
-
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -102,9 +98,12 @@ class CipherEnvelope:
                 f"level count {len(self.levels)} does not fit the format (1..255)"
             )
         parts = [_HEADER.pack(ENVELOPE_MAGIC, self.version, self.block_order, len(self.levels))]
-        for rec in self.levels:
-            parts.append(_LEVEL.pack(rec.x, rec.orig_bit_len, len(rec.sentinels)))
-            parts.append(struct.pack(f">{len(rec.sentinels)}I", *rec.sentinels.indices))
+        for index, rec in enumerate(self.levels):
+            try:
+                parts.append(_LEVEL.pack(rec.x, rec.orig_bit_len, len(rec.sentinels)))
+                parts.append(struct.pack(f">{len(rec.sentinels)}I", *rec.sentinels.indices))
+            except struct.error as exc:
+                raise MalformedEnvelope(f"level {index} does not fit the format: {exc}") from None
         parts.append(_PAYLOAD_LEN.pack(len(self.payload)))
         parts.append(self.payload.to_bytes())
         return b"".join(parts)
@@ -282,11 +281,6 @@ class DecryptAnomalies:
     sentinel_conflicts: int = 0
     padding_violations: int = 0
     length_underflows: int = 0
-
-    def any(self) -> bool:
-        return bool(
-            self.sentinel_conflicts or self.padding_violations or self.length_underflows
-        )
 
 
 def decrypt_tolerant(

@@ -42,13 +42,6 @@ class HadamardSpec:
             raise ValueError(f"modulus {self.p} is not a prime")
 
 
-def entry(i: int, j: int, spec: HadamardSpec) -> int:
-    """Matrix entry at (i, j): 1 on even popcount(i & j), else p - 1."""
-    if not (0 <= i < spec.n and 0 <= j < spec.n):
-        raise DimensionMismatch(f"index ({i}, {j}) outside order {spec.n}")
-    return 1 if (i & j).bit_count() % 2 == 0 else spec.p - 1
-
-
 @lru_cache(maxsize=None)
 def _odd_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Row i of the order-n selector: 1 where popcount(i & j) is odd, else 0."""

@@ -2,6 +2,7 @@
 
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +13,14 @@ from hctcodec.cipher import (
     ENVELOPE_MAGIC,
     ENVELOPE_VERSION,
     CipherEnvelope,
+    DecryptAnomalies,
     KeySchedule,
     LevelRecord,
     decrypt,
     decrypt_tolerant,
     encrypt,
 )
-from hctcodec.errors import CodecError, MalformedEnvelope
+from hctcodec.errors import CodecError, MalformedEnvelope, SentinelConflict
 from vectors import (
     CIPHER_BITS,
     ENVELOPE_HEX,
@@ -225,6 +227,53 @@ def test_to_bytes_rejects_unencodable_level_count():
     )
     with pytest.raises(MalformedEnvelope, match="level count"):
         env.to_bytes()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        LevelRecord(3, 2**40, SentinelSet((2**32,))),
+        LevelRecord(3, 2**64, SentinelSet(())),
+        LevelRecord(3, -1, SentinelSet(())),
+    ],
+)
+def test_to_bytes_rejects_unencodable_level_record(bad):
+    good = LevelRecord(3, 0, SentinelSet(()))
+    env = CipherEnvelope(ENVELOPE_VERSION, 8, (good, bad), BitSeq(""))
+    with pytest.raises(MalformedEnvelope, match="^level 1 does not fit the format"):
+        env.to_bytes()
+
+
+def test_far_sentinel_index_costs_memory_only_for_the_payload():
+    # Why SentinelSet keeps parsed indices as a tuple: the tuple grows with
+    # the sentinel count, which the envelope's bytes bound, while lane flags
+    # grow with the lane count.  Here level 0 claims 2^63 bits and a sentinel
+    # at lane 2^32 - 1, but decrypt builds flags only for the 8 lanes the
+    # 24-bit payload yields.
+    blob = (
+        ENVELOPE_MAGIC
+        + struct.pack(">BBB", ENVELOPE_VERSION, 8, 2)
+        + struct.pack(">BQII", 3, 2**63, 1, 2**32 - 1)
+        + struct.pack(">BQI", 3, 24, 0)
+        + struct.pack(">Q", 24)
+        + bytes(3)
+    )
+    assert len(blob) == 48
+    key = KeySchedule.from_exponents([3, 3])
+    tracemalloc.start()
+    try:
+        env = CipherEnvelope.from_bytes(blob)
+        with pytest.raises(SentinelConflict) as exc:
+            decrypt(env, key)
+        _, anomalies = decrypt_tolerant(env, key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "level 0: sentinel index 4294967295 beyond value count 8"
+    assert anomalies == DecryptAnomalies(
+        sentinel_conflicts=1, padding_violations=0, length_underflows=1
+    )
+    assert peak < 2**20
 
 
 edits = st.tuples(

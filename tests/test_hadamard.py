@@ -16,7 +16,6 @@ from hctcodec.hadamard import (
     apply_lanes,
     apply_naive,
     build_matrix,
-    entry,
     full_lanes,
     multiply_raw,
     self_check,
@@ -60,11 +59,11 @@ def sylvester_signs(n):
 def test_entry_matches_sign_construction():
     for n in (8, 16):
         signs = sylvester_signs(n)
-        spec = HadamardSpec(n, 7)
+        rows = build_matrix(HadamardSpec(n, 7))
         for i in range(n):
             for j in range(n):
                 want = 1 if signs[i][j] == 1 else 6
-                assert entry(i, j, spec) == want
+                assert rows[i][j] == want
 
 
 def test_matrix_mod7_matches_reference():
@@ -94,13 +93,6 @@ def test_row_dot_products_match_hand_computation():
     rows31 = build_matrix(SPEC31)
     assert sum(a * a for a in rows31[1]) == HH_DIAG_MOD31
     assert sum(a * b for a, b in zip(rows31[1], rows31[2])) == HH_OFF_MOD31
-
-
-def test_entry_rejects_out_of_range_indices():
-    with pytest.raises(DimensionMismatch):
-        entry(8, 0, SPEC7)
-    with pytest.raises(DimensionMismatch):
-        entry(0, -1, SPEC7)
 
 
 def test_spec_rejects_unsupported_orders():

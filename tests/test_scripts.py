@@ -91,6 +91,10 @@ def test_script_rejects_zero_count(script, flag):
         ("hash_collisions.py", ["--key", "4"]),
         ("hash_collisions.py", ["--key", "3,x"]),
         ("hash_collisions.py", ["--widths", "32,,64"]),
+        ("trace_roundtrip.py", ["--key", "4"]),
+        ("trace_roundtrip.py", ["--key", "3,,5"]),
+        ("trace_roundtrip.py", ["--block-size", "4"]),
+        ("trace_roundtrip.py", ["--text", "012"]),
     ],
 )
 def test_script_rejects_bad_key_order_or_width(script, args):
