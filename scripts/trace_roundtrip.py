@@ -15,12 +15,12 @@ import argparse
 from hctcodec.bitcodec import BitSeq, pad_and_group
 from hctcodec.cipher import CipherEnvelope, KeySchedule, decrypt, encrypt
 from hctcodec.errors import CodecError
-from hctcodec.hadamard import check_order
 
 DEMO_BITS = "110010011101111110000011"
 
 
-def trace_encrypt(bits: BitSeq, key: KeySchedule, n: int) -> CipherEnvelope:
+def trace_encrypt(bits: BitSeq, key: KeySchedule, envelope: CipherEnvelope) -> None:
+    n = envelope.block_order
     print(f"plaintext ({len(bits)} bits): {bits.bits}")
     current, records = bits, []
     for depth, params in enumerate(key.elements, 1):
@@ -32,9 +32,7 @@ def trace_encrypt(bits: BitSeq, key: KeySchedule, n: int) -> CipherEnvelope:
         print(f"  transformed{list(pad_and_group(step.payload, params.x, n).values)}")
         print(f"  bits out   {step.payload.bits}")
         current = step.payload
-    envelope = encrypt(bits, key, n)
     assert envelope.levels == tuple(records) and envelope.payload == current
-    return envelope
 
 
 def trace_decrypt(envelope: CipherEnvelope, key: KeySchedule) -> BitSeq:
@@ -65,13 +63,13 @@ def main() -> int:
 
     try:
         key = KeySchedule.from_exponents(int(x) for x in args.key.split(","))
-        check_order(args.block_size)
         bits = BitSeq(args.text)
+        envelope = encrypt(bits, key, args.block_size)
+        blob = envelope.to_bytes()  # HCT1 holds at most 255 levels
     except (ValueError, CodecError) as exc:
         parser.error(f"bad --key, --block-size or --text: {exc}")
 
-    envelope = trace_encrypt(bits, key, args.block_size)
-    blob = envelope.to_bytes()
+    trace_encrypt(bits, key, envelope)
     print(f"\nenvelope ({len(blob)} bytes): {blob.hex()}")
 
     recovered = trace_decrypt(envelope, key)

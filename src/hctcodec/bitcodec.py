@@ -74,14 +74,9 @@ class BitSeq:
         return seq
 
     @classmethod
-    def from_bytes(cls, data: bytes, bit_len: int | None = None) -> "BitSeq":
-        """Unpack bytes MSB-first; ``bit_len`` trims the zero-filled tail."""
-        total = 8 * len(data)
-        if bit_len is None:
-            bit_len = total
-        elif bit_len > total:
-            raise LengthUnderflow(f"bit length {bit_len} exceeds {total} unpacked bits")
-        return cls.from_int(int.from_bytes(data, "big") >> total - bit_len, bit_len)
+    def from_bytes(cls, data: bytes) -> "BitSeq":
+        """Unpack every bit of ``data``, MSB-first."""
+        return cls.from_int(int.from_bytes(data, "big"), 8 * len(data))
 
     def to_bytes(self) -> bytes:
         """Pack MSB-first, zero-filling the final partial byte."""

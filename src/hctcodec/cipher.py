@@ -7,6 +7,7 @@ with the mod-(2^x - 1) Hadamard matrix, and re-emits bits.  Decryption
 replays the levels in reverse with the inverse transform, restoring the
 sentinels and stripping the recorded padding, which makes the round trip
 exact for every input including lengths the exponents do not divide.
+One tolerant pass counts the anomalies; ``decrypt`` raises the first.
 
 Each level runs on the whole message as one Python int, one x-bit lane
 per group (``hadamard.apply_lanes``): padding is a shift, sentinels are the
@@ -25,7 +26,8 @@ The envelope is the self-contained ciphertext container: without the
 per-level bit lengths and sentinel sets the payload alone is not
 invertible.  Carrying them in-band means a ciphertext file can always be
 decrypted by the matching key, at the documented cost that sentinel
-metadata reveals which plaintext groups were all ones.
+metadata reveals which plaintext groups were all ones.  ``to_bytes``
+refuses what ``from_bytes`` refuses: both call the same field rules.
 """
 
 import struct
@@ -92,18 +94,18 @@ class CipherEnvelope:
     payload: BitSeq
 
     def to_bytes(self) -> bytes:
-        """Serialize to the HCT1 binary layout (big-endian throughout)."""
-        if not 1 <= len(self.levels) <= 255:
-            raise MalformedEnvelope(
-                f"level count {len(self.levels)} does not fit the format (1..255)"
-            )
+        """Serialize to HCT1 (big-endian); refuses what ``from_bytes`` refuses."""
+        _check_header(self.version, self.block_order, len(self.levels))
         parts = [_HEADER.pack(ENVELOPE_MAGIC, self.version, self.block_order, len(self.levels))]
         for index, rec in enumerate(self.levels):
+            indices = rec.sentinels.indices
+            _check_level(index, rec, indices, self.block_order)
             try:
-                parts.append(_LEVEL.pack(rec.x, rec.orig_bit_len, len(rec.sentinels)))
-                parts.append(struct.pack(f">{len(rec.sentinels)}I", *rec.sentinels.indices))
+                parts.append(_LEVEL.pack(rec.x, rec.orig_bit_len, len(indices)))
+                parts.append(struct.pack(f">{len(indices)}I", *indices))
             except struct.error as exc:
                 raise MalformedEnvelope(f"level {index} does not fit the format: {exc}") from None
+        _check_payload(self.levels[-1], self.block_order, len(self.payload))
         parts.append(_PAYLOAD_LEN.pack(len(self.payload)))
         parts.append(self.payload.to_bytes())
         return b"".join(parts)
@@ -120,49 +122,27 @@ class CipherEnvelope:
             magic, version, block_order, level_count = _HEADER.unpack_from(data)
             if magic != ENVELOPE_MAGIC:
                 raise MalformedEnvelope(f"bad magic {magic!r}, expected {ENVELOPE_MAGIC!r}")
-            if version != ENVELOPE_VERSION:
-                raise MalformedEnvelope(f"unsupported version {version}")
-            if block_order not in SUPPORTED_ORDERS:
-                raise MalformedEnvelope(
-                    f"block order {block_order} is not a supported power of two"
-                )
-            if level_count == 0:
-                raise MalformedEnvelope("envelope carries no levels")
+            _check_header(version, block_order, level_count)
             offset = _HEADER.size
             levels = []
             for index in range(level_count):
                 what = f"level {index} record"
                 x, orig_bit_len, sentinel_count = _LEVEL.unpack_from(data, offset)
-                if x not in SUPPORTED_EXPONENTS:
-                    raise MalformedEnvelope(
-                        f"level {index} has group width {x}, not one of {SUPPORTED_EXPONENTS}"
-                    )
                 what = f"level {index} sentinel indices"
                 indices = struct.unpack_from(f">{sentinel_count}I", data, offset + _LEVEL.size)
                 offset += _LEVEL.size + 4 * sentinel_count
                 try:
-                    sentinels = SentinelSet(indices)
+                    record = LevelRecord(x, orig_bit_len, SentinelSet(indices))
                 except ValueError:
                     raise MalformedEnvelope(
                         f"level {index} sentinel indices not strictly ascending"
                     ) from None
-                record = LevelRecord(x, orig_bit_len, sentinels)
-                limit = record.padded_group_count(block_order)
-                if indices and indices[-1] >= limit:
-                    raise MalformedEnvelope(
-                        f"level {index} sentinel index {indices[-1]} out of range "
-                        f"(padded group count {limit})"
-                    )
+                _check_level(index, record, indices, block_order)
                 levels.append(record)
             what = "payload length"
             (payload_bit_len,) = _PAYLOAD_LEN.unpack_from(data, offset)
             offset += _PAYLOAD_LEN.size
-            expected = levels[-1].padded_group_count(block_order) * levels[-1].x
-            if payload_bit_len != expected:
-                raise MalformedEnvelope(
-                    f"payload bit length {payload_bit_len} inconsistent with level "
-                    f"records (expected {expected})"
-                )
+            _check_payload(levels[-1], block_order, payload_bit_len)
             what = "payload"
             (payload,) = struct.unpack_from(f"{payload_bit_len // 8}s", data, offset)
         except struct.error:
@@ -171,6 +151,40 @@ class CipherEnvelope:
         if trailing:
             raise MalformedEnvelope(f"{trailing} trailing bytes after payload")
         return cls(version, block_order, tuple(levels), BitSeq.from_bytes(payload))
+
+
+# The rules HCT1 places on the fields; both directions of the format call them.
+def _check_header(version: int, block_order: int, level_count: int) -> None:
+    if version != ENVELOPE_VERSION:
+        raise MalformedEnvelope(f"unsupported version {version}")
+    if block_order not in SUPPORTED_ORDERS:
+        raise MalformedEnvelope(f"block order {block_order} is not a supported power of two")
+    if not level_count:
+        raise MalformedEnvelope("envelope carries no levels")
+    if level_count > 255:
+        raise MalformedEnvelope(f"level count {level_count} does not fit the format (1..255)")
+
+
+def _check_level(index: int, record: LevelRecord, indices: tuple[int, ...], n: int) -> None:
+    if record.x not in SUPPORTED_EXPONENTS:
+        raise MalformedEnvelope(
+            f"level {index} has group width {record.x}, not one of {SUPPORTED_EXPONENTS}"
+        )
+    limit = record.padded_group_count(n)
+    if indices and indices[-1] >= limit:
+        raise MalformedEnvelope(
+            f"level {index} sentinel index {indices[-1]} out of range "
+            f"(padded group count {limit})"
+        )
+
+
+def _check_payload(last: LevelRecord, block_order: int, bit_len: int) -> None:
+    expected = last.padded_group_count(block_order) * last.x
+    if bit_len != expected:
+        raise MalformedEnvelope(
+            f"payload bit length {bit_len} inconsistent with level records "
+            f"(expected {expected})"
+        )
 
 
 def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> CipherEnvelope:
@@ -196,16 +210,23 @@ def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> Cipher
     )
 
 
-def _decrypt_levels(
-    envelope: CipherEnvelope, key: KeySchedule, anomalies: "DecryptAnomalies | None"
-) -> BitSeq:
-    """Undo the levels in reverse order; raise on the first anomaly, or count it.
+@dataclass
+class DecryptAnomalies:
+    """What the tolerant decrypt path skipped over instead of raising."""
 
-    Without ``anomalies`` a sentinel index past the lane count or over a
-    nonzero lane raises SentinelConflict (naming the first such index), then
-    a too-short level LengthUnderflow, then nonzero padding NonZeroPadding;
-    each message starts with ``level k:``, k being the HCT1 record index.
-    With it, each is counted and skipped as decrypt_tolerant documents.
+    sentinel_conflicts: int = 0
+    padding_violations: int = 0
+    length_underflows: int = 0
+
+
+def _decrypt_levels(
+    envelope: CipherEnvelope, key: KeySchedule
+) -> tuple[BitSeq, DecryptAnomalies, Exception | None]:
+    """Undo the levels in reverse order, counting each anomaly and skipping it.
+
+    Returns the bits, the counts and the first anomalous level's error: a
+    held or out-of-range sentinel (SentinelConflict), else LengthUnderflow,
+    else NonZeroPadding, its message starting ``level k:`` (HCT1 record k).
     """
     if len(key.elements) != len(envelope.levels):
         raise MalformedEnvelope(
@@ -215,6 +236,7 @@ def _decrypt_levels(
     n = envelope.block_order
     check_order(n)
     v, length = envelope.payload.value, envelope.payload.length
+    anomalies, first = DecryptAnomalies(), None
     for level in reversed(range(len(key.elements))):
         params, record = key.elements[level], envelope.levels[level]
         x, p = params.x, params.p
@@ -222,44 +244,40 @@ def _decrypt_levels(
         size = count * x
         v = apply_lanes(v << size - length, x, n, count, True)
         flags, beyond = record.sentinels.lanes(x, count)
-        if flags or beyond:
-            # Sentinel lanes not holding 0, i.e. not all ones once complemented.
-            held = flags & ~full_lanes(v ^ ((1 << size) - 1), x, count)
-            if held or beyond:
-                if anomalies is None:
-                    if held:
-                        lane = (held.bit_length() - 1) // x
-                        raise SentinelConflict(
-                            f"level {level}: sentinel position {count - 1 - lane} holds "
-                            f"{v >> lane * x & p}, expected 0"
-                        )
-                    indices = record.sentinels.indices
-                    raise SentinelConflict(
-                        f"level {level}: sentinel index {indices[-beyond]} "
-                        f"beyond value count {count}"
-                    )
-                anomalies.sentinel_conflicts += beyond + held.bit_count()
+        # Sentinel lanes not holding 0, i.e. not all ones once complemented.
+        held = flags and flags & ~full_lanes(v ^ ((1 << size) - 1), x, count)
+        if flags:
             v |= (flags ^ held) * p
-        keep = record.orig_bit_len
-        if keep > size:
-            if anomalies is None:
-                raise LengthUnderflow(
-                    f"level {level}: recorded length {keep} exceeds available {size} bits"
+        keep = min(record.orig_bit_len, size)
+        padding = v & ((1 << size - keep) - 1)
+        underflow = record.orig_bit_len > size
+        anomalies.sentinel_conflicts += beyond + held.bit_count()
+        anomalies.length_underflows += underflow
+        anomalies.padding_violations += padding != 0
+        if first is None:
+            if held:
+                lane = (held.bit_length() - 1) // x
+                first = SentinelConflict(
+                    f"level {level}: sentinel position {count - 1 - lane} holds "
+                    f"{v >> lane * x & p}, expected 0"
                 )
-            anomalies.length_underflows += 1
-            keep = size
-        else:
-            padding = v & ((1 << size - keep) - 1)
-            if padding:
-                if anomalies is None:
-                    raise NonZeroPadding(
-                        f"level {level}: discarded padding contains "
-                        f"{padding.bit_count()} one bits"
-                    )
-                anomalies.padding_violations += 1
+            elif beyond:
+                first = SentinelConflict(
+                    f"level {level}: sentinel index {record.sentinels.indices[-beyond]} "
+                    f"beyond value count {count}"
+                )
+            elif underflow:
+                first = LengthUnderflow(
+                    f"level {level}: recorded length {record.orig_bit_len} "
+                    f"exceeds available {size} bits"
+                )
+            elif padding:
+                first = NonZeroPadding(
+                    f"level {level}: discarded padding contains {padding.bit_count()} one bits"
+                )
         v >>= size - keep
         length = keep
-    return BitSeq.from_int(v, length)
+    return BitSeq.from_int(v, length), anomalies, first
 
 
 def decrypt(envelope: CipherEnvelope, key: KeySchedule) -> BitSeq:
@@ -270,17 +288,12 @@ def decrypt(envelope: CipherEnvelope, key: KeySchedule) -> BitSeq:
     authenticate the key.  A wrong key therefore yields garbage output or
     surfaces as SentinelConflict / NonZeroPadding / LengthUnderflow when
     the recorded metadata stops matching what the arithmetic produces.
+    It runs the tolerant pass and raises that pass's first anomaly.
     """
-    return _decrypt_levels(envelope, key, None)
-
-
-@dataclass
-class DecryptAnomalies:
-    """What the tolerant decrypt path skipped over instead of raising."""
-
-    sentinel_conflicts: int = 0
-    padding_violations: int = 0
-    length_underflows: int = 0
+    bits, _, first = _decrypt_levels(envelope, key)
+    if first:
+        raise first
+    return bits
 
 
 def decrypt_tolerant(
@@ -293,8 +306,7 @@ def decrypt_tolerant(
     whatever bits exist.  Used by diffusion experiments, where corrupted
     ciphertext must still produce an output to compare against.
     """
-    anomalies = DecryptAnomalies()
-    return _decrypt_levels(envelope, key, anomalies), anomalies
+    return _decrypt_levels(envelope, key)[:2]
 
 
 def hash_digest(

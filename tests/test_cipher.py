@@ -30,6 +30,7 @@ from hctcodec.cipher import (
 from hctcodec.errors import (
     CodecError,
     InvalidKeyElement,
+    LengthUnderflow,
     MalformedEnvelope,
     NonZeroPadding,
     SentinelConflict,
@@ -46,6 +47,11 @@ from vectors import (
 )
 
 KEY35 = KeySchedule.from_exponents([3, 5])
+
+
+def first_bits(data: bytes, n: int) -> BitSeq:
+    """The first n bits of data, MSB-first."""
+    return BitSeq.from_int(int.from_bytes(data, "big") >> 8 * len(data) - n, n)
 
 
 def test_key_schedule_validates_each_element():
@@ -194,6 +200,28 @@ def test_tolerant_decrypt_counts_sentinel_conflicts():
     assert anomalies.sentinel_conflicts == 1
     assert anomalies != DecryptAnomalies()
     assert bits == BitSeq(PLAIN_BITS)
+
+
+def test_strict_decrypt_raises_the_anomaly_of_the_last_damaged_record():
+    # Level 0 gets a bogus sentinel over group 0 (which holds 6), level 1 a
+    # length one bit past its payload.  Levels are undone from the last
+    # record, so the level 1 underflow is met first, although a sentinel
+    # conflict outranks an underflow within one level.  Level 1 still hands
+    # level 0 the true bits followed by zeros, so both anomalies are counted
+    # and the output survives.
+    env = encrypt(BitSeq(PLAIN_BITS), KEY35)
+    bad0 = LevelRecord(3, 24, SentinelSet((0, 4)))
+    bad1 = LevelRecord(5, 41, SentinelSet(()))
+    both = CipherEnvelope(env.version, 8, (bad0, bad1), env.payload)
+    only0 = CipherEnvelope(env.version, 8, (bad0, env.levels[1]), env.payload)
+    with pytest.raises(LengthUnderflow) as exc:
+        decrypt(both, KEY35)
+    assert str(exc.value) == "level 1: recorded length 41 exceeds available 40 bits"
+    with pytest.raises(SentinelConflict) as exc:
+        decrypt(only0, KEY35)
+    assert str(exc.value) == "level 0: sentinel position 0 holds 6, expected 0"
+    assert decrypt_tolerant(both, KEY35) == (BitSeq(PLAIN_BITS), DecryptAnomalies(
+        sentinel_conflicts=1, padding_violations=0, length_underflows=1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -354,7 +382,7 @@ def test_product_path_never_formats_bit_text(monkeypatch):
     # Level 1 of the (3, 5) key finds sentinels in the 0xff run, the length is
     # not byte-aligned, and the flipped payload bit makes the tolerant decrypt
     # skip sentinel restorations.
-    message = BitSeq.from_bytes(bytes(range(256)) + b"\xff" * 16, bit_len=2171)
+    message = first_bits(bytes(range(256)) + b"\xff" * 16, 2171)
 
     def no_text(self):
         raise AssertionError("bit text formatted on the product path")
@@ -365,7 +393,7 @@ def test_product_path_never_formats_bit_text(monkeypatch):
     assert envelope.to_bytes() == blob
     recovered = decrypt(envelope, KEY35)
     assert recovered == message
-    assert BitSeq.from_bytes(recovered.to_bytes(), bit_len=2171) == message
+    assert first_bits(recovered.to_bytes(), 2171) == message
     assert decrypt_tolerant(envelope, KEY35) == (message, DecryptAnomalies())
     assert len(hash_digest(message, KEY35, 8, 64)) == 64
     assert len(hash_digest(message, KEY35, 8, 4096)) == 4096
@@ -420,7 +448,7 @@ def test_lane_flags_and_hct1_indices_decrypt_alike():
 def test_lane_path_never_formats_sentinel_indices(monkeypatch):
     # The digest, the avalanche experiment and an in-memory round trip read
     # the lane flags only; indices are for HCT1 and for callers who ask.
-    message = BitSeq.from_bytes(bytes(range(256)) + b"\xff" * 16, bit_len=2171)
+    message = first_bits(bytes(range(256)) + b"\xff" * 16, 2171)
 
     def no_indices(self):
         raise AssertionError("sentinel indices formatted on the lane path")

@@ -3,6 +3,7 @@
 import random
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -242,6 +243,45 @@ def test_to_bytes_rejects_unencodable_level_record(bad):
     env = CipherEnvelope(ENVELOPE_VERSION, 8, (good, bad), BitSeq(""))
     with pytest.raises(MalformedEnvelope, match="^level 1 does not fit the format"):
         env.to_bytes()
+
+
+GOLD_ENV = CipherEnvelope.from_bytes(GOLD)
+
+
+@pytest.mark.parametrize(
+    "fields, blob",
+    [
+        ({"version": 2}, patched(GOLD, OFF_VERSION, b"\x02")),
+        ({"block_order": 12}, patched(GOLD, OFF_BLOCK_ORDER, b"\x0c")),
+        (
+            {"levels": (LevelRecord(4, 24, SentinelSet((4,))), GOLD_ENV.levels[1])},
+            patched(GOLD, OFF_L1_X, b"\x04"),
+        ),
+        (
+            {"levels": (LevelRecord(3, 24, SentinelSet((8,))), GOLD_ENV.levels[1])},
+            patched(GOLD, OFF_L1_SENT_IDX, struct.pack(">I", 8)),
+        ),
+        (
+            {"payload": BitSeq(CIPHER_BITS + "0" * 8)},
+            patched(GOLD, OFF_PAYLOAD_BITLEN, struct.pack(">Q", 48)),
+        ),
+    ],
+    ids=["version", "block-order", "group-width", "sentinel-range", "payload-length"],
+)
+def test_to_bytes_refuses_what_from_bytes_refuses(fields, blob):
+    with pytest.raises(MalformedEnvelope) as parsed:
+        CipherEnvelope.from_bytes(blob)
+    with pytest.raises(MalformedEnvelope) as written:
+        replace(GOLD_ENV, **fields).to_bytes()
+    assert str(written.value) == str(parsed.value)
+
+
+def test_to_bytes_refuses_header_fields_too_wide_for_the_format():
+    # Neither value fits its one-byte slot, so no blob can carry them.
+    with pytest.raises(MalformedEnvelope, match="^block order 256 is not a supported"):
+        replace(GOLD_ENV, block_order=256).to_bytes()
+    with pytest.raises(MalformedEnvelope, match="^unsupported version 300$"):
+        replace(GOLD_ENV, version=300).to_bytes()
 
 
 def test_far_sentinel_index_costs_memory_only_for_the_payload():

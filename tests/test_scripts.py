@@ -95,6 +95,7 @@ def test_script_rejects_zero_count(script, flag):
         ("trace_roundtrip.py", ["--key", "3,,5"]),
         ("trace_roundtrip.py", ["--block-size", "4"]),
         ("trace_roundtrip.py", ["--text", "012"]),
+        ("trace_roundtrip.py", ["--key", ",".join(["3"] * 256), "--text", "1011"]),
     ],
 )
 def test_script_rejects_bad_key_order_or_width(script, args):
