@@ -10,6 +10,14 @@ from hctcodec.cli import main
 from vectors import CIPHER_BITS, DIGEST16, ENVELOPE_HEX, MOD7_MATRIX, PLAIN_BITS, PLAIN_BYTES
 
 
+def _status(argv):
+    """main's return value, or the status of the SystemExit a usage error raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_encrypt_text_prints_payload(capsys):
     assert main(["encrypt", "--key", "3,5", "--text", PLAIN_BITS]) == 0
     assert capsys.readouterr().out.strip() == CIPHER_BITS
@@ -97,14 +105,14 @@ def test_hash_prints_bits_and_hex(capsys):
 
 
 def test_bad_key_reports_error(capsys):
-    assert main(["encrypt", "--key", "3;5", "--text", "101"]) == 1
+    assert _status(["encrypt", "--key", "3;5", "--text", "101"]) == 2
     assert "comma-separated" in capsys.readouterr().err
-    assert main(["encrypt", "--key", "4", "--text", "101"]) == 1
+    assert _status(["encrypt", "--key", "4", "--text", "101"]) == 2
     assert "InvalidKeyElement" in capsys.readouterr().err
 
 
 def test_bad_text_reports_error(capsys):
-    assert main(["encrypt", "--key", "3", "--text", "10a"]) == 1
+    assert _status(["encrypt", "--key", "3", "--text", "10a"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -117,12 +125,12 @@ def test_matrix_output_matches_reference(capsys):
 
 
 def test_matrix_rejects_bad_exponent(capsys):
-    assert main(["matrix", "--exponent", "11"]) == 1
+    assert _status(["matrix", "--exponent", "11"]) == 2
     assert "InvalidKeyElement" in capsys.readouterr().err
 
 
 def test_matrix_rejects_bad_order(capsys):
-    assert main(["matrix", "--exponent", "3", "--order", "12"]) == 1
+    assert _status(["matrix", "--exponent", "3", "--order", "12"]) == 2
     assert "UnsupportedBlockOrder" in capsys.readouterr().err
 
 
@@ -189,10 +197,10 @@ def test_bench_reports_both_kernels(capsys):
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_bench_rejects_non_positive_trials(capsys, trials):
-    assert main(["bench", "--exponent", "3", "--order", "8", "--trials", trials]) == 1
+    assert _status(["bench", "--exponent", "3", "--order", "8", "--trials", trials]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: --trials must be at least 1" in captured.err
+    assert "argument --trials: ValueError: must be at least 1" in captured.err
 
 
 def test_mutually_exclusive_inputs(capsys):

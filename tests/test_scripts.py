@@ -1,18 +1,18 @@
-"""The experiment scripts run to completion on small inputs.
+"""The experiment subcommands run to completion on small inputs.
 
-trace_roundtrip.py runs each level as a one-exponent encrypt()/decrypt() and
+``hctcodec trace`` runs each level as a one-exponent encrypt()/decrypt() and
 asserts that the chained encrypt() gives the same level records and payload;
 its default run must print the worked example's intermediate vectors.
 """
 
-import os
-import runpy
-import subprocess
-import sys
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from hctcodec.cli import main
 from vectors import (
     D1_RECOVERED,
     D1_RESTORED,
@@ -25,18 +25,24 @@ from vectors import (
     L2_TRANSFORMED,
 )
 
-ROOT = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).resolve().parent / "data"
+# The parameters keep the names of the scripts these subcommands replaced, so
+# the test ids stay stable.
+SUBCOMMAND = {
+    "trace_roundtrip.py": "trace",
+    "avalanche_trials.py": "avalanche",
+    "hash_collisions.py": "collisions",
+}
 
 
 def _run_script(script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            returncode = main([SUBCOMMAND[script], *args])
+        except SystemExit as exc:
+            returncode = exc.code
+    return SimpleNamespace(returncode=returncode, stdout=out.getvalue(), stderr=err.getvalue())
 
 
 @pytest.mark.parametrize(
@@ -95,7 +101,6 @@ def test_script_rejects_zero_count(script, flag):
         ("trace_roundtrip.py", ["--key", "3,,5"]),
         ("trace_roundtrip.py", ["--block-size", "4"]),
         ("trace_roundtrip.py", ["--text", "012"]),
-        ("trace_roundtrip.py", ["--key", ",".join(["3"] * 256), "--text", "1011"]),
     ],
 )
 def test_script_rejects_bad_key_order_or_width(script, args):
@@ -120,11 +125,8 @@ def test_hash_collisions_summary_is_pinned():
     ]
 
 
-def test_trace_prints_worked_example(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["trace_roundtrip.py"])
-    with pytest.raises(SystemExit) as exc:
-        runpy.run_path(str(ROOT / "scripts" / "trace_roundtrip.py"), run_name="__main__")
-    assert exc.value.code == 0
+def test_trace_prints_worked_example(capsys):
+    assert main(["trace"]) == 0
     lines = capsys.readouterr().out.splitlines()
     expected = [
         f"  groups     {list(L1_GROUPS)}",
@@ -139,3 +141,46 @@ def test_trace_prints_worked_example(monkeypatch, capsys):
     ]
     positions = [lines.index(line) for line in expected]
     assert positions == sorted(positions)
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        ([], "trace_default.txt"),
+        (["--text", "1" * 40 + "0110", "--key", "3,5,31"], "trace_3_5_31.txt"),
+    ],
+)
+def test_trace_output_is_pinned(args, expected):
+    # Captured from the stand-alone trace script this subcommand replaced.
+    result = _run_script("trace_roundtrip.py", args)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout == (DATA / expected).read_text()
+
+
+def test_avalanche_trials_csv_is_pinned(tmp_path):
+    csv_path = tmp_path / "trials.csv"
+    args = ["--trials", "5", "--bits", "100", "--seed", "1", "--emit-csv", str(csv_path)]
+    result = _run_script("avalanche_trials.py", args)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert csv_path.read_text() == (DATA / "avalanche_seed1.csv").read_text()
+    assert result.stderr == f"wrote {csv_path}\n"
+
+
+def test_avalanche_reports_unwritable_csv(tmp_path):
+    missing = tmp_path / "absent" / "x.csv"
+    args = ["--trials", "1", "--bits", "10", "--emit-csv", str(missing)]
+    result = _run_script("avalanche_trials.py", args)
+    assert result.returncode == 1
+    assert result.stdout.startswith("trials=1 message_bits=10 key=3,5 block=8\n")
+    assert result.stderr.startswith("error:")
+    assert "No such file or directory" in result.stderr
+
+
+def test_trace_rejects_key_longer_than_hct1_holds():
+    # The key itself is valid; the HCT1 envelope that trace prints is not.
+    result = _run_script("trace_roundtrip.py", ["--key", ",".join(["3"] * 256), "--text", "1011"])
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: MalformedEnvelope: level count 256 does not fit the format (1..255)\n"
+    )
