@@ -17,7 +17,6 @@ packed path.
 """
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from operator import lt
@@ -102,13 +101,13 @@ class SentinelSet:
     j*x marks lane j from the least significant end, which is group position
     count - 1 - j.  ``indices`` formats the tuple from the flags on each
     access and is not cached; ``==``, ``hash``, iteration and ``repr`` go
-    through it, so both forms of one set are equal.  ``lanes`` gives the
-    decrypt loop the flags, formatting no index from the flag form.
+    through it, so both forms of one set are equal.  Decrypt asks ``fits``,
+    then ``lanes``; neither formats an index from the flag form.
 
     Parsed indices stay a tuple because it grows with the sentinel count,
     which the envelope's bytes bound, while flags grow with the lane count:
-    one 4-byte index can name lane 2^32 - 1.  Decrypt builds flags only for
-    the lane count it derives from the payload.
+    one 4-byte index can name lane 2^32 - 1.  Decrypt builds flags only
+    once ``fits`` has held the indices below the level's lane count.
     """
 
     __slots__ = ("_indices", "_flags", "_x", "_count")
@@ -139,20 +138,25 @@ class SentinelSet:
         marks = format(self._flags, f"0{self._count * x}b")[x - 1::x]
         return tuple(map(re.Match.start, re.finditer("1", marks)))
 
-    def lanes(self, x: int, count: int) -> tuple[int, int]:
-        """Flags over ``count`` x-bit lanes, and how many indices lie at or past ``count``."""
+    def fits(self, x: int, count: int) -> bool:
+        """Whether every position lies below ``count``; flags fit only their own (x, count)."""
+        if self._indices is None:
+            return (x, count) == (self._x, self._count)
+        return not self._indices or self._indices[-1] < count
+
+    def lanes(self, x: int, count: int) -> int:
+        """Flags over ``count`` x-bit lanes; every position must lie below ``count``."""
         if self._indices is None and x == self._x and count == self._count:
-            return self._flags, 0
+            return self._flags
         indices = self.indices
-        in_range = bisect_left(indices, count)
-        if not in_range:
-            return 0, len(indices)
+        if not indices:
+            return 0
         lane_marks = bytearray(b"0") * count
-        for i in indices[:in_range]:
+        for i in indices:
             lane_marks[i] = 49  # ord("1")
         marks = bytearray(b"0") * (count * x)
         marks[x - 1::x] = lane_marks  # the lowest bit of each lane
-        return int(marks, 2), len(indices) - in_range
+        return int(marks, 2)
 
     def __len__(self) -> int:
         return self._flags.bit_count() if self._indices is None else len(self._indices)

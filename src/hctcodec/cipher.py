@@ -7,7 +7,8 @@ with the mod-(2^x - 1) Hadamard matrix, and re-emits bits.  Decryption
 replays the levels in reverse with the inverse transform, restoring the
 sentinels and stripping the recorded padding, which makes the round trip
 exact for every input including lengths the exponents do not divide.
-One tolerant pass counts the anomalies; ``decrypt`` raises the first.
+Decrypt checks every level record against the key first; one tolerant
+pass then counts payload anomalies, and ``decrypt`` raises the first.
 
 Each level runs on the whole message as one Python int, one x-bit lane
 per group (``hadamard.apply_lanes``): padding is a shift, sentinels are the
@@ -37,7 +38,6 @@ from typing import Iterable
 from .bitcodec import BitSeq, SentinelSet, padded_group_count
 from .errors import (
     InvalidKeyElement,
-    LengthUnderflow,
     MalformedEnvelope,
     NonZeroPadding,
     SentinelConflict,
@@ -216,43 +216,54 @@ class DecryptAnomalies:
 
     sentinel_conflicts: int = 0
     padding_violations: int = 0
-    length_underflows: int = 0
+
+
+def _check_records(envelope: CipherEnvelope, key: KeySchedule) -> None:
+    """Raise MalformedEnvelope for a record the key cannot invert, last level first."""
+    if len(key.elements) != len(envelope.levels):
+        raise MalformedEnvelope(f"envelope has {len(envelope.levels)} levels but key "
+                                f"supplies {len(key.elements)} exponents")
+    check_order(envelope.block_order)
+    bits = envelope.payload.length
+    for level in reversed(range(len(key.elements))):
+        x, record = key.elements[level].x, envelope.levels[level]
+        count = record.padded_group_count(envelope.block_order)
+        if record.x != x:
+            raise MalformedEnvelope(f"level {level}: recorded x {record.x}, key has x {x}")
+        if count * x != bits:
+            raise MalformedEnvelope(f"level {level}: recorded length {record.orig_bit_len} "
+                                    f"pads to {count * x} bits, but {bits} bits reach it")
+        if not record.sentinels.fits(x, count):
+            raise MalformedEnvelope(f"level {level}: sentinels lie past its {count} groups")
+        bits = record.orig_bit_len
 
 
 def _decrypt_levels(
     envelope: CipherEnvelope, key: KeySchedule
 ) -> tuple[BitSeq, DecryptAnomalies, Exception | None]:
-    """Undo the levels in reverse order, counting each anomaly and skipping it.
+    """Check the records, then undo the levels in reverse, counting payload anomalies.
 
     Returns the bits, the counts and the first anomalous level's error: a
-    held or out-of-range sentinel (SentinelConflict), else LengthUnderflow,
-    else NonZeroPadding, its message starting ``level k:`` (HCT1 record k).
+    sentinel lane not holding 0 (SentinelConflict), else NonZeroPadding,
+    its message starting ``level k:`` (HCT1 record k).
     """
-    if len(key.elements) != len(envelope.levels):
-        raise MalformedEnvelope(
-            f"envelope has {len(envelope.levels)} levels but key supplies "
-            f"{len(key.elements)} exponents"
-        )
-    n = envelope.block_order
-    check_order(n)
-    v, length = envelope.payload.value, envelope.payload.length
+    _check_records(envelope, key)
+    n, v = envelope.block_order, envelope.payload.value
     anomalies, first = DecryptAnomalies(), None
     for level in reversed(range(len(key.elements))):
         params, record = key.elements[level], envelope.levels[level]
         x, p = params.x, params.p
-        count = padded_group_count(length, x, n)
+        count = record.padded_group_count(n)
         size = count * x
-        v = apply_lanes(v << size - length, x, n, count, True)
-        flags, beyond = record.sentinels.lanes(x, count)
+        v = apply_lanes(v, x, n, count, True)
+        flags = record.sentinels.lanes(x, count)
         # Sentinel lanes not holding 0, i.e. not all ones once complemented.
         held = flags and flags & ~full_lanes(v ^ ((1 << size) - 1), x, count)
         if flags:
             v |= (flags ^ held) * p
-        keep = min(record.orig_bit_len, size)
-        padding = v & ((1 << size - keep) - 1)
-        underflow = record.orig_bit_len > size
-        anomalies.sentinel_conflicts += beyond + held.bit_count()
-        anomalies.length_underflows += underflow
+        drop = size - record.orig_bit_len
+        padding = v & ((1 << drop) - 1)
+        anomalies.sentinel_conflicts += held.bit_count()
         anomalies.padding_violations += padding != 0
         if first is None:
             if held:
@@ -261,34 +272,21 @@ def _decrypt_levels(
                     f"level {level}: sentinel position {count - 1 - lane} holds "
                     f"{v >> lane * x & p}, expected 0"
                 )
-            elif beyond:
-                first = SentinelConflict(
-                    f"level {level}: sentinel index {record.sentinels.indices[-beyond]} "
-                    f"beyond value count {count}"
-                )
-            elif underflow:
-                first = LengthUnderflow(
-                    f"level {level}: recorded length {record.orig_bit_len} "
-                    f"exceeds available {size} bits"
-                )
             elif padding:
                 first = NonZeroPadding(
                     f"level {level}: discarded padding contains {padding.bit_count()} one bits"
                 )
-        v >>= size - keep
-        length = keep
-    return BitSeq.from_int(v, length), anomalies, first
+        v >>= drop
+    return BitSeq.from_int(v, envelope.levels[0].orig_bit_len), anomalies, first
 
 
 def decrypt(envelope: CipherEnvelope, key: KeySchedule) -> BitSeq:
     """Invert the pipeline level by level in reverse key order.
 
-    The supplied key drives all grouping and arithmetic; the exponents
-    recorded in the envelope are descriptive only and are never used to
-    authenticate the key.  A wrong key therefore yields garbage output or
-    surfaces as SentinelConflict / NonZeroPadding / LengthUnderflow when
-    the recorded metadata stops matching what the arithmetic produces.
-    It runs the tolerant pass and raises that pass's first anomaly.
+    Each level record is first checked against the key, which compares
+    exponents the envelope carries in the clear but authenticates nothing;
+    a failing record raises MalformedEnvelope.  Then the tolerant pass runs,
+    and its first payload anomaly (SentinelConflict / NonZeroPadding) is raised.
     """
     bits, _, first = _decrypt_levels(envelope, key)
     if first:
@@ -299,12 +297,12 @@ def decrypt(envelope: CipherEnvelope, key: KeySchedule) -> BitSeq:
 def decrypt_tolerant(
     envelope: CipherEnvelope, key: KeySchedule
 ) -> tuple[BitSeq, DecryptAnomalies]:
-    """Best-effort decrypt that records anomalies and keeps going.
+    """Best-effort decrypt that records payload anomalies and keeps going.
 
-    Sentinel positions holding nonzero values are left as they are,
-    nonzero padding is discarded anyway, and a too-short level keeps
-    whatever bits exist.  Used by diffusion experiments, where corrupted
-    ciphertext must still produce an output to compare against.
+    Level records are checked as in ``decrypt``.  Sentinel positions holding
+    nonzero values are left as they are and nonzero padding is discarded
+    anyway.  Used by diffusion experiments, where a corrupted payload must
+    still produce an output to compare against.
     """
     return _decrypt_levels(envelope, key)[:2]
 

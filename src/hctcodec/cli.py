@@ -89,12 +89,11 @@ def _add_key_flags(parser, default=None, block_size=True):
 
 
 def _cmd_encrypt(args) -> int:
-    bits = _read_bits(args)
-    envelope = encrypt(bits, args.key, args.block_size)
+    if args.text is None and not args.out:
+        args.usage_error("--in FILE requires --out for the envelope")
+    envelope = encrypt(_read_bits(args), args.key, args.block_size)
     if args.out:
         Path(args.out).write_bytes(envelope.to_bytes())
-    elif args.text is None:
-        raise ValueError("file input requires --out for the envelope")
     if args.text is not None:
         print(envelope.payload.bits)
     else:
@@ -284,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encrypt", help="encrypt text bits or a file into an envelope")
     _add_key_flags(p)
     _add_input_flags(p)
-    p.add_argument("--out", help="envelope output path")
-    p.set_defaults(func=_cmd_encrypt)
+    p.add_argument("--out", help="envelope output path (required with --in)")
+    p.set_defaults(func=_cmd_encrypt, usage_error=p.error)
 
     p = sub.add_parser("decrypt", help="decrypt an envelope file")
     _add_key_flags(p, block_size=False)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hctcodec import cipher
 from hctcodec.analysis import avalanche_experiment
 from hctcodec.bitcodec import (
     BitSeq,
@@ -30,7 +31,6 @@ from hctcodec.cipher import (
 from hctcodec.errors import (
     CodecError,
     InvalidKeyElement,
-    LengthUnderflow,
     MalformedEnvelope,
     NonZeroPadding,
     SentinelConflict,
@@ -203,25 +203,24 @@ def test_tolerant_decrypt_counts_sentinel_conflicts():
 
 
 def test_strict_decrypt_raises_the_anomaly_of_the_last_damaged_record():
-    # Level 0 gets a bogus sentinel over group 0 (which holds 6), level 1 a
-    # length one bit past its payload.  Levels are undone from the last
-    # record, so the level 1 underflow is met first, although a sentinel
-    # conflict outranks an underflow within one level.  Level 1 still hands
-    # level 0 the true bits followed by zeros, so both anomalies are counted
-    # and the output survives.
+    # Level 0 gets a bogus sentinel over group 0 (which holds 6), level 1 one
+    # over group 0 (which recovers 16).  Levels are undone from the last
+    # record, so the level 1 conflict is met first.  Tolerant decrypt leaves
+    # both groups as they are, so both conflicts are counted and the output
+    # survives.
     env = encrypt(BitSeq(PLAIN_BITS), KEY35)
     bad0 = LevelRecord(3, 24, SentinelSet((0, 4)))
-    bad1 = LevelRecord(5, 41, SentinelSet(()))
+    bad1 = LevelRecord(5, 24, SentinelSet((0,)))
     both = CipherEnvelope(env.version, 8, (bad0, bad1), env.payload)
     only0 = CipherEnvelope(env.version, 8, (bad0, env.levels[1]), env.payload)
-    with pytest.raises(LengthUnderflow) as exc:
+    with pytest.raises(SentinelConflict) as exc:
         decrypt(both, KEY35)
-    assert str(exc.value) == "level 1: recorded length 41 exceeds available 40 bits"
+    assert str(exc.value) == "level 1: sentinel position 0 holds 16, expected 0"
     with pytest.raises(SentinelConflict) as exc:
         decrypt(only0, KEY35)
     assert str(exc.value) == "level 0: sentinel position 0 holds 6, expected 0"
     assert decrypt_tolerant(both, KEY35) == (BitSeq(PLAIN_BITS), DecryptAnomalies(
-        sentinel_conflicts=1, padding_violations=0, length_underflows=1))
+        sentinel_conflicts=2, padding_violations=0))
 
 
 @settings(max_examples=300, deadline=None)
@@ -292,8 +291,29 @@ def reference_encrypt(bits, key, n):
     return CipherEnvelope(1, n, tuple(levels), bits)
 
 
+def reference_check(envelope, key):
+    """decrypt()'s record check, from the last level down, on the text forms."""
+    if len(key.elements) != len(envelope.levels):
+        raise MalformedEnvelope(f"envelope has {len(envelope.levels)} levels but key "
+                                f"supplies {len(key.elements)} exponents")
+    bits = len(envelope.payload)
+    for level in reversed(range(len(key.elements))):
+        x, record = key.elements[level].x, envelope.levels[level]
+        groups = -(-record.orig_bit_len // x)
+        count = -(-groups // envelope.block_order) * envelope.block_order
+        if record.x != x:
+            raise MalformedEnvelope(f"level {level}: recorded x {record.x}, key has x {x}")
+        if count * x != bits:
+            raise MalformedEnvelope(f"level {level}: recorded length {record.orig_bit_len} "
+                                    f"pads to {count * x} bits, but {bits} bits reach it")
+        if any(i >= count for i in record.sentinels):
+            raise MalformedEnvelope(f"level {level}: sentinels lie past its {count} groups")
+        bits = record.orig_bit_len
+
+
 def reference_decrypt(envelope, key, anomalies):
     """decrypt() (anomalies None) or decrypt_tolerant() from the per-group helpers."""
+    reference_check(envelope, key)
     bits = envelope.payload
     for level in reversed(range(len(key.elements))):
         params, record = key.elements[level], envelope.levels[level]
@@ -308,16 +328,13 @@ def reference_decrypt(envelope, key, anomalies):
                 raise type(exc)(f"level {level}: {exc}") from None
             continue
         for i in record.sentinels:
-            if i < len(recovered) and recovered[i] == 0:
+            if recovered[i] == 0:
                 recovered[i] = params.p
             else:
                 anomalies.sentinel_conflicts += 1
         raw = ungroup(recovered, params.x)
         keep = record.orig_bit_len
-        if keep > len(raw):
-            anomalies.length_underflows += 1
-            keep = len(raw)
-        elif "1" in raw.bits[keep:]:
+        if "1" in raw.bits[keep:]:
             anomalies.padding_violations += 1
         bits = BitSeq(raw.bits[:keep])
     return bits
@@ -376,6 +393,62 @@ def test_level_loops_match_per_block_reference():
                 anomalies = DecryptAnomalies()
                 assert outcome(lambda: decrypt_tolerant(damaged, wrong)) == outcome(
                     lambda: (reference_decrypt(damaged, wrong, anomalies), anomalies))
+
+
+def test_bad_records_are_rejected_before_any_arithmetic(monkeypatch):
+    # Each rule broken at each level of a 3-level envelope: another supported
+    # x, a length n*x bits too long, and a sentinel at the padded group count.
+    key = KeySchedule.from_exponents([5, 3, 2])
+    env = encrypt(first_bits(bytes(range(40)) + b"\xff" * 8, 381), key, 16)
+    assert all(len(record.sentinels) for record in env.levels)
+
+    def no_arithmetic(*args):
+        raise AssertionError("lane arithmetic ran before the record check")
+
+    monkeypatch.setattr(cipher, "apply_lanes", no_arithmetic)
+    monkeypatch.setattr(cipher, "full_lanes", no_arithmetic)
+    for level, record in enumerate(env.levels):
+        other = next(x for x in SUPPORTED_EXPONENTS if x != record.x)
+        count = record.padded_group_count(16)
+        broken = {
+            "recorded x": LevelRecord(other, record.orig_bit_len, record.sentinels),
+            "recorded length": LevelRecord(
+                record.x, record.orig_bit_len + 16 * record.x, record.sentinels),
+            "sentinels lie past": LevelRecord(
+                record.x, record.orig_bit_len, SentinelSet((*record.sentinels, count))),
+        }
+        for rule, bad in broken.items():
+            levels = env.levels[:level] + (bad,) + env.levels[level + 1:]
+            damaged = CipherEnvelope(env.version, 16, levels, env.payload)
+            for run in (decrypt, decrypt_tolerant):
+                with pytest.raises(MalformedEnvelope, match=f"^level {level}: {rule} "):
+                    run(damaged, key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.text(alphabet="01", max_size=600),
+    st.lists(st.sampled_from(SUPPORTED_EXPONENTS), min_size=1, max_size=3),
+    st.sampled_from(SUPPORTED_ORDERS),
+    st.data(),
+)
+def test_encrypted_envelopes_pass_the_record_check_and_other_keys_fail_it(
+    bits, exponents, n, data
+):
+    key = KeySchedule.from_exponents(exponents)
+    env = encrypt(BitSeq(bits), key, n)
+    both = (env, CipherEnvelope.from_bytes(env.to_bytes()))
+    for envelope in both:
+        assert decrypt(envelope, key) == BitSeq(bits)
+        assert decrypt_tolerant(envelope, key) == (BitSeq(bits), DecryptAnomalies())
+    other = data.draw(st.lists(
+        st.sampled_from(SUPPORTED_EXPONENTS), min_size=len(exponents), max_size=len(exponents)
+    ).filter(lambda xs: xs != exponents))
+    last = max(i for i, (a, b) in enumerate(zip(exponents, other)) if a != b)
+    for envelope in both:
+        for run in (decrypt, decrypt_tolerant):
+            with pytest.raises(MalformedEnvelope, match=f"^level {last}: recorded x "):
+                run(envelope, KeySchedule.from_exponents(other))
 
 
 def test_product_path_never_formats_bit_text(monkeypatch):

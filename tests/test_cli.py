@@ -33,8 +33,10 @@ def test_encrypt_text_with_out_writes_envelope(tmp_path, capsys):
 def test_encrypt_file_requires_out(tmp_path, capsys):
     src = tmp_path / "msg.bin"
     src.write_bytes(PLAIN_BYTES)
-    assert main(["encrypt", "--key", "3,5", "--in", str(src)]) == 1
-    assert "requires --out" in capsys.readouterr().err
+    assert _status(["encrypt", "--key", "3,5", "--in", str(src)]) == 2
+    assert "--out" in capsys.readouterr().err.splitlines()[-1]
+    # A usage error, found before FILE is read.
+    assert _status(["encrypt", "--key", "3,5", "--in", str(tmp_path / "absent")]) == 2
 
 
 def test_file_round_trip(tmp_path, capsys):

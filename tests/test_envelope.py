@@ -14,14 +14,13 @@ from hctcodec.cipher import (
     ENVELOPE_MAGIC,
     ENVELOPE_VERSION,
     CipherEnvelope,
-    DecryptAnomalies,
     KeySchedule,
     LevelRecord,
     decrypt,
     decrypt_tolerant,
     encrypt,
 )
-from hctcodec.errors import CodecError, MalformedEnvelope, SentinelConflict
+from hctcodec.errors import CodecError, MalformedEnvelope
 from vectors import (
     CIPHER_BITS,
     ENVELOPE_HEX,
@@ -288,8 +287,7 @@ def test_far_sentinel_index_costs_memory_only_for_the_payload():
     # Why SentinelSet keeps parsed indices as a tuple: the tuple grows with
     # the sentinel count, which the envelope's bytes bound, while lane flags
     # grow with the lane count.  Here level 0 claims 2^63 bits and a sentinel
-    # at lane 2^32 - 1, but decrypt builds flags only for the 8 lanes the
-    # 24-bit payload yields.
+    # at lane 2^32 - 1; the record check refuses it before any flags exist.
     blob = (
         ENVELOPE_MAGIC
         + struct.pack(">BBB", ENVELOPE_VERSION, 8, 2)
@@ -303,16 +301,14 @@ def test_far_sentinel_index_costs_memory_only_for_the_payload():
     tracemalloc.start()
     try:
         env = CipherEnvelope.from_bytes(blob)
-        with pytest.raises(SentinelConflict) as exc:
+        with pytest.raises(MalformedEnvelope, match="^level 0: ") as strict:
             decrypt(env, key)
-        _, anomalies = decrypt_tolerant(env, key)
+        with pytest.raises(MalformedEnvelope, match="^level 0: ") as tolerant:
+            decrypt_tolerant(env, key)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(exc.value) == "level 0: sentinel index 4294967295 beyond value count 8"
-    assert anomalies == DecryptAnomalies(
-        sentinel_conflicts=1, padding_violations=0, length_underflows=1
-    )
+    assert str(strict.value) == str(tolerant.value)
     assert peak < 2**20
 
 

@@ -38,11 +38,9 @@ def _identifiers(path: Path) -> set[str]:
 
 def test_every_exported_name_has_a_caller_beyond_the_unit_tests():
     # A public name that only unit tests call is surface without a user:
-    # the product, the scripts, the benchmark or the acceptance criteria
-    # must name it.
+    # the product, the benchmark or the acceptance criteria must name it.
     sources = [
         *(p for p in (ROOT / "src" / "hctcodec").glob("*.py") if p.name != "__init__.py"),
-        *(ROOT / "scripts").glob("*.py"),
         *(ROOT / "bench").glob("*.py"),
         ROOT / "tests" / "test_acceptance.py",
     ]
