@@ -7,10 +7,12 @@ all ones) whose payload degenerates to zeros and carries no information
 outside the sentinel metadata.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bitcodec import BitSeq
-from .cipher import KeySchedule, decrypt_tolerant, encrypt
+from .cipher import CipherEnvelope, KeySchedule, decrypt_tolerant, encrypt
+
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -39,19 +41,23 @@ class DiffReport:
         return self.hamming / len(self.series) if self.series else 0.0
 
 
-def difference_series(a: BitSeq, b: BitSeq) -> DiffReport:
-    """Element-wise XOR over the common prefix; lengths reported separately."""
+def _diff(a: BitSeq, b: BitSeq, sentinel_conflicts: int) -> DiffReport:
     common = min(len(a), len(b))
     d = (a.value >> len(a) - common) ^ (b.value >> len(b) - common)
     xor_bits = format(d, f"0{common}b").encode() if common else b""
-    series = tuple(xor_bits.translate(bytes.maketrans(b"01", b"\0\1")))
     return DiffReport(
         length_a=len(a),
         length_b=len(b),
         hamming=d.bit_count(),
         length_delta=abs(len(a) - len(b)),
-        series=series,
+        series=tuple(xor_bits.translate(_BIT_VALUES)),
+        sentinel_conflicts=sentinel_conflicts,
     )
+
+
+def difference_series(a: BitSeq, b: BitSeq) -> DiffReport:
+    """Element-wise XOR over the common prefix; lengths reported separately."""
+    return _diff(a, b, 0)
 
 
 def avalanche_experiment(
@@ -68,10 +74,11 @@ def avalanche_experiment(
         raise ValueError(
             f"flip index {flip_index} outside payload of {len(envelope.payload)} bits"
         )
-    corrupted = replace(envelope, payload=envelope.payload.flip(flip_index))
+    corrupted = CipherEnvelope(
+        envelope.version, block_order, envelope.levels, envelope.payload.flip(flip_index)
+    )
     recovered, anomalies = decrypt_tolerant(corrupted, key)
-    report = difference_series(plaintext, recovered)
-    return replace(report, sentinel_conflicts=anomalies.sentinel_conflicts)
+    return _diff(plaintext, recovered, anomalies.sentinel_conflicts)
 
 
 def degenerate_check(plaintext: BitSeq) -> str | None:

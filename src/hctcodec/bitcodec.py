@@ -24,6 +24,10 @@ from typing import Iterable, Sequence
 
 from .errors import LengthUnderflow, NonZeroPadding, SentinelConflict, ValueOverflow
 
+# A set with fewer than one sentinel per this many lanes builds its flags
+# from its indices one sentinel at a time, not one character per bit.
+SPARSE_LANES = 64
+
 
 @dataclass(frozen=True, init=False)
 class BitSeq:
@@ -151,6 +155,13 @@ class SentinelSet:
         indices = self.indices
         if not indices:
             return 0
+        if len(indices) * SPARSE_LANES < count:  # sparse: set one bit per index
+            flags = bytearray(-(-count * x // 8))
+            pad = 8 * len(flags) - count * x
+            for i in indices:
+                bit = pad + i * x + x - 1
+                flags[bit >> 3] |= 128 >> (bit & 7)
+            return int.from_bytes(flags, "big")
         lane_marks = bytearray(b"0") * count
         for i in indices:
             lane_marks[i] = 49  # ord("1")

@@ -31,6 +31,7 @@ metadata reveals which plaintext groups were all ones.  ``to_bytes``
 refuses what ``from_bytes`` refuses: both call the same field rules.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Iterable
@@ -69,6 +70,10 @@ class KeySchedule:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    def superblock_bits(self, block_order: int) -> int:
+        """S = block_order * lcm(x_1..x_k): every level maps each S-aligned range onto itself."""
+        return block_order * math.lcm(*(params.x for params in self.elements))
 
 
 @dataclass(frozen=True)
@@ -314,10 +319,16 @@ def hash_digest(
 
     The payload is zero-extended when shorter than the requested digest.
     Deterministic: equal inputs always produce equal digests.  This is a
-    checksum-grade construction, not a cryptographic hash.
+    checksum-grade construction, not a cryptographic hash: it reads only the
+    first ceil(digest_bits / S) superblocks of ``data`` (``KeySchedule.superblock_bits``).
     """
     if digest_bits < 1:
         raise ValueError(f"digest_bits must be >= 1, got {digest_bits}")
+    check_order(block_order)
+    size = key.superblock_bits(block_order)
+    prefix = -(-digest_bits // size) * size
+    if len(data) > prefix:  # whole superblocks: no level pads, the payload prefix is the same
+        data = BitSeq.from_int(data.value >> len(data) - prefix, prefix)
     payload = encrypt(data, key, block_order).payload
     spare = len(payload) - digest_bits
     value = payload.value >> spare if spare >= 0 else payload.value << -spare

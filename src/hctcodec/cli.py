@@ -262,14 +262,23 @@ def _cmd_collisions(args) -> int:
     for _ in range(args.pairs):
         a = BitSeq("".join(rng.choice("01") for _ in range(args.bits)))
         pairs.append((a, a.flip(rng.randrange(args.bits))))
+    size = args.key.superblock_bits(8)
     print(f"pairs={args.pairs} message_bits={args.bits} key={_key_text(args.key)}")
+    print(f"superblock S={size} bits at block order 8")
     # A digest is a zero-extended payload prefix, so narrower ones are shifts.
     widest = max(args.widths)
     digests = [[hash_digest(m, args.key, 8, widest).value for m in pair] for pair in pairs]
+    flips = [args.bits - (a.value ^ b.value).bit_length() for a, b in pairs]
     for width in args.widths:
-        collisions = sum(a >> widest - width == b >> widest - width for a, b in digests)
+        prefix = -(-width // size) * size  # the bits a width-bit digest reads
+        same = [a >> widest - width == b >> widest - width for a, b in digests]
+        beyond = [hit for hit, flip in zip(same, flips) if flip >= prefix]
+        collisions = sum(same)
+        share = f" ({sum(beyond) / len(beyond):.1%})" if beyond else ""
         print(f"digest {width:4d} bits: {collisions:4d} collisions "
-              f"({collisions / args.pairs:.1%})")
+              f"({collisions / args.pairs:.1%}); flips inside the {prefix}-bit prefix: "
+              f"{collisions - sum(beyond)} of {args.pairs - len(beyond)}, "
+              f"beyond it: {sum(beyond)} of {len(beyond)}{share}")
     return 0
 
 

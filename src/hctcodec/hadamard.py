@@ -140,13 +140,39 @@ def _repeat(pattern: int, width: int, count: int) -> int:
     return out & ((1 << total) - 1)
 
 
+# A level of at most this many bits keeps its masks.  A lane-mask entry holds
+# at most 17 * 2^14 bits (n = 128) and a full_lanes entry 2^14, so the two
+# 128-entry caches retain at most 4.5 MiB, whatever the input sizes.
+MASK_CACHE_BITS = 1 << 14
+_cached_repeat = lru_cache(maxsize=128)(_repeat)
+
+
 def full_lanes(v: int, x: int, count: int) -> int:
     """A 1 at bit j*x for every x-bit lane j of ``v`` that is all ones (count even)."""
-    ones = _repeat(1, 2 * x, count // 2)
+    repeat = _cached_repeat if count * x <= MASK_CACHE_BITS else _repeat
+    ones = repeat(1, 2 * x, count // 2)
     p = (1 << x) - 1
     even = ((v & ones * p) + ones) >> x & ones
     odd = ((v >> x & ones * p) + ones) >> x & ones
     return even | odd << x
+
+
+def _lane_masks(x: int, n: int, count: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """``apply_lanes``'s masks: even-lane slots, all slots, and (mask, shift) per stage."""
+    p = (1 << x) - 1
+    slot, half = 2 * x, count * x
+    low = _repeat(p, slot, count // 2)
+    pm = low | low << half
+    stages = [(low << half, half)]  # odd lane 2k+1 against even lane 2k
+    g = 1
+    while g < n // 2:  # slot k against slot k - g inside each half
+        pattern = _repeat(p, slot, g) << g * slot
+        stages.append((_repeat(pattern, 2 * g * slot, count // (2 * g)), g * slot))
+        g *= 2
+    return low, pm, tuple(stages)
+
+
+_cached_lane_masks = lru_cache(maxsize=128)(_lane_masks)
 
 
 def apply_lanes(v: int, x: int, n: int, count: int, inverse: bool) -> int:
@@ -158,19 +184,14 @@ def apply_lanes(v: int, x: int, n: int, count: int, inverse: bool) -> int:
     slot, so a butterfly has x bits of headroom and reduces with the Mersenne
     end-around carry.  Lanes run backwards inside a block, so the sum lands
     in the slot with the higher index.  The inverse scale (n mod p)^-1 is
-    2^(-log2 n mod x): a rotation of each lane.
+    2^(-log2 n mod x): a rotation of each lane.  The masks depend only on
+    (x, n, count); levels of at most MASK_CACHE_BITS bits reuse them.
     """
     p = (1 << x) - 1
-    slot, half = 2 * x, count * x
-    low = _repeat(p, slot, count // 2)
-    pm = low | low << half
+    half = count * x
+    masks = _cached_lane_masks if half <= MASK_CACHE_BITS else _lane_masks
+    low, pm, stages = masks(x, n, count)
     w = v & low | (v >> x & low) << half
-    stages = [(low << half, half)]  # odd lane 2k+1 against even lane 2k
-    g = 1
-    while g < n // 2:  # slot k against slot k - g inside each half
-        pattern = _repeat(p, slot, g) << g * slot
-        stages.append((_repeat(pattern, 2 * g * slot, count // (2 * g)), g * slot))
-        g *= 2
     for hi_mask, shift in stages:
         hi = w & hi_mask
         lo = w ^ hi

@@ -1,10 +1,13 @@
 """Bit plumbing: BitSeq conversions, grouping, sentinels, truncation."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hctcodec.bitcodec import (
+    SPARSE_LANES,
     BitSeq,
     GroupedSeq,
     SentinelSet,
@@ -20,6 +23,7 @@ from hctcodec.errors import (
     SentinelConflict,
     ValueOverflow,
 )
+from hctcodec.modmath import SUPPORTED_EXPONENTS
 from vectors import (
     D1_BITS_PADDED,
     D1_RECOVERED,
@@ -187,6 +191,32 @@ def test_sentinel_set_validation():
     assert 4 in s
     assert 2 not in s
     assert list(s) == [1, 4]
+
+
+def text_lanes(indices, x, count):
+    """Reference: a '1' at the lowest bit of every listed lane, parsed as text."""
+    marks = bytearray(b"0") * (count * x)
+    for i in indices:
+        marks[i * x + x - 1] = ord("1")
+    return int(marks, 2) if marks else 0
+
+
+def test_sparse_and_dense_conversions_match_the_text_path():
+    # Sentinel counts on both sides of one per SPARSE_LANES lanes, and lane
+    # counts whose bits end mid-byte.
+    rng = random.Random(64)
+    for x in SUPPORTED_EXPONENTS:
+        for count in (1, 63, 64, 65, 640, 1001, 4096):
+            threshold = count // SPARSE_LANES
+            for k in sorted({0, 1, 2, threshold - 1, threshold, threshold + 1, count // 8}):
+                if not 0 <= k <= count:
+                    continue
+                indices = tuple(sorted(rng.sample(range(count), k)))
+                if k >= 2:  # the first and last lanes are the edge cases
+                    indices = (0, *indices[1:-1], count - 1)
+                flags = text_lanes(indices, x, count)
+                assert SentinelSet(indices).lanes(x, count) == flags, (x, count, k)
+                assert SentinelSet.from_lanes(flags, x, count).indices == indices, (x, count, k)
 
 
 def test_restore_worked_example():

@@ -137,6 +137,8 @@ def test_block_order_validation():
         encrypt(BitSeq("101"), KEY35, 12)
     with pytest.raises(UnsupportedBlockOrder):
         encrypt(BitSeq("101"), KEY35, 4)
+    with pytest.raises(UnsupportedBlockOrder):  # before the digest's prefix arithmetic
+        hash_digest(BitSeq("1" * 300), KEY35, 0)
 
 
 def test_round_trip_across_block_orders():
@@ -616,3 +618,37 @@ def test_superblock_locality_on_one_mebibyte():
     count, ragged = divmod(8 << 20, size)
     chunks = [random_bits(rng, size) for _ in range(count)]
     check_superblock_locality(chunks, random_bits(rng, ragged), key, 8, rng.randrange(8 << 20))
+
+
+@st.composite
+def digest_cases(draw):
+    exponents = draw(
+        st.lists(st.sampled_from(SUPPORTED_EXPONENTS), min_size=1, max_size=4)
+        .filter(lambda xs: 8 * lcm(*xs) <= 1 << 14)
+    )
+    n = draw(st.sampled_from([n for n in SUPPORTED_ORDERS if n * lcm(*exponents) <= 1 << 14]))
+    key = KeySchedule.from_exponents(exponents)
+    size = superblock_bits(key, n)
+    # Lengths at, just below and just above a few superblocks, or anywhere.
+    length = draw(st.one_of(
+        st.builds(lambda k, d: max(k * size + d, 0), st.integers(0, 3), st.integers(-1, 1)),
+        st.integers(0, 4 * size),
+    ))
+    # Past the message, and past any payload it can have (zero-extended).
+    widths = [1, size - 1, size, size + 1, length + 1, length + size]
+    width = draw(st.sampled_from(widths) | st.integers(1, 3 * size))
+    message = random_bits(random.Random(draw(st.integers(0, 2**32))), length)
+    return message, key, n, width
+
+
+@settings(max_examples=150, deadline=None)
+@given(digest_cases())
+def test_digest_is_the_full_payload_prefix(case):
+    # The digest reads only ceil(w / S) superblocks, yet it must equal the
+    # first w bits of the whole message's payload, zero-extended.
+    message, key, n, width = case
+    assert key.superblock_bits(n) == superblock_bits(key, n)
+    payload = encrypt(message, key, n).payload
+    spare = len(payload) - width
+    value = payload.value >> spare if spare >= 0 else payload.value << -spare
+    assert hash_digest(message, key, n, width) == BitSeq.from_int(value, width)

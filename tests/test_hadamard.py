@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hctcodec import hadamard
 from hctcodec.errors import DimensionMismatch, UnsupportedBlockOrder
 from hctcodec.modmath import SUPPORTED_EXPONENTS
 from hctcodec.hadamard import (
@@ -223,3 +224,46 @@ def test_lane_engine_matches_block_kernels():
                         x, n, blocks, inverse,
                     )
                 assert full_lanes(v, x, count) == pack([int(a == p) for a in values], x)
+
+
+def test_memoized_masks_match_rebuilt_ones_and_stay_bounded():
+    # Lane counts 0..4096 in steps of n cross the MASK_CACHE_BITS cap for every x.
+    caches = (hadamard._cached_lane_masks, hadamard._cached_repeat)
+    repeat = hadamard._repeat
+    rng = random.Random(2014)
+    largest = 0
+    for x in SUPPORTED_EXPONENTS:
+        p, slot = (1 << x) - 1, 2 * x
+        for n in SUPPORTED_ORDERS:
+            for count in range(0, 4097, n):
+                v = rng.getrandbits(count * x)
+                for cache in caches:
+                    cache.cache_clear()
+                if count * x > hadamard.MASK_CACHE_BITS:  # rebuilt on every call, never kept
+                    apply_lanes(v, x, n, count, False), full_lanes(v, x, count)
+                    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+                    continue
+                cold, warm = (
+                    (apply_lanes(v, x, n, count, False), apply_lanes(v, x, n, count, True),
+                     full_lanes(v, x, count))
+                    for _ in range(2)
+                )
+                assert cold == warm, (x, n, count)
+                assert [cache.cache_info().currsize for cache in caches] == [1, 1]
+                low, pm, stages = hadamard._cached_lane_masks(x, n, count)
+                ones = hadamard._cached_repeat(1, slot, count // 2)
+                assert low == repeat(p, slot, count // 2)
+                assert pm == repeat(p, slot, count)
+                assert ones == repeat(1, slot, count // 2)
+                assert stages[0] == (low << count * x, count * x)
+                assert stages[1:] == tuple(
+                    (repeat(repeat(p, slot, g) << g * slot, 2 * g * slot, count // (2 * g)),
+                     g * slot)
+                    for g in (1 << i for i in range(n.bit_length() - 2))
+                )
+                masks = (low, pm, ones, *(mask for mask, _ in stages))
+                assert max(mask.bit_length() for mask in masks) <= 2 * hadamard.MASK_CACHE_BITS
+                largest = max(largest, sum(mask.bit_length() for mask in masks))
+    # Each cache keeps at most 128 entries, so together they retain <= 4.5 MiB.
+    assert [cache.cache_info().maxsize for cache in caches] == [128, 128]
+    assert 128 * largest <= 4.5 * 2**20 * 8

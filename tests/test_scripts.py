@@ -118,11 +118,29 @@ def test_hash_collisions_summary_is_pinned():
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.splitlines() == [
         "pairs=50 message_bits=100 key=3,5",
-        "digest   32 bits:   28 collisions (56.0%)",
-        "digest   64 bits:    1 collisions (2.0%)",
-        "digest  128 bits:    0 collisions (0.0%)",
-        "digest  256 bits:    0 collisions (0.0%)",
+        "superblock S=120 bits at block order 8",
+        "digest   32 bits:   28 collisions (56.0%); "
+        "flips inside the 120-bit prefix: 28 of 50, beyond it: 0 of 0",
+        "digest   64 bits:    1 collisions (2.0%); "
+        "flips inside the 120-bit prefix: 1 of 50, beyond it: 0 of 0",
+        "digest  128 bits:    0 collisions (0.0%); "
+        "flips inside the 240-bit prefix: 0 of 50, beyond it: 0 of 0",
+        "digest  256 bits:    0 collisions (0.0%); "
+        "flips inside the 360-bit prefix: 0 of 50, beyond it: 0 of 0",
     ]
+
+
+def test_hash_collisions_show_the_prefix_rule():
+    # A w-bit digest reads only the first ceil(w/S) superblocks, so every
+    # flip beyond them collides; S = 8 * lcm(3, 5) = 120.
+    result = _run_script("hash_collisions.py", ["--pairs", "50", "--bits", "300", "--key", "3,5"])
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[1] == "superblock S=120 bits at block order 8"
+    for line, prefix in zip(lines[2:], (120, 120, 240, 360)):
+        assert f"flips inside the {prefix}-bit prefix: " in line
+    beyond = [line.partition("beyond it: ")[2] for line in lines[2:]]
+    assert beyond == ["26 of 26 (100.0%)", "26 of 26 (100.0%)", "8 of 8 (100.0%)", "0 of 0"]
 
 
 def test_trace_prints_worked_example(capsys):
