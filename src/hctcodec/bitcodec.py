@@ -10,23 +10,40 @@ the pre-padding bit length and the positions holding the group maximum
 the cipher's packed level loop, the envelope and the byte packing never
 format it as text.  ``SentinelSet`` likewise holds one form: the lane
 flags the cipher finds, or the index tuple the envelope carries; it
-converts between them only when asked.  The per-group helpers below
+converts between them only when asked, one slice at a time
+(``lane_slices``), so no text grows with the lane count and an empty
+slice costs none.  The per-group helpers below
 (``pad_and_group``, ``ungroup``, ``truncate``, ...) work on the '0'/'1'
 text form one value at a time; the tests use them as the oracle for the
 packed path.
 """
 
-import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from operator import lt
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import LengthUnderflow, NonZeroPadding, SentinelConflict, ValueOverflow
 
-# A set with fewer than one sentinel per this many lanes builds its flags
-# from its indices one sentinel at a time, not one character per bit.
-SPARSE_LANES = 64
+# Whole-level passes run over slices of at most this many bits.
+SLICE_BITS = 1 << 16
+
+
+def lane_slices(x: int, count: int, block: int) -> Iterator[tuple[int, int, slice]]:
+    """(first lane, lane count, byte range) of each slice of ``count`` x-bit lanes, MSB first.
+
+    A slice is whole blocks of ``block`` lanes (a multiple of 8), at most
+    SLICE_BITS bits.  The short slice comes first, so each byte range cuts
+    ``v.to_bytes(ceil(count * x / 8), "big")`` of the lanes' int ``v`` on
+    lane boundaries; the first range also holds the leading zero fill.
+    """
+    step = block * (SLICE_BITS // (block * x))
+    fill = -count * x % 8
+    lane, end = 0, (count - 1) % step + 1
+    while lane < count:
+        yield lane, end - lane, slice((fill + lane * x) // 8, (fill + end * x) // 8)
+        lane, end = end, end + step
 
 
 @dataclass(frozen=True, init=False)
@@ -112,6 +129,10 @@ class SentinelSet:
     which the envelope's bytes bound, while flags grow with the lane count:
     one 4-byte index can name lane 2^32 - 1.  Decrypt builds flags only
     once ``fits`` has held the indices below the level's lane count.
+
+    Both conversions walk ``lane_slices`` of 8-lane blocks: ``indices``
+    formats only the slices whose flags are not all zero, and ``lanes``
+    formats only the slices holding an index, found by ``bisect``.
     """
 
     __slots__ = ("_indices", "_flags", "_x", "_count")
@@ -138,9 +159,17 @@ class SentinelSet:
             return self._indices
         if not self._flags:
             return ()
-        x = self._x
-        marks = format(self._flags, f"0{self._count * x}b")[x - 1::x]
-        return tuple(map(re.Match.start, re.finditer("1", marks)))
+        x, count = self._x, self._count
+        data = self._flags.to_bytes(-(-count * x // 8), "big")
+        out: list[int] = []
+        for first, lanes, cut in lane_slices(x, count, 8):
+            piece = data[cut]
+            if piece.count(0) == len(piece):
+                continue
+            marks = format(int.from_bytes(piece, "big"), f"0{lanes * x}b")[x - 1::x]
+            runs = marks.replace("1", "1,").split(",")  # every run but the last ends on a mark
+            out.extend(islice(accumulate(map(len, runs), initial=first - 1), 1, len(runs)))
+        return tuple(out)
 
     def fits(self, x: int, count: int) -> bool:
         """Whether every position lies below ``count``; flags fit only their own (x, count)."""
@@ -155,19 +184,20 @@ class SentinelSet:
         indices = self.indices
         if not indices:
             return 0
-        if len(indices) * SPARSE_LANES < count:  # sparse: set one bit per index
-            flags = bytearray(-(-count * x // 8))
-            pad = 8 * len(flags) - count * x
-            for i in indices:
-                bit = pad + i * x + x - 1
-                flags[bit >> 3] |= 128 >> (bit & 7)
-            return int.from_bytes(flags, "big")
-        lane_marks = bytearray(b"0") * count
-        for i in indices:
-            lane_marks[i] = 49  # ord("1")
-        marks = bytearray(b"0") * (count * x)
-        marks[x - 1::x] = lane_marks  # the lowest bit of each lane
-        return int(marks, 2)
+        flags = bytearray(-(-count * x // 8))
+        low = 0
+        for first, lanes, cut in lane_slices(x, count, 8):
+            high = bisect_left(indices, first + lanes, low)
+            if low == high:
+                continue
+            lane_marks = bytearray(b"0") * lanes
+            for i in indices[low:high]:
+                lane_marks[i - first] = 49  # ord("1")
+            marks = bytearray(b"0") * (lanes * x)
+            marks[x - 1::x] = lane_marks  # the lowest bit of each lane
+            flags[cut] = int(marks, 2).to_bytes(cut.stop - cut.start, "big")
+            low = high
+        return int.from_bytes(flags, "big")
 
     def __len__(self) -> int:
         return self._flags.bit_count() if self._indices is None else len(self._indices)

@@ -11,7 +11,8 @@ Decrypt checks every level record against the key first; one tolerant
 pass then counts payload anomalies, and ``decrypt`` raises the first.
 
 Each level runs on the whole message as one Python int, one x-bit lane
-per group (``hadamard.apply_lanes``): padding is a shift, sentinels are the
+per group (``hadamard.apply_lanes``, slice by slice above
+``bitcodec.SLICE_BITS`` bits): padding is a shift, sentinels are the
 all-ones lanes, restoring them is one OR and truncation one shift.  A
 ``BitSeq`` already holds that int, and encrypt, decrypt, the envelope and
 the digest keep it.  Each level's sentinels stay the lane flags that

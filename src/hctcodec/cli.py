@@ -234,18 +234,23 @@ def _cmd_avalanche(args) -> int:
     rng = random.Random(args.seed)
     # The payload length depends only on the message length, key and block size.
     payload_len = len(encrypt(BitSeq("0" * args.bits), key, n).payload)
-    rows = []
+    size = key.superblock_bits(n)
+    rows, outside = [], 0
     for trial in range(args.trials):
         message = BitSeq("".join(rng.choice("01") for _ in range(args.bits)))
         flip = rng.randrange(payload_len)
         report = avalanche_experiment(message, key, n, flip)
         rows.append((trial, flip, report.hamming, report.common,
                      report.fraction, report.sentinel_conflicts))
+        start = flip - flip % size  # payload bit i lies in plaintext superblock i // S
+        outside += report.hamming - sum(report.series[start:start + size])
 
     fractions = [r[4] for r in rows]
     print(f"trials={args.trials} message_bits={args.bits} key={_key_text(key)} block={n}")
+    print(f"superblock S={size} bits at block order {n}")
     print(f"fraction changed: mean {statistics.mean(fractions):.4f}, "
           f"min {min(fractions):.4f}, max {max(fractions):.4f}")
+    print(f"differing bits outside the flipped bit's superblock: {outside}")
     print(f"sentinel conflicts across all trials: {sum(r[5] for r in rows)}")
     if args.emit_csv:
         with open(args.emit_csv, "w") as stream:

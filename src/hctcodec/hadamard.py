@@ -8,15 +8,18 @@ path multiplies against a cached materialized copy and serves as the
 independent oracle for the butterfly kernel.
 
 The cipher itself runs ``apply_lanes``, which transforms every block of a
-whole message at once on one Python int; the per-block kernels above it are
-kept as the reference that tests compare it with.
+whole message with a few operations on one Python int; the per-block kernels
+above it are kept as the reference that tests compare it with.  A level of
+more than ``bitcodec.SLICE_BITS`` bits runs slice by slice, each slice whole
+blocks, so its temporaries and masks stay the size of one slice.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress
-from typing import Sequence
+from typing import Callable, Sequence
 
+from .bitcodec import SLICE_BITS, lane_slices
 from .errors import DimensionMismatch, UnsupportedBlockOrder
 from .modmath import mod_inverse
 
@@ -140,17 +143,34 @@ def _repeat(pattern: int, width: int, count: int) -> int:
     return out & ((1 << total) - 1)
 
 
-# A level of at most this many bits keeps its masks.  A lane-mask entry holds
-# at most 17 * 2^14 bits (n = 128) and a full_lanes entry 2^14, so the two
-# 128-entry caches retain at most 4.5 MiB, whatever the input sizes.
+def _sliced(v: int, x: int, count: int, block: int, kernel: Callable[..., int]) -> int:
+    """Join ``kernel(slice's int, count=lane count)`` over ``lane_slices(x, count, block)`` of ``v``.
+
+    One ``to_bytes`` cuts ``v``, one ``from_bytes`` joins the results: no
+    shift of a level-sized int, which repeated per slice would be quadratic.
+    """
+    data = v.to_bytes(-(-count * x // 8), "big")
+    return int.from_bytes(b"".join(
+        kernel(int.from_bytes(data[cut], "big"), count=lanes).to_bytes(cut.stop - cut.start, "big")
+        for _, lanes, cut in lane_slices(x, count, block)
+    ), "big")
+
+
+# Masks cover one level of at most SLICE_BITS bits, or one slice of a larger
+# level.  Those of at most MASK_CACHE_BITS bits (every short message) stay in
+# a 128-entry cache, larger ones in a 40-entry cache: a full slice's key
+# depends only on (x, n), 8 * 5 pairs.  An apply_lanes entry of b bits holds
+# at most 17 b bits of masks (n = 128), a full_lanes entry b bits, so the
+# three caches retain at most 4.25 + 5.3 + 1 MiB, whatever the input sizes.
 MASK_CACHE_BITS = 1 << 14
 _cached_repeat = lru_cache(maxsize=128)(_repeat)
 
 
 def full_lanes(v: int, x: int, count: int) -> int:
     """A 1 at bit j*x for every x-bit lane j of ``v`` that is all ones (count even)."""
-    repeat = _cached_repeat if count * x <= MASK_CACHE_BITS else _repeat
-    ones = repeat(1, 2 * x, count // 2)
+    if count * x > SLICE_BITS:
+        return _sliced(v, x, count, 8, partial(full_lanes, x=x))
+    ones = _cached_repeat(1, 2 * x, count // 2)
     p = (1 << x) - 1
     even = ((v & ones * p) + ones) >> x & ones
     odd = ((v >> x & ones * p) + ones) >> x & ones
@@ -173,6 +193,7 @@ def _lane_masks(x: int, n: int, count: int) -> tuple[int, int, tuple[tuple[int, 
 
 
 _cached_lane_masks = lru_cache(maxsize=128)(_lane_masks)
+_slice_lane_masks = lru_cache(maxsize=40)(_lane_masks)
 
 
 def apply_lanes(v: int, x: int, n: int, count: int, inverse: bool) -> int:
@@ -185,11 +206,14 @@ def apply_lanes(v: int, x: int, n: int, count: int, inverse: bool) -> int:
     end-around carry.  Lanes run backwards inside a block, so the sum lands
     in the slot with the higher index.  The inverse scale (n mod p)^-1 is
     2^(-log2 n mod x): a rotation of each lane.  The masks depend only on
-    (x, n, count); levels of at most MASK_CACHE_BITS bits reuse them.
+    (x, n, count) and are cached.  Above SLICE_BITS bits each slice of whole
+    blocks runs on its own, as blocks never mix.
     """
     p = (1 << x) - 1
     half = count * x
-    masks = _cached_lane_masks if half <= MASK_CACHE_BITS else _lane_masks
+    if half > SLICE_BITS:
+        return _sliced(v, x, count, n, partial(apply_lanes, x=x, n=n, inverse=inverse))
+    masks = _cached_lane_masks if half <= MASK_CACHE_BITS else _slice_lane_masks
     low, pm, stages = masks(x, n, count)
     w = v & low | (v >> x & low) << half
     for hi_mask, shift in stages:

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hctcodec.bitcodec import (
-    SPARSE_LANES,
+    SLICE_BITS,
     BitSeq,
     GroupedSeq,
     SentinelSet,
@@ -202,21 +202,28 @@ def text_lanes(indices, x, count):
 
 
 def test_sparse_and_dense_conversions_match_the_text_path():
-    # Sentinel counts on both sides of one per SPARSE_LANES lanes, and lane
-    # counts whose bits end mid-byte.
+    # Levels of 1, 2 and 3 slices, each one lane short or over, and counts
+    # whose bits end mid-byte.  Sentinels: none, the lanes on both sides of
+    # every slice cut, in one slice only, a few, and about one lane in eight.
     rng = random.Random(64)
     for x in SUPPORTED_EXPONENTS:
-        for count in (1, 63, 64, 65, 640, 1001, 4096):
-            threshold = count // SPARSE_LANES
-            for k in sorted({0, 1, 2, threshold - 1, threshold, threshold + 1, count // 8}):
-                if not 0 <= k <= count:
-                    continue
-                indices = tuple(sorted(rng.sample(range(count), k)))
-                if k >= 2:  # the first and last lanes are the edge cases
-                    indices = (0, *indices[1:-1], count - 1)
+        step = 8 * (SLICE_BITS // (8 * x))
+        for count in (1, 63, 1001, *(k * step + d for k in (1, 2, 3) for d in (-1, 0, 1))):
+            cuts = range(count - step, 0, -step)  # the short slice leads
+            edges = {0, count - 1, *cuts, *(cut - 1 for cut in cuts)}
+            last = range(max(0, count - step), count)
+            for indices in (
+                (),
+                tuple(sorted(edges)),
+                tuple(sorted(rng.sample(last, min(5, len(last))))),
+                tuple(sorted(rng.sample(range(count), min(3, count)))),
+                tuple(sorted(edges.union(rng.sample(range(count), count // 8)))),
+            ):
                 flags = text_lanes(indices, x, count)
-                assert SentinelSet(indices).lanes(x, count) == flags, (x, count, k)
-                assert SentinelSet.from_lanes(flags, x, count).indices == indices, (x, count, k)
+                assert SentinelSet(indices).lanes(x, count) == flags, (x, count, len(indices))
+                assert SentinelSet.from_lanes(flags, x, count).indices == indices, (
+                    x, count, len(indices),
+                )
 
 
 def test_restore_worked_example():

@@ -1,6 +1,7 @@
 """End-to-end pipeline: encrypt, decrypt, keys, hashing."""
 
 import random
+import tracemalloc
 from math import lcm
 
 import pytest
@@ -618,6 +619,35 @@ def test_superblock_locality_on_one_mebibyte():
     count, ragged = divmod(8 << 20, size)
     chunks = [random_bits(rng, size) for _ in range(count)]
     check_superblock_locality(chunks, random_bits(rng, ragged), key, 8, rng.randrange(8 << 20))
+
+
+def round_trip_peak_per_byte(data: bytes, key: KeySchedule, n: int) -> float:
+    """tracemalloc peak of encrypt -> to_bytes -> from_bytes -> decrypt, per plaintext byte."""
+    bits = BitSeq.from_bytes(data)
+    tracemalloc.start()
+    try:
+        blob = encrypt(bits, key, n).to_bytes()
+        recovered = decrypt(CipherEnvelope.from_bytes(blob), key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert recovered == bits
+    return peak / len(data)
+
+
+@pytest.mark.parametrize("exponents, n, ceiling", [((13,), 128, 11), ((3, 5, 31), 8, 28)])
+def test_round_trip_peak_memory_does_not_grow_with_size(exponents, n, ceiling):
+    # Each level runs slice by slice, so the peak per byte at 1 MiB is no
+    # more than at 64 KiB, and below a fixed ceiling.  One untraced round
+    # trip per size first fills the mask caches, which are bounded apart.
+    key, rng = KeySchedule.from_exponents(exponents), random.Random(1 << 20)
+    peaks = {}
+    for size in (1 << 16, 1 << 20):
+        data = rng.randbytes(size)
+        assert decrypt(encrypt(BitSeq.from_bytes(data), key, n), key) == BitSeq.from_bytes(data)
+        peaks[size] = round_trip_peak_per_byte(data, key, n)
+    assert peaks[1 << 20] <= peaks[1 << 16] * 1.02, peaks
+    assert max(peaks.values()) <= ceiling, peaks
 
 
 @st.composite

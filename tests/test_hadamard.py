@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hctcodec import hadamard
+from hctcodec.bitcodec import SLICE_BITS, lane_slices
 from hctcodec.errors import DimensionMismatch, UnsupportedBlockOrder
 from hctcodec.modmath import SUPPORTED_EXPONENTS
 from hctcodec.hadamard import (
@@ -226,44 +227,98 @@ def test_lane_engine_matches_block_kernels():
                 assert full_lanes(v, x, count) == pack([int(a == p) for a in values], x)
 
 
+def test_sliced_levels_match_block_kernels():
+    # Levels of 1, 2 and 3 slices, each one block short or over, so blocks
+    # sit on both sides of every slice cut.  Each block is one of 16 drawn
+    # blocks, so the per-block kernels run 16 times per (x, n).
+    rng = random.Random(SLICE_BITS)
+    for x in SUPPORTED_EXPONENTS:
+        p = (1 << x) - 1
+        for n in SUPPORTED_ORDERS:
+            spec, width = HadamardSpec(n, p), n * x // 8
+            pool = [[rng.choice((0, p, rng.randrange(p + 1))) for _ in range(n)] for _ in range(16)]
+            tables = [
+                [pack(kernel(block), x).to_bytes(width, "big") for block in pool]
+                for kernel in (
+                    lambda block: block,
+                    lambda block: apply_fast(spec, block),
+                    lambda block: apply_inverse(spec, block),
+                    lambda block: [int(a == p) for a in block],
+                )
+            ]
+            step = SLICE_BITS // (n * x)  # blocks per slice
+            for blocks in (k * step + d for k in (1, 2, 3) for d in (-1, 0, 1)):
+                order = [rng.randrange(16) for _ in range(blocks)]
+                v, forward, inverse, full = (
+                    int.from_bytes(b"".join(table[i] for i in order), "big") for table in tables
+                )
+                count = blocks * n
+                assert apply_lanes(v, x, n, count, False) == forward, (x, n, blocks)
+                assert apply_lanes(v, x, n, count, True) == inverse, (x, n, blocks)
+                assert full_lanes(v, x, count) == full, (x, n, blocks)
+
+
+def _slice_counts(x, count, block):
+    """Lane counts of the pieces a level of ``count`` lanes runs as."""
+    if count * x <= SLICE_BITS:
+        return {count}
+    return {lanes for _, lanes, _ in lane_slices(x, count, block)}
+
+
 def test_memoized_masks_match_rebuilt_ones_and_stay_bounded():
-    # Lane counts 0..4096 in steps of n cross the MASK_CACHE_BITS cap for every x.
-    caches = (hadamard._cached_lane_masks, hadamard._cached_repeat)
+    # Lane counts 0..4096 in steps of n cross MASK_CACHE_BITS for every x, and
+    # counts around one and two slices cross SLICE_BITS.  Every cached entry
+    # is one level or slice of at most SLICE_BITS bits, never a whole level.
+    small, large, ones = hadamard._cached_lane_masks, hadamard._slice_lane_masks, hadamard._cached_repeat
     repeat = hadamard._repeat
     rng = random.Random(2014)
-    largest = 0
+    largest = {small: 0, large: 0, ones: 0}
     for x in SUPPORTED_EXPONENTS:
         p, slot = (1 << x) - 1, 2 * x
         for n in SUPPORTED_ORDERS:
-            for count in range(0, 4097, n):
+            step = n * (SLICE_BITS // (n * x))
+            for count in (*range(0, 4097, n), step - n, step, step + n, 2 * step + n):
                 v = rng.getrandbits(count * x)
-                for cache in caches:
+                for cache in largest:
                     cache.cache_clear()
-                if count * x > hadamard.MASK_CACHE_BITS:  # rebuilt on every call, never kept
-                    apply_lanes(v, x, n, count, False), full_lanes(v, x, count)
-                    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
-                    continue
                 cold, warm = (
                     (apply_lanes(v, x, n, count, False), apply_lanes(v, x, n, count, True),
                      full_lanes(v, x, count))
                     for _ in range(2)
                 )
                 assert cold == warm, (x, n, count)
-                assert [cache.cache_info().currsize for cache in caches] == [1, 1]
-                low, pm, stages = hadamard._cached_lane_masks(x, n, count)
-                ones = hadamard._cached_repeat(1, slot, count // 2)
-                assert low == repeat(p, slot, count // 2)
-                assert pm == repeat(p, slot, count)
-                assert ones == repeat(1, slot, count // 2)
-                assert stages[0] == (low << count * x, count * x)
-                assert stages[1:] == tuple(
-                    (repeat(repeat(p, slot, g) << g * slot, 2 * g * slot, count // (2 * g)),
-                     g * slot)
-                    for g in (1 << i for i in range(n.bit_length() - 2))
-                )
-                masks = (low, pm, ones, *(mask for mask, _ in stages))
-                assert max(mask.bit_length() for mask in masks) <= 2 * hadamard.MASK_CACHE_BITS
-                largest = max(largest, sum(mask.bit_length() for mask in masks))
-    # Each cache keeps at most 128 entries, so together they retain <= 4.5 MiB.
-    assert [cache.cache_info().maxsize for cache in caches] == [128, 128]
-    assert 128 * largest <= 4.5 * 2**20 * 8
+                pieces = _slice_counts(x, count, n)
+                keys = {
+                    small: {(x, n, c) for c in pieces if c * x <= hadamard.MASK_CACHE_BITS},
+                    large: {(x, n, c) for c in pieces if c * x > hadamard.MASK_CACHE_BITS},
+                    ones: {(1, slot, c // 2) for c in _slice_counts(x, count, 8)},
+                }
+                for cache, held in keys.items():
+                    # Exactly these entries: looking each one up again is a hit.
+                    assert cache.cache_info().currsize == len(held), (x, n, count)
+                    hits = cache.cache_info().hits
+                    entries = {key: cache(*key) for key in held}
+                    assert cache.cache_info().hits == hits + len(held)
+                    for (_, _, c), entry in entries.items():
+                        if cache is ones:
+                            assert entry == repeat(1, slot, c)
+                            masks = (entry,)
+                        else:
+                            low, pm, stages = entry
+                            assert low == repeat(p, slot, c // 2)
+                            assert pm == repeat(p, slot, c)
+                            assert stages[0] == (low << c * x, c * x)
+                            assert stages[1:] == tuple(
+                                (repeat(repeat(p, slot, g) << g * slot, 2 * g * slot, c // (2 * g)),
+                                 g * slot)
+                                for g in (1 << i for i in range(n.bit_length() - 2))
+                            )
+                            masks = (low, pm, *(mask for mask, _ in stages))
+                        largest[cache] = max(largest[cache], sum(m.bit_length() for m in masks))
+    # Whatever the input sizes, the three caches together retain at most
+    # 128 * 17 * 2^14 + 40 * 17 * 2^16 + 128 * 2^16 bits (10.6 MiB).
+    assert [cache.cache_info().maxsize for cache in largest] == [128, 40, 128]
+    assert largest[small] <= 17 * hadamard.MASK_CACHE_BITS
+    assert largest[large] <= 17 * SLICE_BITS
+    assert largest[ones] <= SLICE_BITS
+    assert sum(cache.cache_info().maxsize * size for cache, size in largest.items()) <= 10.6 * 2**23

@@ -66,8 +66,24 @@ def test_avalanche_trials_summary_is_pinned():
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.splitlines() == [
         "trials=5 message_bits=100 key=3,5 block=8",
+        "superblock S=120 bits at block order 8",
         "fraction changed: mean 0.2380, min 0.1300, max 0.3600",
+        "differing bits outside the flipped bit's superblock: 0",
         "sentinel conflicts across all trials: 10",
+    ]
+
+
+def test_avalanche_differences_stay_in_the_flipped_superblock():
+    # 1000 bits span 9 superblocks of 120 bits: a flipped payload bit changes
+    # plaintext bits only inside its own superblock.
+    result = _run_script("avalanche_trials.py", ["--trials", "5", "--bits", "1000", "--seed", "1"])
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines() == [
+        "trials=5 message_bits=1000 key=3,5 block=8",
+        "superblock S=120 bits at block order 8",
+        "fraction changed: mean 0.0322, min 0.0200, max 0.0440",
+        "differing bits outside the flipped bit's superblock: 0",
+        "sentinel conflicts across all trials: 17",
     ]
 
 
