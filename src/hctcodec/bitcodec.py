@@ -27,18 +27,19 @@ from typing import Iterable, Iterator, Sequence
 from .errors import LengthUnderflow, NonZeroPadding, SentinelConflict, ValueOverflow
 
 # Whole-level passes run over slices of at most this many bits.
-SLICE_BITS = 1 << 16
+SLICE_BITS = 1 << 15
 
 
-def lane_slices(x: int, count: int, block: int) -> Iterator[tuple[int, int, slice]]:
+def lane_slices(x: int, count: int) -> Iterator[tuple[int, int, slice]]:
     """(first lane, lane count, byte range) of each slice of ``count`` x-bit lanes, MSB first.
 
-    A slice is whole blocks of ``block`` lanes (a multiple of 8), at most
-    SLICE_BITS bits.  The short slice comes first, so each byte range cuts
+    A slice is whole blocks of 128 lanes, at most SLICE_BITS bits; every
+    supported block order divides 128, so every whole-level pass cuts a level
+    at the same places.  The short slice comes first, so each byte range cuts
     ``v.to_bytes(ceil(count * x / 8), "big")`` of the lanes' int ``v`` on
     lane boundaries; the first range also holds the leading zero fill.
     """
-    step = block * (SLICE_BITS // (block * x))
+    step = 128 * (SLICE_BITS // (128 * x))
     fill = -count * x % 8
     lane, end = 0, (count - 1) % step + 1
     while lane < count:
@@ -130,9 +131,9 @@ class SentinelSet:
     one 4-byte index can name lane 2^32 - 1.  Decrypt builds flags only
     once ``fits`` has held the indices below the level's lane count.
 
-    Both conversions walk ``lane_slices`` of 8-lane blocks: ``indices``
-    formats only the slices whose flags are not all zero, and ``lanes``
-    formats only the slices holding an index, found by ``bisect``.
+    Both conversions walk ``lane_slices``, the cuts of the lane kernels:
+    ``indices`` formats only the slices whose flags are not all zero, and
+    ``lanes`` formats only the slices holding an index, found by ``bisect``.
     """
 
     __slots__ = ("_indices", "_flags", "_x", "_count")
@@ -162,7 +163,7 @@ class SentinelSet:
         x, count = self._x, self._count
         data = self._flags.to_bytes(-(-count * x // 8), "big")
         out: list[int] = []
-        for first, lanes, cut in lane_slices(x, count, 8):
+        for first, lanes, cut in lane_slices(x, count):
             piece = data[cut]
             if piece.count(0) == len(piece):
                 continue
@@ -186,7 +187,7 @@ class SentinelSet:
             return 0
         flags = bytearray(-(-count * x // 8))
         low = 0
-        for first, lanes, cut in lane_slices(x, count, 8):
+        for first, lanes, cut in lane_slices(x, count):
             high = bisect_left(indices, first + lanes, low)
             if low == high:
                 continue

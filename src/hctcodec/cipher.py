@@ -207,7 +207,7 @@ def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> Cipher
         x = params.x
         count = padded_group_count(length, x, block_order)
         v <<= count * x - length
-        sentinels = SentinelSet.from_lanes(full_lanes(v, x, count), x, count)
+        sentinels = SentinelSet.from_lanes(full_lanes(v, x, block_order, count), x, count)
         levels.append(LevelRecord(x, length, sentinels))
         v = apply_lanes(v, x, block_order, count, False)
         length = count * x
@@ -236,6 +236,9 @@ def _check_records(envelope: CipherEnvelope, key: KeySchedule) -> None:
         count = record.padded_group_count(envelope.block_order)
         if record.x != x:
             raise MalformedEnvelope(f"level {level}: recorded x {record.x}, key has x {x}")
+        if record.orig_bit_len < 0:
+            raise MalformedEnvelope(f"level {level}: recorded length {record.orig_bit_len} "
+                                    f"is negative")
         if count * x != bits:
             raise MalformedEnvelope(f"level {level}: recorded length {record.orig_bit_len} "
                                     f"pads to {count * x} bits, but {bits} bits reach it")
@@ -264,7 +267,7 @@ def _decrypt_levels(
         v = apply_lanes(v, x, n, count, True)
         flags = record.sentinels.lanes(x, count)
         # Sentinel lanes not holding 0, i.e. not all ones once complemented.
-        held = flags and flags & ~full_lanes(v ^ ((1 << size) - 1), x, count)
+        held = flags and flags & ~full_lanes(v ^ ((1 << size) - 1), x, n, count)
         if flags:
             v |= (flags ^ held) * p
         drop = size - record.orig_bit_len

@@ -11,7 +11,9 @@ The cipher itself runs ``apply_lanes``, which transforms every block of a
 whole message with a few operations on one Python int; the per-block kernels
 above it are kept as the reference that tests compare it with.  A level of
 more than ``bitcodec.SLICE_BITS`` bits runs slice by slice, each slice whole
-blocks, so its temporaries and masks stay the size of one slice.
+128-lane blocks (``bitcodec.lane_slices``), so its temporaries and masks stay
+the size of one slice.  ``apply_lanes`` and ``full_lanes`` read one cache of
+masks per (x, n, slice lanes).
 """
 
 from dataclasses import dataclass
@@ -143,8 +145,8 @@ def _repeat(pattern: int, width: int, count: int) -> int:
     return out & ((1 << total) - 1)
 
 
-def _sliced(v: int, x: int, count: int, block: int, kernel: Callable[..., int]) -> int:
-    """Join ``kernel(slice's int, count=lane count)`` over ``lane_slices(x, count, block)`` of ``v``.
+def _sliced(v: int, x: int, count: int, kernel: Callable[..., int]) -> int:
+    """Join ``kernel(slice's int, count=lane count)`` over ``lane_slices(x, count)`` of ``v``.
 
     One ``to_bytes`` cuts ``v``, one ``from_bytes`` joins the results: no
     shift of a level-sized int, which repeated per slice would be quadratic.
@@ -152,36 +154,20 @@ def _sliced(v: int, x: int, count: int, block: int, kernel: Callable[..., int]) 
     data = v.to_bytes(-(-count * x // 8), "big")
     return int.from_bytes(b"".join(
         kernel(int.from_bytes(data[cut], "big"), count=lanes).to_bytes(cut.stop - cut.start, "big")
-        for _, lanes, cut in lane_slices(x, count, block)
+        for _, lanes, cut in lane_slices(x, count)
     ), "big")
 
 
-# Masks cover one level of at most SLICE_BITS bits, or one slice of a larger
-# level.  Those of at most MASK_CACHE_BITS bits (every short message) stay in
-# a 128-entry cache, larger ones in a 40-entry cache: a full slice's key
-# depends only on (x, n), 8 * 5 pairs.  An apply_lanes entry of b bits holds
-# at most 17 b bits of masks (n = 128), a full_lanes entry b bits, so the
-# three caches retain at most 4.25 + 5.3 + 1 MiB, whatever the input sizes.
-MASK_CACHE_BITS = 1 << 14
-_cached_repeat = lru_cache(maxsize=128)(_repeat)
-
-
-def full_lanes(v: int, x: int, count: int) -> int:
-    """A 1 at bit j*x for every x-bit lane j of ``v`` that is all ones (count even)."""
-    if count * x > SLICE_BITS:
-        return _sliced(v, x, count, 8, partial(full_lanes, x=x))
-    ones = _cached_repeat(1, 2 * x, count // 2)
-    p = (1 << x) - 1
-    even = ((v & ones * p) + ones) >> x & ones
-    odd = ((v >> x & ones * p) + ones) >> x & ones
-    return even | odd << x
-
-
-def _lane_masks(x: int, n: int, count: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-    """``apply_lanes``'s masks: even-lane slots, all slots, and (mask, shift) per stage."""
+# One entry covers a level of at most SLICE_BITS bits or one slice of a
+# larger level, and holds at most 18 times its bits (n = 128), so the cache
+# retains at most 128 * 18 * 2^15 bits (9 MiB), whatever the input sizes.
+@lru_cache(maxsize=128)
+def _lane_masks(x: int, n: int, count: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
+    """Masks of both lane kernels: even-lane units, even-lane slots, all slots, stages."""
     p = (1 << x) - 1
     slot, half = 2 * x, count * x
-    low = _repeat(p, slot, count // 2)
+    unit = _repeat(1, slot, count // 2)
+    low = unit * p
     pm = low | low << half
     stages = [(low << half, half)]  # odd lane 2k+1 against even lane 2k
     g = 1
@@ -189,11 +175,17 @@ def _lane_masks(x: int, n: int, count: int) -> tuple[int, int, tuple[tuple[int, 
         pattern = _repeat(p, slot, g) << g * slot
         stages.append((_repeat(pattern, 2 * g * slot, count // (2 * g)), g * slot))
         g *= 2
-    return low, pm, tuple(stages)
+    return unit, low, pm, tuple(stages)
 
 
-_cached_lane_masks = lru_cache(maxsize=128)(_lane_masks)
-_slice_lane_masks = lru_cache(maxsize=40)(_lane_masks)
+def full_lanes(v: int, x: int, n: int, count: int) -> int:
+    """A 1 at bit j*x for every x-bit lane j of ``v`` that is all ones (blocks of n lanes)."""
+    if count * x > SLICE_BITS:
+        return _sliced(v, x, count, partial(full_lanes, x=x, n=n))
+    unit, low, _, _ = _lane_masks(x, n, count)
+    even = ((v & low) + unit) >> x & unit
+    odd = ((v >> x & low) + unit) >> x & unit
+    return even | odd << x
 
 
 def apply_lanes(v: int, x: int, n: int, count: int, inverse: bool) -> int:
@@ -206,15 +198,13 @@ def apply_lanes(v: int, x: int, n: int, count: int, inverse: bool) -> int:
     end-around carry.  Lanes run backwards inside a block, so the sum lands
     in the slot with the higher index.  The inverse scale (n mod p)^-1 is
     2^(-log2 n mod x): a rotation of each lane.  The masks depend only on
-    (x, n, count) and are cached.  Above SLICE_BITS bits each slice of whole
-    blocks runs on its own, as blocks never mix.
+    (x, n, count) and are cached with ``full_lanes``'s.  Above SLICE_BITS
+    bits each slice of ``lane_slices`` runs on its own, as blocks never mix.
     """
-    p = (1 << x) - 1
     half = count * x
     if half > SLICE_BITS:
-        return _sliced(v, x, count, n, partial(apply_lanes, x=x, n=n, inverse=inverse))
-    masks = _cached_lane_masks if half <= MASK_CACHE_BITS else _slice_lane_masks
-    low, pm, stages = masks(x, n, count)
+        return _sliced(v, x, count, partial(apply_lanes, x=x, n=n, inverse=inverse))
+    unit, low, pm, stages = _lane_masks(x, n, count)
     w = v & low | (v >> x & low) << half
     for hi_mask, shift in stages:
         hi = w & hi_mask
@@ -224,6 +214,6 @@ def apply_lanes(v: int, x: int, n: int, count: int, inverse: bool) -> int:
     if inverse:
         r = -(n.bit_length() - 1) % x
         w = (w << r & pm) | (w >> (x - r) & pm)
-    ones = pm // p
-    w ^= ((w + ones) >> x & ones) * p
+    ones = unit | unit << half
+    w ^= ((w + ones) >> x & ones) * ((1 << x) - 1)
     return w & low | (w >> half) << x

@@ -1,6 +1,7 @@
 """Bit plumbing: BitSeq conversions, grouping, sentinels, truncation."""
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from hctcodec.bitcodec import (
     GroupedSeq,
     SentinelSet,
     detect_sentinels,
+    lane_slices,
     pad_and_group,
     restore_sentinels,
     truncate,
@@ -207,11 +209,12 @@ def test_sparse_and_dense_conversions_match_the_text_path():
     # every slice cut, in one slice only, a few, and about one lane in eight.
     rng = random.Random(64)
     for x in SUPPORTED_EXPONENTS:
-        step = 8 * (SLICE_BITS // (8 * x))
+        _, (_, step, _) = islice(lane_slices(x, 128 * SLICE_BITS), 2)  # a whole slice
         for count in (1, 63, 1001, *(k * step + d for k in (1, 2, 3) for d in (-1, 0, 1))):
-            cuts = range(count - step, 0, -step)  # the short slice leads
+            slices = [range(first, first + lanes) for first, lanes, _ in lane_slices(x, count)]
+            cuts = [piece.start for piece in slices[1:]]
             edges = {0, count - 1, *cuts, *(cut - 1 for cut in cuts)}
-            last = range(max(0, count - step), count)
+            last = slices[-1]
             for indices in (
                 (),
                 tuple(sorted(edges)),

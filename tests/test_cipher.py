@@ -306,6 +306,9 @@ def reference_check(envelope, key):
         count = -(-groups // envelope.block_order) * envelope.block_order
         if record.x != x:
             raise MalformedEnvelope(f"level {level}: recorded x {record.x}, key has x {x}")
+        if record.orig_bit_len < 0:
+            raise MalformedEnvelope(f"level {level}: recorded length {record.orig_bit_len} "
+                                    f"is negative")
         if count * x != bits:
             raise MalformedEnvelope(f"level {level}: recorded length {record.orig_bit_len} "
                                     f"pads to {count * x} bits, but {bits} bits reach it")
@@ -426,6 +429,25 @@ def test_bad_records_are_rejected_before_any_arithmetic(monkeypatch):
             for run in (decrypt, decrypt_tolerant):
                 with pytest.raises(MalformedEnvelope, match=f"^level {level}: {rule} "):
                     run(damaged, key)
+
+
+def test_negative_recorded_length_is_refused_by_the_record_check(monkeypatch):
+    # A length of -1 pads to 0 groups, which match an empty payload or a
+    # 0-bit record below, so only the sign rule catches it; the error names
+    # the record that holds it, not the level its length reaches.
+    def no_arithmetic(*args):
+        raise AssertionError("lane arithmetic ran before the record check")
+
+    monkeypatch.setattr(cipher, "apply_lanes", no_arithmetic)
+    monkeypatch.setattr(cipher, "full_lanes", no_arithmetic)
+    for exponents, level in (((3,), 0), ((3, 5), 1)):
+        levels = [LevelRecord(x, 0, SentinelSet(())) for x in exponents]
+        levels[level] = LevelRecord(exponents[level], -1, SentinelSet(()))
+        envelope = CipherEnvelope(1, 8, tuple(levels), BitSeq())
+        for run in (decrypt, decrypt_tolerant):
+            with pytest.raises(MalformedEnvelope,
+                               match=f"^level {level}: recorded length -1 is negative$"):
+                run(envelope, KeySchedule.from_exponents(exponents))
 
 
 @settings(max_examples=200, deadline=None)

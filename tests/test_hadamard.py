@@ -1,6 +1,7 @@
 """Transform kernels: construction, equivalence, inversion."""
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -224,7 +225,7 @@ def test_lane_engine_matches_block_kernels():
                     assert apply_lanes(v, x, n, count, inverse) == pack(want, x), (
                         x, n, blocks, inverse,
                     )
-                assert full_lanes(v, x, count) == pack([int(a == p) for a in values], x)
+                assert full_lanes(v, x, n, count) == pack([int(a == p) for a in values], x)
 
 
 def test_sliced_levels_match_block_kernels():
@@ -246,7 +247,7 @@ def test_sliced_levels_match_block_kernels():
                     lambda block: [int(a == p) for a in block],
                 )
             ]
-            step = SLICE_BITS // (n * x)  # blocks per slice
+            step = full_slice_lanes(x) // n  # blocks per slice
             for blocks in (k * step + d for k in (1, 2, 3) for d in (-1, 0, 1)):
                 order = [rng.randrange(16) for _ in range(blocks)]
                 v, forward, inverse, full = (
@@ -255,70 +256,65 @@ def test_sliced_levels_match_block_kernels():
                 count = blocks * n
                 assert apply_lanes(v, x, n, count, False) == forward, (x, n, blocks)
                 assert apply_lanes(v, x, n, count, True) == inverse, (x, n, blocks)
-                assert full_lanes(v, x, count) == full, (x, n, blocks)
+                assert full_lanes(v, x, n, count) == full, (x, n, blocks)
 
 
-def _slice_counts(x, count, block):
+def full_slice_lanes(x):
+    """Lanes in one whole slice of ``lane_slices``: the second slice of a long level."""
+    _, (_, lanes, _) = islice(lane_slices(x, 128 * SLICE_BITS), 2)
+    return lanes
+
+
+def _slice_counts(x, count):
     """Lane counts of the pieces a level of ``count`` lanes runs as."""
     if count * x <= SLICE_BITS:
         return {count}
-    return {lanes for _, lanes, _ in lane_slices(x, count, block)}
+    return {lanes for _, lanes, _ in lane_slices(x, count)}
 
 
 def test_memoized_masks_match_rebuilt_ones_and_stay_bounded():
-    # Lane counts 0..4096 in steps of n cross MASK_CACHE_BITS for every x, and
-    # counts around one and two slices cross SLICE_BITS.  Every cached entry
-    # is one level or slice of at most SLICE_BITS bits, never a whole level.
-    small, large, ones = hadamard._cached_lane_masks, hadamard._slice_lane_masks, hadamard._cached_repeat
-    repeat = hadamard._repeat
+    # Lane counts 0..4096 in steps of n, and counts around one and two slices,
+    # which cross SLICE_BITS.  Every cached entry is one level or slice of at
+    # most SLICE_BITS bits, never a whole level, and both kernels read it.
+    cache, repeat = hadamard._lane_masks, hadamard._repeat
     rng = random.Random(2014)
-    largest = {small: 0, large: 0, ones: 0}
+    largest = 0
     for x in SUPPORTED_EXPONENTS:
         p, slot = (1 << x) - 1, 2 * x
         for n in SUPPORTED_ORDERS:
-            step = n * (SLICE_BITS // (n * x))
+            step = full_slice_lanes(x)
             for count in (*range(0, 4097, n), step - n, step, step + n, 2 * step + n):
                 v = rng.getrandbits(count * x)
-                for cache in largest:
-                    cache.cache_clear()
-                cold, warm = (
-                    (apply_lanes(v, x, n, count, False), apply_lanes(v, x, n, count, True),
-                     full_lanes(v, x, count))
-                    for _ in range(2)
-                )
+                cache.cache_clear()
+                cold = [apply_lanes(v, x, n, count, False), apply_lanes(v, x, n, count, True)]
+                before = cache.cache_info()
+                cold.append(full_lanes(v, x, n, count))
+                # The level's full_lanes run adds no entry and scores only hits.
+                after = cache.cache_info()
+                assert (after.misses, after.currsize) == (before.misses, before.currsize)
+                assert after.hits > before.hits, (x, n, count)
+                warm = [apply_lanes(v, x, n, count, False), apply_lanes(v, x, n, count, True),
+                        full_lanes(v, x, n, count)]
                 assert cold == warm, (x, n, count)
-                pieces = _slice_counts(x, count, n)
-                keys = {
-                    small: {(x, n, c) for c in pieces if c * x <= hadamard.MASK_CACHE_BITS},
-                    large: {(x, n, c) for c in pieces if c * x > hadamard.MASK_CACHE_BITS},
-                    ones: {(1, slot, c // 2) for c in _slice_counts(x, count, 8)},
-                }
-                for cache, held in keys.items():
-                    # Exactly these entries: looking each one up again is a hit.
-                    assert cache.cache_info().currsize == len(held), (x, n, count)
-                    hits = cache.cache_info().hits
-                    entries = {key: cache(*key) for key in held}
-                    assert cache.cache_info().hits == hits + len(held)
-                    for (_, _, c), entry in entries.items():
-                        if cache is ones:
-                            assert entry == repeat(1, slot, c)
-                            masks = (entry,)
-                        else:
-                            low, pm, stages = entry
-                            assert low == repeat(p, slot, c // 2)
-                            assert pm == repeat(p, slot, c)
-                            assert stages[0] == (low << c * x, c * x)
-                            assert stages[1:] == tuple(
-                                (repeat(repeat(p, slot, g) << g * slot, 2 * g * slot, c // (2 * g)),
-                                 g * slot)
-                                for g in (1 << i for i in range(n.bit_length() - 2))
-                            )
-                            masks = (low, pm, *(mask for mask, _ in stages))
-                        largest[cache] = max(largest[cache], sum(m.bit_length() for m in masks))
-    # Whatever the input sizes, the three caches together retain at most
-    # 128 * 17 * 2^14 + 40 * 17 * 2^16 + 128 * 2^16 bits (10.6 MiB).
-    assert [cache.cache_info().maxsize for cache in largest] == [128, 40, 128]
-    assert largest[small] <= 17 * hadamard.MASK_CACHE_BITS
-    assert largest[large] <= 17 * SLICE_BITS
-    assert largest[ones] <= SLICE_BITS
-    assert sum(cache.cache_info().maxsize * size for cache, size in largest.items()) <= 10.6 * 2**23
+                held = {(x, n, c) for c in _slice_counts(x, count)}
+                # Exactly these entries: looking each one up again is a hit.
+                assert cache.cache_info().currsize == len(held), (x, n, count)
+                hits = cache.cache_info().hits
+                entries = {key: cache(*key) for key in held}
+                assert cache.cache_info().hits == hits + len(held)
+                for (_, _, c), (unit, low, pm, stages) in entries.items():
+                    assert unit == repeat(1, slot, c // 2)
+                    assert low == repeat(p, slot, c // 2)
+                    assert pm == repeat(p, slot, c)
+                    assert stages[0] == (low << c * x, c * x)
+                    assert stages[1:] == tuple(
+                        (repeat(repeat(p, slot, g) << g * slot, 2 * g * slot, c // (2 * g)),
+                         g * slot)
+                        for g in (1 << i for i in range(n.bit_length() - 2))
+                    )
+                    masks = (unit, low, pm, *(mask for mask, _ in stages))
+                    largest = max(largest, sum(m.bit_length() for m in masks))
+    # Whatever the input sizes, the cache retains at most 128 * 18 * 2^15 bits (9 MiB).
+    assert cache.cache_info().maxsize == 128
+    assert largest <= 18 * SLICE_BITS
+    assert cache.cache_info().maxsize * largest <= 9 * 2**23
