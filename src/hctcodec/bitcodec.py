@@ -122,9 +122,9 @@ class SentinelSet:
     the lane flags ``encrypt`` finds: for ``count`` x-bit lanes, a 1 at bit
     j*x marks lane j from the least significant end, which is group position
     count - 1 - j.  ``indices`` formats the tuple from the flags on each
-    access and is not cached; ``==``, ``hash``, iteration and ``repr`` go
-    through it, so both forms of one set are equal.  Decrypt asks ``fits``,
-    then ``lanes``; neither formats an index from the flag form.
+    access and is not cached; ``==``, ``hash``, ``in``, iteration and
+    ``repr`` go through it, so both forms of one set are equal.  Decrypt
+    asks ``fits``, then ``lanes``; neither formats an index from the flag form.
 
     Parsed indices stay a tuple because it grows with the sentinel count,
     which the envelope's bytes bound, while flags grow with the lane count:
@@ -207,10 +207,7 @@ class SentinelSet:
         return iter(self.indices)
 
     def __contains__(self, index: int) -> bool:
-        if self._indices is not None:
-            return index in self._indices
-        lane = self._count - 1 - index
-        return 0 <= lane < self._count and self._flags >> lane * self._x & 1 == 1
+        return index in self.indices
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SentinelSet):

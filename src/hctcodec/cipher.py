@@ -29,7 +29,9 @@ per-level bit lengths and sentinel sets the payload alone is not
 invertible.  Carrying them in-band means a ciphertext file can always be
 decrypted by the matching key, at the documented cost that sentinel
 metadata reveals which plaintext groups were all ones.  ``to_bytes``
-refuses what ``from_bytes`` refuses: both call the same field rules.
+refuses what ``from_bytes`` refuses: both call the same field rules, and
+decrypt checks each record with the same ``_check_level``, so a bad record
+reads alike on every path, its message starting ``level k:``.
 """
 
 import math
@@ -104,14 +106,14 @@ class CipherEnvelope:
         _check_header(self.version, self.block_order, len(self.levels))
         parts = [_HEADER.pack(ENVELOPE_MAGIC, self.version, self.block_order, len(self.levels))]
         for index, rec in enumerate(self.levels):
+            _check_level(index, rec, self.block_order)
             indices = rec.sentinels.indices
-            _check_level(index, rec, indices, self.block_order)
             try:
                 parts.append(_LEVEL.pack(rec.x, rec.orig_bit_len, len(indices)))
                 parts.append(struct.pack(f">{len(indices)}I", *indices))
             except struct.error as exc:
                 raise MalformedEnvelope(f"level {index} does not fit the format: {exc}") from None
-        _check_payload(self.levels[-1], self.block_order, len(self.payload))
+        _check_level(index, rec, self.block_order, len(self.payload))
         parts.append(_PAYLOAD_LEN.pack(len(self.payload)))
         parts.append(self.payload.to_bytes())
         return b"".join(parts)
@@ -143,12 +145,12 @@ class CipherEnvelope:
                     raise MalformedEnvelope(
                         f"level {index} sentinel indices not strictly ascending"
                     ) from None
-                _check_level(index, record, indices, block_order)
+                _check_level(index, record, block_order)
                 levels.append(record)
             what = "payload length"
             (payload_bit_len,) = _PAYLOAD_LEN.unpack_from(data, offset)
             offset += _PAYLOAD_LEN.size
-            _check_payload(levels[-1], block_order, payload_bit_len)
+            _check_level(index, record, block_order, payload_bit_len)
             what = "payload"
             (payload,) = struct.unpack_from(f"{payload_bit_len // 8}s", data, offset)
         except struct.error:
@@ -159,7 +161,8 @@ class CipherEnvelope:
         return cls(version, block_order, tuple(levels), BitSeq.from_bytes(payload))
 
 
-# The rules HCT1 places on the fields; both directions of the format call them.
+# The rules HCT1 places on its fields.  Parse and serialize call both;
+# decrypt calls _check_level, so every record error has one text.
 def _check_header(version: int, block_order: int, level_count: int) -> None:
     if version != ENVELOPE_VERSION:
         raise MalformedEnvelope(f"unsupported version {version}")
@@ -171,26 +174,25 @@ def _check_header(version: int, block_order: int, level_count: int) -> None:
         raise MalformedEnvelope(f"level count {level_count} does not fit the format (1..255)")
 
 
-def _check_level(index: int, record: LevelRecord, indices: tuple[int, ...], n: int) -> None:
-    if record.x not in SUPPORTED_EXPONENTS:
-        raise MalformedEnvelope(
-            f"level {index} has group width {record.x}, not one of {SUPPORTED_EXPONENTS}"
-        )
-    limit = record.padded_group_count(n)
-    if indices and indices[-1] >= limit:
-        raise MalformedEnvelope(
-            f"level {index} sentinel index {indices[-1]} out of range "
-            f"(padded group count {limit})"
-        )
+def _check_level(level: int, record: LevelRecord, n: int, bits: int | None = None) -> None:
+    """Raise MalformedEnvelope("level k: ...") for a record that cannot be inverted.
 
-
-def _check_payload(last: LevelRecord, block_order: int, bit_len: int) -> None:
-    expected = last.padded_group_count(block_order) * last.x
-    if bit_len != expected:
-        raise MalformedEnvelope(
-            f"payload bit length {bit_len} inconsistent with level records "
-            f"(expected {expected})"
-        )
+    ``bits`` is the length that reaches the level, when known: the payload's
+    for the last record and, under a key, the next record's.  The length
+    rules run first: a flag-form set fits only its own (x, count).
+    """
+    x, length = record.x, record.orig_bit_len
+    if x not in SUPPORTED_EXPONENTS:
+        raise MalformedEnvelope(f"level {level}: group width {x}, "
+                                f"not one of {SUPPORTED_EXPONENTS}")
+    if length < 0:
+        raise MalformedEnvelope(f"level {level}: recorded length {length} is negative")
+    count = record.padded_group_count(n)
+    if bits is not None and count * x != bits:
+        raise MalformedEnvelope(f"level {level}: recorded length {length} "
+                                f"pads to {count * x} bits, but {bits} bits reach it")
+    if not record.sentinels.fits(x, count):
+        raise MalformedEnvelope(f"level {level}: sentinels lie past its {count} groups")
 
 
 def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> CipherEnvelope:
@@ -233,17 +235,9 @@ def _check_records(envelope: CipherEnvelope, key: KeySchedule) -> None:
     bits = envelope.payload.length
     for level in reversed(range(len(key.elements))):
         x, record = key.elements[level].x, envelope.levels[level]
-        count = record.padded_group_count(envelope.block_order)
         if record.x != x:
             raise MalformedEnvelope(f"level {level}: recorded x {record.x}, key has x {x}")
-        if record.orig_bit_len < 0:
-            raise MalformedEnvelope(f"level {level}: recorded length {record.orig_bit_len} "
-                                    f"is negative")
-        if count * x != bits:
-            raise MalformedEnvelope(f"level {level}: recorded length {record.orig_bit_len} "
-                                    f"pads to {count * x} bits, but {bits} bits reach it")
-        if not record.sentinels.fits(x, count):
-            raise MalformedEnvelope(f"level {level}: sentinels lie past its {count} groups")
+        _check_level(level, record, envelope.block_order, bits)
         bits = record.orig_bit_len
 
 

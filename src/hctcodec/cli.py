@@ -209,7 +209,8 @@ def _trace_decrypt(envelope: CipherEnvelope, key: KeySchedule) -> BitSeq:
         # The output only lost zero padding, which pad_and_group puts back;
         # restoration only turned the recorded sentinel lanes from 0 into p.
         restored = list(pad_and_group(current, params.x, n).values)
-        recovered = [0 if i in record.sentinels else v for i, v in enumerate(restored)]
+        sentinels = set(record.sentinels)
+        recovered = [0 if i in sentinels else v for i, v in enumerate(restored)]
         print(f"\nundo level {len(key) - depth + 1}: x={params.x}, modulus {params.p}")
         print(f"  recovered  {recovered}")
         print(f"  restored   {restored}")

@@ -1,0 +1,72 @@
+"""Write ``tests/data/kat_v1.txt``, the HCT1 known-answer vectors.
+
+Run from the repository root: ``python tests/make_kat.py``.  Each envelope
+comes from ``bench/oracle.py``'s ``encrypt``, which transforms every block
+with the O(n^2) ``apply_naive`` and never runs the lane engine, and is
+packed here with ``struct`` rather than ``CipherEnvelope.to_bytes``.
+``test_envelope.test_known_answer_vectors`` re-encrypts every case.
+"""
+
+import hashlib
+import random
+import struct
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from hctcodec import BitSeq, KeySchedule  # noqa: E402
+from hctcodec.hadamard import SUPPORTED_ORDERS  # noqa: E402
+from hctcodec.modmath import SUPPORTED_EXPONENTS  # noqa: E402
+from oracle import encrypt  # noqa: E402
+
+# Every one-level key, the bench keys, and two-level keys on both sides of the
+# rule for level-1 sentinels (x1 != x0 and x1 <= 2*x0 - 2): 3,5 and 3,3 cannot
+# carry them, 5,3, 7,2 and 17,13 can.
+KEYS = [((x,), n) for x in SUPPORTED_EXPONENTS for n in SUPPORTED_ORDERS] + [
+    ((3, 5, 31), 8), ((2, 7), 16),
+    ((3, 5), 8), ((5, 3), 16), ((3, 3), 32), ((7, 2), 64), ((17, 13), 8),
+]
+HEX_LIMIT = 64  # longer envelopes are stored as their SHA-256
+
+
+def envelope_bytes(records, payload: BitSeq, n: int) -> bytes:
+    parts = [struct.pack(">4sBBB", b"HCT1", 1, n, len(records))]
+    for x, orig_bit_len, indices in records:
+        parts.append(struct.pack(f">BQI{len(indices)}I", x, orig_bit_len, len(indices), *indices))
+    bits = payload.bits
+    parts.append(struct.pack(">Q", len(bits)))
+    parts.append(int(bits or "0", 2).to_bytes(len(bits) // 8, "big"))
+    return b"".join(parts)
+
+
+def main() -> None:
+    lines = [
+        "# HCT1 known-answer vectors, written by tests/make_kat.py from the per-block",
+        "# oracle (bench/oracle.py, apply_naive per block; no lane engine).",
+        "# key  block-order  message-bits  content  envelope",
+        "# content: an int seed, the message being random.Random(seed).getrandbits(bits),",
+        "# or 'ones' for all ones.  envelope: 'hex:' and the bytes if at most",
+        f"# {HEX_LIMIT} bytes long, else 'sha256:' and their SHA-256.",
+    ]
+    seed = 0
+    for exponents, n in KEYS:
+        key = KeySchedule.from_exponents(exponents)
+        x, size = exponents[0], key.superblock_bits(n)
+        cases = []
+        for length in sorted({0, 1, x * n - 1, x * n + 1, size + 1}):
+            seed += 1
+            cases.append((length, str(seed), random.Random(seed).getrandbits(length)))
+        cases.append((size + 1, "ones", (1 << size + 1) - 1))
+        for length, content, value in cases:
+            records, payload = encrypt(BitSeq.from_int(value, length), key, n)
+            blob = envelope_bytes(records, payload, n)
+            answer = (f"hex:{blob.hex()}" if len(blob) <= HEX_LIMIT
+                      else f"sha256:{hashlib.sha256(blob).hexdigest()}")
+            lines.append(f"{','.join(map(str, exponents))} {n} {length} {content} {answer}")
+    (ROOT / "tests" / "data" / "kat_v1.txt").write_text("\n".join(lines) + "\n")
+
+
+if __name__ == "__main__":
+    main()
