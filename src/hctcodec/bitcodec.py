@@ -172,10 +172,11 @@ class SentinelSet:
             out.extend(islice(accumulate(map(len, runs), initial=first - 1), 1, len(runs)))
         return tuple(out)
 
-    def fits(self, x: int, count: int) -> bool:
-        """Whether every position lies below ``count``; flags fit only their own (x, count)."""
-        if self._indices is None:
-            return (x, count) == (self._x, self._count)
+    def fits(self, count: int) -> bool:
+        """Whether every position lies below ``count``."""
+        if self._indices is None:  # the highest position is the lowest flagged lane's
+            flags = self._flags
+            return not flags or self._count - 1 - (flags & -flags).bit_length() // self._x < count
         return not self._indices or self._indices[-1] < count
 
     def lanes(self, x: int, count: int) -> int:
@@ -205,9 +206,6 @@ class SentinelSet:
 
     def __iter__(self):
         return iter(self.indices)
-
-    def __contains__(self, index: int) -> bool:
-        return index in self.indices
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SentinelSet):

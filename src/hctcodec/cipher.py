@@ -15,14 +15,14 @@ per group (``hadamard.apply_lanes``, slice by slice above
 ``bitcodec.SLICE_BITS`` bits): padding is a shift, sentinels are the
 all-ones lanes, restoring them is one OR and truncation one shift.  A
 ``BitSeq`` already holds that int, and encrypt, decrypt, the envelope and
-the digest keep it.  Each level's sentinels stay the lane flags that
-``full_lanes`` finds (``SentinelSet.from_lanes``), which decrypt ORs back
-in directly.  Index tuples exist only at the HCT1 boundary: ``to_bytes``
-formats them, ``from_bytes`` reads them, and decrypt turns parsed indices
-into flags once per level.  So the digest, the avalanche experiment and
-an in-memory round trip never form an index.  The per-group ``bitcodec``
-helpers and the per-block ``hadamard`` kernels describe the same steps one
-value at a time; tests use them as the oracle.
+the digest keep it.  Each level's sentinels stay the lane flags that the
+forward transform reports (``SentinelSet.from_lanes``), and decrypt checks
+recorded lanes by their flags.  Index tuples exist only at the HCT1
+boundary: ``to_bytes`` formats them, ``from_bytes`` reads them, and
+decrypt turns parsed indices into flags once per level.  So the digest,
+the avalanche experiment and an in-memory round trip never form an index.
+The per-group ``bitcodec`` helpers and the per-block ``hadamard`` kernels
+describe the same steps one value at a time; tests use them as the oracle.
 
 The envelope is the self-contained ciphertext container: without the
 per-level bit lengths and sentinel sets the payload alone is not
@@ -46,7 +46,7 @@ from .errors import (
     NonZeroPadding,
     SentinelConflict,
 )
-from .hadamard import SUPPORTED_ORDERS, apply_lanes, check_order, full_lanes
+from .hadamard import SUPPORTED_ORDERS, apply_lanes, check_order
 from .modmath import SUPPORTED_EXPONENTS, ModulusParams, validate_key_element
 
 ENVELOPE_MAGIC = b"HCT1"
@@ -178,8 +178,7 @@ def _check_level(level: int, record: LevelRecord, n: int, bits: int | None = Non
     """Raise MalformedEnvelope("level k: ...") for a record that cannot be inverted.
 
     ``bits`` is the length that reaches the level, when known: the payload's
-    for the last record and, under a key, the next record's.  The length
-    rules run first: a flag-form set fits only its own (x, count).
+    for the last record and, under a key, the next record's.
     """
     x, length = record.x, record.orig_bit_len
     if x not in SUPPORTED_EXPONENTS:
@@ -191,7 +190,7 @@ def _check_level(level: int, record: LevelRecord, n: int, bits: int | None = Non
     if bits is not None and count * x != bits:
         raise MalformedEnvelope(f"level {level}: recorded length {length} "
                                 f"pads to {count * x} bits, but {bits} bits reach it")
-    if not record.sentinels.fits(x, count):
+    if not record.sentinels.fits(count):
         raise MalformedEnvelope(f"level {level}: sentinels lie past its {count} groups")
 
 
@@ -209,9 +208,8 @@ def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> Cipher
         x = params.x
         count = padded_group_count(length, x, block_order)
         v <<= count * x - length
-        sentinels = SentinelSet.from_lanes(full_lanes(v, x, block_order, count), x, count)
-        levels.append(LevelRecord(x, length, sentinels))
-        v = apply_lanes(v, x, block_order, count, False)
+        v, flags = apply_lanes(v, x, block_order, count, False)
+        levels.append(LevelRecord(x, length, SentinelSet.from_lanes(flags, x, count)))
         length = count * x
     return CipherEnvelope(
         ENVELOPE_VERSION, block_order, tuple(levels), BitSeq.from_int(v, length)
@@ -257,14 +255,14 @@ def _decrypt_levels(
         params, record = key.elements[level], envelope.levels[level]
         x, p = params.x, params.p
         count = record.padded_group_count(n)
-        size = count * x
-        v = apply_lanes(v, x, n, count, True)
+        v, _ = apply_lanes(v, x, n, count, True)
         flags = record.sentinels.lanes(x, count)
-        # Sentinel lanes not holding 0, i.e. not all ones once complemented.
-        held = flags and flags & ~full_lanes(v ^ ((1 << size) - 1), x, n, count)
-        if flags:
-            v |= (flags ^ held) * p
-        drop = size - record.orig_bit_len
+        # A flagged lane holds a nonzero value iff its top bit is set or adding
+        # 2^(x-1) - 1 to its low x - 1 bits sets it (no carry leaves the lane).
+        low = flags * (p >> 1)
+        held = ((v & low) + low | v) >> x - 1 & flags
+        v |= (flags ^ held) * p
+        drop = count * x - record.orig_bit_len
         padding = v & ((1 << drop) - 1)
         anomalies.sentinel_conflicts += held.bit_count()
         anomalies.padding_violations += padding != 0

@@ -12,14 +12,14 @@ whole message with a few operations on one Python int; the per-block kernels
 above it are kept as the reference that tests compare it with.  A level of
 more than ``bitcodec.SLICE_BITS`` bits runs slice by slice, each slice whole
 128-lane blocks (``bitcodec.lane_slices``), so its temporaries and masks stay
-the size of one slice.  ``apply_lanes`` and ``full_lanes`` read one cache of
-masks per (x, n, slice lanes).
+the size of one slice.  The forward ``apply_lanes`` also reports the lanes
+holding p, the cipher's sentinels; masks sit in one cache per (x, n, lanes).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import compress
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .bitcodec import SLICE_BITS, lane_slices
 from .errors import DimensionMismatch, UnsupportedBlockOrder
@@ -145,17 +145,24 @@ def _repeat(pattern: int, width: int, count: int) -> int:
     return out & ((1 << total) - 1)
 
 
-def _sliced(v: int, x: int, count: int, kernel: Callable[..., int]) -> int:
-    """Join ``kernel(slice's int, count=lane count)`` over ``lane_slices(x, count)`` of ``v``.
+def _sliced(v: int, x: int, n: int, count: int, inverse: bool) -> tuple[int, int]:
+    """``apply_lanes`` over each slice of ``lane_slices(x, count)`` of ``v``, joined.
 
-    One ``to_bytes`` cuts ``v``, one ``from_bytes`` joins the results: no
-    shift of a level-sized int, which repeated per slice would be quadratic.
+    Each result overwrites its slice's bytes: no level-sized int is shifted,
+    which per slice would be quadratic.  Flags get a buffer once a slice has one.
     """
-    data = v.to_bytes(-(-count * x // 8), "big")
-    return int.from_bytes(b"".join(
-        kernel(int.from_bytes(data[cut], "big"), count=lanes).to_bytes(cut.stop - cut.start, "big")
-        for _, lanes, cut in lane_slices(x, count)
-    ), "big")
+    data = bytearray(v.to_bytes(-(-count * x // 8), "big"))
+    marks = None
+    for _, lanes, cut in lane_slices(x, count):
+        out, flags = apply_lanes(int.from_bytes(data[cut], "big"), x, n, lanes, inverse)
+        data[cut] = out.to_bytes(cut.stop - cut.start, "big")
+        if flags:
+            if marks is None:
+                marks = bytearray(len(data))
+            marks[cut] = flags.to_bytes(cut.stop - cut.start, "big")
+    out = int.from_bytes(data, "big")
+    del data  # before the flags are joined: from_bytes copies a bytearray
+    return out, int.from_bytes(marks, "big") if marks else 0
 
 
 # One entry covers a level of at most SLICE_BITS bits or one slice of a
@@ -163,7 +170,7 @@ def _sliced(v: int, x: int, count: int, kernel: Callable[..., int]) -> int:
 # retains at most 128 * 18 * 2^15 bits (9 MiB), whatever the input sizes.
 @lru_cache(maxsize=128)
 def _lane_masks(x: int, n: int, count: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
-    """Masks of both lane kernels: even-lane units, even-lane slots, all slots, stages."""
+    """Masks of ``apply_lanes``: even-lane units, even-lane slots, all slots, stages."""
     p = (1 << x) - 1
     slot, half = 2 * x, count * x
     unit = _repeat(1, slot, count // 2)
@@ -178,17 +185,7 @@ def _lane_masks(x: int, n: int, count: int) -> tuple[int, int, int, tuple[tuple[
     return unit, low, pm, tuple(stages)
 
 
-def full_lanes(v: int, x: int, n: int, count: int) -> int:
-    """A 1 at bit j*x for every x-bit lane j of ``v`` that is all ones (blocks of n lanes)."""
-    if count * x > SLICE_BITS:
-        return _sliced(v, x, count, partial(full_lanes, x=x, n=n))
-    unit, low, _, _ = _lane_masks(x, n, count)
-    even = ((v & low) + unit) >> x & unit
-    odd = ((v >> x & low) + unit) >> x & unit
-    return even | odd << x
-
-
-def apply_lanes(v: int, x: int, n: int, count: int, inverse: bool) -> int:
+def apply_lanes(v: int, x: int, n: int, count: int, inverse: bool) -> tuple[int, int]:
     """Transform all blocks of ``count`` x-bit lanes packed MSB-first in ``v``.
 
     Equal, block by block, to ``apply_fast`` (or ``apply_inverse``) with
@@ -198,14 +195,18 @@ def apply_lanes(v: int, x: int, n: int, count: int, inverse: bool) -> int:
     end-around carry.  Lanes run backwards inside a block, so the sum lands
     in the slot with the higher index.  The inverse scale (n mod p)^-1 is
     2^(-log2 n mod x): a rotation of each lane.  The masks depend only on
-    (x, n, count) and are cached with ``full_lanes``'s.  Above SLICE_BITS
-    bits each slice of ``lane_slices`` runs on its own, as blocks never mix.
+    (x, n, count) and are cached.  Above SLICE_BITS bits each slice of
+    ``lane_slices`` runs on its own, as blocks never mix.  Returns the result
+    and flags (``SentinelSet.from_lanes``): the lanes of ``v`` holding p,
+    found by the add that canonicalizes, or 0 for the inverse.
     """
     half = count * x
     if half > SLICE_BITS:
-        return _sliced(v, x, count, partial(apply_lanes, x=x, n=n, inverse=inverse))
+        return _sliced(v, x, n, count, inverse)
     unit, low, pm, stages = _lane_masks(x, n, count)
+    ones = unit | unit << half
     w = v & low | (v >> x & low) << half
+    full = 0 if inverse else (w + ones) >> x & ones
     for hi_mask, shift in stages:
         hi = w & hi_mask
         lo = w ^ hi
@@ -214,6 +215,5 @@ def apply_lanes(v: int, x: int, n: int, count: int, inverse: bool) -> int:
     if inverse:
         r = -(n.bit_length() - 1) % x
         w = (w << r & pm) | (w >> (x - r) & pm)
-    ones = unit | unit << half
     w ^= ((w + ones) >> x & ones) * ((1 << x) - 1)
-    return w & low | (w >> half) << x
+    return w & low | (w >> half) << x, full & low | (full >> half) << x

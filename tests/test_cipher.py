@@ -2,18 +2,21 @@
 
 import random
 import tracemalloc
+from itertools import islice
 from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hctcodec import cipher
+from hctcodec import cipher, hadamard
 from hctcodec.analysis import avalanche_experiment
 from hctcodec.bitcodec import (
+    SLICE_BITS,
     BitSeq,
     SentinelSet,
     detect_sentinels,
+    lane_slices,
     pad_and_group,
     restore_sentinels,
     truncate,
@@ -412,7 +415,6 @@ def test_bad_records_are_rejected_before_any_arithmetic(monkeypatch):
         raise AssertionError("lane arithmetic ran before the record check")
 
     monkeypatch.setattr(cipher, "apply_lanes", no_arithmetic)
-    monkeypatch.setattr(cipher, "full_lanes", no_arithmetic)
     for level, record in enumerate(env.levels):
         other = next(x for x in SUPPORTED_EXPONENTS if x != record.x)
         count = record.padded_group_count(16)
@@ -439,7 +441,6 @@ def test_negative_recorded_length_is_refused_by_the_record_check(monkeypatch):
         raise AssertionError("lane arithmetic ran before the record check")
 
     monkeypatch.setattr(cipher, "apply_lanes", no_arithmetic)
-    monkeypatch.setattr(cipher, "full_lanes", no_arithmetic)
     for exponents, level in (((3,), 0), ((3, 5), 1)):
         levels = [LevelRecord(x, 0, SentinelSet(())) for x in exponents]
         levels[level] = LevelRecord(exponents[level], -1, SentinelSet(()))
@@ -448,6 +449,66 @@ def test_negative_recorded_length_is_refused_by_the_record_check(monkeypatch):
             with pytest.raises(MalformedEnvelope,
                                match=f"^level {level}: recorded length -1 is negative$"):
                 run(envelope, KeySchedule.from_exponents(exponents))
+
+
+def test_decrypt_checks_sentinel_lanes_at_the_edges_of_their_values():
+    # Inverse outputs with 0, 1, 2^(x-1) - 1, 2^(x-1), 2^(x-1) + 1 and p - 1
+    # in sentinel lanes, for every x: a two-block level per value, with one more
+    # sentinel lane holding 0, and a level of two slices holding every value on
+    # both sides of the cut.  Both forms of the sentinel set decrypt alike.
+    rng, n = random.Random(2026), 8
+    for x in SUPPORTED_EXPONENTS:
+        p, top = (1 << x) - 1, 1 << x - 1
+        edges = sorted({v for v in (0, 1, top - 1, top, top + 1, p - 1) if v < p})
+        _, (_, step, _) = islice(lane_slices(x, 128 * SLICE_BITS), 2)
+        cases = [(2 * n, {3: value, 11: 0}) for value in edges]
+        cut = 128
+        assert [lanes for _, lanes, _ in lane_slices(x, step + cut)] == [cut, step]
+        cases.append((step + cut, {cut + i: edges[i % len(edges)]
+                                   for i in range(-2 * len(edges), 2 * len(edges))}))
+        for count, held in cases:
+            wanted = [rng.randrange(p) for _ in range(count)]
+            for i, value in held.items():
+                wanted[i] = value
+            payload = ungroup(per_block(apply_fast, HadamardSpec(n, p), wanted), x)
+            restored = [p if i in held and not wanted[i] else a for i, a in enumerate(wanted)]
+            want = ungroup(restored, x), DecryptAnomalies(sum(map(bool, held.values())), 0)
+            flags = ungroup([int(i in held) for i in range(count)], x).value
+            key = KeySchedule.from_exponents([x])
+            for sentinels in (SentinelSet(sorted(held)), SentinelSet.from_lanes(flags, x, count)):
+                env = CipherEnvelope(1, n, (LevelRecord(x, count * x, sentinels),), payload)
+                assert decrypt_tolerant(env, key) == want, (x, count)
+                anomalies = DecryptAnomalies()
+                assert (reference_decrypt(env, key, anomalies), anomalies) == want
+                strict = outcome(lambda: decrypt(env, key))
+                assert strict == outcome(lambda: reference_decrypt(env, key, None))
+                conflicts = sorted(i for i, value in held.items() if value)
+                assert strict == (want[0] if not conflicts else (
+                    SentinelConflict, f"level 0: sentinel position {conflicts[0]} holds "
+                                      f"{wanted[conflicts[0]]}, expected 0"))
+
+
+def test_each_level_is_one_kernel_pass_each_way(monkeypatch):
+    # Encrypt's forward pass reports the sentinels and decrypt's inverse pass
+    # restores them, so each level of many slices is cut into slices once.
+    key, n = KeySchedule.from_exponents([5, 3, 2]), 16
+    bits = BitSeq.from_int(random.Random(5).getrandbits(100_000), 100_000)
+    walks = []
+
+    def counted(x, count):
+        walks.append((x, count))
+        return lane_slices(x, count)
+
+    monkeypatch.setattr(hadamard, "lane_slices", counted)
+    env = encrypt(bits, key, n)
+    shapes = [(record.x, record.padded_group_count(n)) for record in env.levels]
+    assert all(len(record.sentinels) for record in env.levels)
+    assert all(x * count > 2 * SLICE_BITS for x, count in shapes)
+    assert walks == shapes
+    for envelope in (env, CipherEnvelope.from_bytes(env.to_bytes())):
+        walks.clear()
+        assert decrypt(envelope, key) == bits
+        assert walks == shapes[::-1]
 
 
 @settings(max_examples=200, deadline=None)

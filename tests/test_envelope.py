@@ -274,6 +274,34 @@ def test_to_bytes_rejects_a_negative_recorded_length():
         env.to_bytes()
 
 
+def test_to_bytes_writes_flag_sentinels_carried_onto_another_record():
+    # Level 0 holds 33 sentinels in 48 groups, the highest at position 32.
+    # Carried onto a record of 56 or 40 groups, the flag form that encrypt
+    # made writes what its index form writes; 32 or 24 groups refuse both.
+    env = encrypt(BitSeq("1" * 100 + "0110" * 10), KEY35)
+    flags, level1 = env.levels[0].sentinels, env.levels[1]
+    assert (len(flags), max(flags), env.levels[0].padded_group_count(8)) == (33, 32, 48)
+    for length in (164, 120):
+        blobs = []
+        for sentinels in (flags, SentinelSet(flags.indices)):
+            carried = replace(env, levels=(LevelRecord(3, length, sentinels), level1))
+            blobs.append(carried.to_bytes())
+            assert len(blobs[-1]) == 193
+            assert CipherEnvelope.from_bytes(blobs[-1]) == carried
+            for sent in (carried, CipherEnvelope.from_bytes(blobs[-1])):
+                for run in (decrypt, decrypt_tolerant):
+                    with pytest.raises(MalformedEnvelope, match=f"^level 0: recorded length "
+                                       f"{length} pads to .* bits, but 144 bits reach it$"):
+                        run(sent, KEY35)
+        assert blobs[0] == blobs[1]
+    for length, groups in ((96, 32), (72, 24)):
+        for sentinels in (flags, SentinelSet(flags.indices)):
+            short = replace(env, levels=(LevelRecord(3, length, sentinels), level1))
+            with pytest.raises(MalformedEnvelope,
+                               match=f"^level 0: sentinels lie past its {groups} groups$"):
+                short.to_bytes()
+
+
 GOLD_ENV = CipherEnvelope.from_bytes(GOLD)
 
 

@@ -19,7 +19,6 @@ from hctcodec.hadamard import (
     apply_lanes,
     apply_naive,
     build_matrix,
-    full_lanes,
     multiply_raw,
     self_check,
 )
@@ -207,6 +206,7 @@ def pack(values, x):
 
 def test_lane_engine_matches_block_kernels():
     # Every (x, n) pair, 1-4 blocks, lanes drawn from 0, p and random values.
+    # The forward pass flags the lanes of its input that hold p; the inverse none.
     rng = random.Random(20261018)
     for x in SUPPORTED_EXPONENTS:
         p = (1 << x) - 1
@@ -216,16 +216,17 @@ def test_lane_engine_matches_block_kernels():
                 count = blocks * n
                 values = [rng.choice((0, p, rng.randrange(p + 1))) for _ in range(count)]
                 v = pack(values, x)
-                for inverse, kernel in ((False, apply_fast), (True, apply_inverse)):
+                full = pack([int(a == p) for a in values], x)
+                for inverse, kernel, flags in ((False, apply_fast, full),
+                                               (True, apply_inverse, 0)):
                     want = [
                         out
                         for start in range(0, count, n)
                         for out in kernel(spec, values[start:start + n])
                     ]
-                    assert apply_lanes(v, x, n, count, inverse) == pack(want, x), (
+                    assert apply_lanes(v, x, n, count, inverse) == (pack(want, x), flags), (
                         x, n, blocks, inverse,
                     )
-                assert full_lanes(v, x, n, count) == pack([int(a == p) for a in values], x)
 
 
 def test_sliced_levels_match_block_kernels():
@@ -254,9 +255,8 @@ def test_sliced_levels_match_block_kernels():
                     int.from_bytes(b"".join(table[i] for i in order), "big") for table in tables
                 )
                 count = blocks * n
-                assert apply_lanes(v, x, n, count, False) == forward, (x, n, blocks)
-                assert apply_lanes(v, x, n, count, True) == inverse, (x, n, blocks)
-                assert full_lanes(v, x, n, count) == full, (x, n, blocks)
+                assert apply_lanes(v, x, n, count, False) == (forward, full), (x, n, blocks)
+                assert apply_lanes(v, x, n, count, True) == (inverse, 0), (x, n, blocks)
 
 
 def full_slice_lanes(x):
@@ -275,7 +275,7 @@ def _slice_counts(x, count):
 def test_memoized_masks_match_rebuilt_ones_and_stay_bounded():
     # Lane counts 0..4096 in steps of n, and counts around one and two slices,
     # which cross SLICE_BITS.  Every cached entry is one level or slice of at
-    # most SLICE_BITS bits, never a whole level, and both kernels read it.
+    # most SLICE_BITS bits, never a whole level.
     cache, repeat = hadamard._lane_masks, hadamard._repeat
     rng = random.Random(2014)
     largest = 0
@@ -287,14 +287,7 @@ def test_memoized_masks_match_rebuilt_ones_and_stay_bounded():
                 v = rng.getrandbits(count * x)
                 cache.cache_clear()
                 cold = [apply_lanes(v, x, n, count, False), apply_lanes(v, x, n, count, True)]
-                before = cache.cache_info()
-                cold.append(full_lanes(v, x, n, count))
-                # The level's full_lanes run adds no entry and scores only hits.
-                after = cache.cache_info()
-                assert (after.misses, after.currsize) == (before.misses, before.currsize)
-                assert after.hits > before.hits, (x, n, count)
-                warm = [apply_lanes(v, x, n, count, False), apply_lanes(v, x, n, count, True),
-                        full_lanes(v, x, n, count)]
+                warm = [apply_lanes(v, x, n, count, False), apply_lanes(v, x, n, count, True)]
                 assert cold == warm, (x, n, count)
                 held = {(x, n, c) for c in _slice_counts(x, count)}
                 # Exactly these entries: looking each one up again is a hit.
