@@ -112,7 +112,7 @@ class CipherEnvelope:
                 parts.append(_LEVEL.pack(rec.x, rec.orig_bit_len, len(indices)))
                 parts.append(struct.pack(f">{len(indices)}I", *indices))
             except struct.error as exc:
-                raise MalformedEnvelope(f"level {index} does not fit the format: {exc}") from None
+                raise MalformedEnvelope(f"level {index}: does not fit the format: {exc}") from None
         _check_level(index, rec, self.block_order, len(self.payload))
         parts.append(_PAYLOAD_LEN.pack(len(self.payload)))
         parts.append(self.payload.to_bytes())
@@ -143,7 +143,7 @@ class CipherEnvelope:
                     record = LevelRecord(x, orig_bit_len, SentinelSet(indices))
                 except ValueError:
                     raise MalformedEnvelope(
-                        f"level {index} sentinel indices not strictly ascending"
+                        f"level {index}: sentinel indices not strictly ascending"
                     ) from None
                 _check_level(index, record, block_order)
                 levels.append(record)

@@ -9,11 +9,7 @@ independent oracle for the butterfly kernel.
 
 The cipher itself runs ``apply_lanes``, which transforms every block of a
 whole message with a few operations on one Python int; the per-block kernels
-above it are kept as the reference that tests compare it with.  A level of
-more than ``bitcodec.SLICE_BITS`` bits runs slice by slice, each slice whole
-128-lane blocks (``bitcodec.lane_slices``), so its temporaries and masks stay
-the size of one slice.  The forward ``apply_lanes`` also reports the lanes
-holding p, the cipher's sentinels; masks sit in one cache per (x, n, lanes).
+above it are kept as the reference that tests compare it with.
 """
 
 from dataclasses import dataclass
@@ -166,23 +162,21 @@ def _sliced(v: int, x: int, n: int, count: int, inverse: bool) -> tuple[int, int
 
 
 # One entry covers a level of at most SLICE_BITS bits or one slice of a
-# larger level, and holds at most 18 times its bits (n = 128), so the cache
-# retains at most 128 * 18 * 2^15 bits (9 MiB), whatever the input sizes.
+# larger level, and holds at most 17 times its bits (n = 128), so the cache
+# retains at most 128 * 17 * 2^15 bits (8.5 MiB), whatever the input sizes.
 @lru_cache(maxsize=128)
 def _lane_masks(x: int, n: int, count: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
-    """Masks of ``apply_lanes``: even-lane units, even-lane slots, all slots, stages."""
+    """Masks of ``apply_lanes``: even-lane slots, all slots, slot units, (lo mask, shift) stages."""
     p = (1 << x) - 1
     slot, half = 2 * x, count * x
     unit = _repeat(1, slot, count // 2)
     low = unit * p
-    pm = low | low << half
-    stages = [(low << half, half)]  # odd lane 2k+1 against even lane 2k
+    stages = [(low, half)]  # odd lane 2k+1 against even lane 2k
     g = 1
     while g < n // 2:  # slot k against slot k - g inside each half
-        pattern = _repeat(p, slot, g) << g * slot
-        stages.append((_repeat(pattern, 2 * g * slot, count // (2 * g)), g * slot))
+        stages.append((_repeat(_repeat(p, slot, g), 2 * g * slot, count // (2 * g)), g * slot))
         g *= 2
-    return unit, low, pm, tuple(stages)
+    return low, low | low << half, unit | unit << half, tuple(stages)
 
 
 def apply_lanes(v: int, x: int, n: int, count: int, inverse: bool) -> tuple[int, int]:
@@ -193,24 +187,25 @@ def apply_lanes(v: int, x: int, n: int, count: int, inverse: bool) -> tuple[int,
     lanes go into the low and high halves of one int, each lane in a 2x-bit
     slot, so a butterfly has x bits of headroom and reduces with the Mersenne
     end-around carry.  Lanes run backwards inside a block, so the sum lands
-    in the slot with the higher index.  The inverse scale (n mod p)^-1 is
-    2^(-log2 n mod x): a rotation of each lane.  The masks depend only on
-    (x, n, count) and are cached.  Above SLICE_BITS bits each slice of
-    ``lane_slices`` runs on its own, as blocks never mix.  Returns the result
-    and flags (``SentinelSet.from_lanes``): the lanes of ``v`` holding p,
-    found by the add that canonicalizes, or 0 for the inverse.
+    in the slot with the higher index; the difference adds the stage's
+    lower-slot mask, p per slot, before subtracting.  The inverse scale
+    (n mod p)^-1 is 2^(-log2 n mod x): a rotation of each lane.  The masks
+    depend only on (x, n, count) and are cached.  Above SLICE_BITS bits each
+    slice of ``lane_slices`` (whole 128-lane blocks) runs on its own, as
+    blocks never mix, so temporaries and masks stay the size of one slice.
+    Returns the result and flags (``SentinelSet.from_lanes``): the lanes of
+    ``v`` holding p, found by the add that canonicalizes, or 0 for the inverse.
     """
     half = count * x
     if half > SLICE_BITS:
         return _sliced(v, x, n, count, inverse)
-    unit, low, pm, stages = _lane_masks(x, n, count)
-    ones = unit | unit << half
+    low, pm, ones, stages = _lane_masks(x, n, count)
     w = v & low | (v >> x & low) << half
     full = 0 if inverse else (w + ones) >> x & ones
-    for hi_mask, shift in stages:
-        hi = w & hi_mask
-        lo = w ^ hi
-        w = hi + (lo << shift) + (hi >> shift) + (pm ^ hi_mask) - lo
+    for lo_mask, shift in stages:
+        lo = w & lo_mask
+        hi = w ^ lo
+        w = hi + (lo << shift) + (hi >> shift) + lo_mask - lo
         w = (w & pm) + (w >> x & pm)
     if inverse:
         r = -(n.bit_length() - 1) % x

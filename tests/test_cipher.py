@@ -23,6 +23,7 @@ from hctcodec.bitcodec import (
     ungroup,
 )
 from hctcodec.cipher import (
+    ENVELOPE_VERSION,
     CipherEnvelope,
     DecryptAnomalies,
     KeySchedule,
@@ -602,6 +603,31 @@ def test_lane_flags_and_hct1_indices_decrypt_alike():
                 assert a == b
                 a, b = (outcome(lambda: decrypt_tolerant(e, wrong)) for e in pair)
                 assert a == b
+
+
+def test_flag_sentinels_carried_onto_another_record_decrypt_like_their_indices():
+    # encrypt() records level 0's sentinels as flags over its own (x, count);
+    # on a record of another x or group count, decrypt converts them through
+    # their indices and must agree with the index form of the same set.
+    rng = random.Random(1012)
+    for x1 in SUPPORTED_EXPONENTS:
+        for x2 in SUPPORTED_EXPONENTS:
+            for n in (8, 16):
+                length = rng.randrange(8 * x1, 400)
+                zeros = set(rng.sample(range(length), 3))
+                bits = BitSeq("".join("0" if i in zeros else "1" for i in range(length)))
+                flags = encrypt(bits, KeySchedule.from_exponents([x1]), n).levels[0].sentinels
+                assert flags.indices and flags == SentinelSet(flags.indices)
+                covered = n * -(-(flags.indices[-1] + 1) // n)
+                key = KeySchedule.from_exponents([x2])
+                for groups in (covered, covered + n):
+                    payload = BitSeq.from_int(rng.getrandbits(groups * x2), groups * x2)
+                    pair = [CipherEnvelope(ENVELOPE_VERSION, n,
+                                           (LevelRecord(x2, groups * x2, sentinels),), payload)
+                            for sentinels in (flags, SentinelSet(flags.indices))]
+                    for run in (decrypt, decrypt_tolerant):
+                        a, b = (outcome(lambda: run(e, key)) for e in pair)
+                        assert a == b, (x1, x2, n, groups)
 
 
 def test_lane_path_never_formats_sentinel_indices(monkeypatch):

@@ -166,7 +166,8 @@ def test_rejects_unsorted_sentinels():
     b = blob[first + 4:first + 8]
     blob[first:first + 4] = b
     blob[first + 4:first + 8] = a
-    with pytest.raises(MalformedEnvelope, match="ascending"):
+    unsorted = "^level 0: sentinel indices not strictly ascending$"
+    with pytest.raises(MalformedEnvelope, match=unsorted):
         CipherEnvelope.from_bytes(bytes(blob))
 
 
@@ -180,7 +181,8 @@ def test_rejects_duplicate_sentinels():
     blob = bytearray(env.to_bytes())
     first = 7 + 13
     blob[first:first + 4] = blob[first + 4:first + 8]
-    with pytest.raises(MalformedEnvelope, match="ascending"):
+    unsorted = "^level 0: sentinel indices not strictly ascending$"
+    with pytest.raises(MalformedEnvelope, match=unsorted):
         CipherEnvelope.from_bytes(bytes(blob))
 
 
@@ -263,7 +265,7 @@ def test_to_bytes_rejects_unencodable_level_count():
 def test_to_bytes_rejects_unencodable_level_record(bad):
     good = LevelRecord(3, 0, SentinelSet(()))
     env = CipherEnvelope(ENVELOPE_VERSION, 8, (good, bad), BitSeq(""))
-    with pytest.raises(MalformedEnvelope, match="^level 1 does not fit the format"):
+    with pytest.raises(MalformedEnvelope, match="^level 1: does not fit the format: "):
         env.to_bytes()
 
 

@@ -295,19 +295,18 @@ def test_memoized_masks_match_rebuilt_ones_and_stay_bounded():
                 hits = cache.cache_info().hits
                 entries = {key: cache(*key) for key in held}
                 assert cache.cache_info().hits == hits + len(held)
-                for (_, _, c), (unit, low, pm, stages) in entries.items():
-                    assert unit == repeat(1, slot, c // 2)
+                for (_, _, c), (low, pm, ones, stages) in entries.items():
                     assert low == repeat(p, slot, c // 2)
                     assert pm == repeat(p, slot, c)
-                    assert stages[0] == (low << c * x, c * x)
+                    assert ones == repeat(1, slot, c)
+                    assert stages[0][0] is low and stages[0][1] == c * x
                     assert stages[1:] == tuple(
-                        (repeat(repeat(p, slot, g) << g * slot, 2 * g * slot, c // (2 * g)),
-                         g * slot)
+                        (repeat(repeat(p, slot, g), 2 * g * slot, c // (2 * g)), g * slot)
                         for g in (1 << i for i in range(n.bit_length() - 2))
                     )
-                    masks = (unit, low, pm, *(mask for mask, _ in stages))
-                    largest = max(largest, sum(m.bit_length() for m in masks))
-    # Whatever the input sizes, the cache retains at most 128 * 18 * 2^15 bits (9 MiB).
+                    masks = {id(m): m for m in (low, pm, ones, *(mask for mask, _ in stages))}
+                    largest = max(largest, sum(m.bit_length() for m in masks.values()))
+    # Whatever the input sizes, the cache retains at most 128 * 17 * 2^15 bits (8.5 MiB).
     assert cache.cache_info().maxsize == 128
-    assert largest <= 18 * SLICE_BITS
-    assert cache.cache_info().maxsize * largest <= 9 * 2**23
+    assert largest <= 17 * SLICE_BITS
+    assert cache.cache_info().maxsize * largest <= 17 * 2**22
