@@ -66,6 +66,8 @@ class KeySchedule:
     def __post_init__(self):
         if not self.elements:
             raise InvalidKeyElement("key must contain at least one exponent")
+        for params in self.elements:
+            validate_key_element(params.x)
 
     @classmethod
     def from_exponents(cls, exponents: Iterable[int]) -> "KeySchedule":

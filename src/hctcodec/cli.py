@@ -31,11 +31,6 @@ def _parse_key(text: str) -> KeySchedule:
     return KeySchedule.from_exponents(exponents)
 
 
-def _parse_order(text: str) -> int:
-    check_order(int(text))
-    return int(text)
-
-
 def _parse_count(text: str) -> int:
     if int(text) < 1:
         raise ValueError(f"must be at least 1, got {text}")
@@ -57,7 +52,7 @@ def _flag(check):
 
 
 _KEY = _flag(_parse_key)
-_ORDER = _flag(_parse_order)
+_ORDER = _flag(lambda text: check_order(int(text)))
 _EXPONENT = _flag(lambda text: validate_key_element(int(text)))
 _COUNT = _flag(_parse_count)
 _WIDTHS = _flag(lambda text: [_parse_count(width) for width in text.split(",")])
@@ -159,15 +154,13 @@ def run_bench(spec: HadamardSpec, trials: int, seed: int = 0) -> tuple[float, fl
     rng = random.Random(seed)
     vectors = [[rng.randrange(spec.p) for _ in range(spec.n)] for _ in range(trials)]
     apply_naive(spec, [0] * spec.n)  # warm the cached rows out of the timed region
-    start = time.perf_counter()
-    for v in vectors:
-        apply_naive(spec, v)
-    naive_s = time.perf_counter() - start
-    start = time.perf_counter()
-    for v in vectors:
-        apply_fast(spec, v)
-    fast_s = time.perf_counter() - start
-    return naive_s, fast_s
+    times = []
+    for kernel in (apply_naive, apply_fast):
+        start = time.perf_counter()
+        for v in vectors:
+            kernel(spec, v)
+        times.append(time.perf_counter() - start)
+    return times[0], times[1]
 
 
 def _cmd_bench(args) -> int:

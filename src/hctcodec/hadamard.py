@@ -4,8 +4,8 @@ The order-n matrix is defined entrywise by the parity rule
 ``H[i][j] = 1 if popcount(i & j) is even else p - 1``, which is exactly the
 Sylvester recursion H_{2m} = [[H_m, H_m], [H_m, -H_m]] with -1 folded into
 the residue p - 1.  The fast path never materializes the matrix; the naive
-path multiplies against a cached materialized copy and serves as the
-independent oracle for the butterfly kernel.
+path reduces each row's product sum(v) + (p - 2) * (odd-parity sum) mod p and
+serves as the independent oracle for the butterfly kernel.
 
 The cipher itself runs ``apply_lanes``, which transforms every block of a
 whole message with a few operations on one Python int; the per-block kernels
@@ -24,10 +24,11 @@ from .modmath import mod_inverse
 SUPPORTED_ORDERS = (8, 16, 32, 64, 128)
 
 
-def check_order(n: int) -> None:
-    """Raise UnsupportedBlockOrder unless ``n`` is one of SUPPORTED_ORDERS."""
+def check_order(n: int) -> int:
+    """Return ``n``; raise UnsupportedBlockOrder unless it is in SUPPORTED_ORDERS."""
     if n not in SUPPORTED_ORDERS:
         raise UnsupportedBlockOrder(f"block order {n} not in supported set {SUPPORTED_ORDERS}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -49,15 +50,10 @@ def _odd_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple((i & j).bit_count() & 1 for j in range(n)) for i in range(n))
 
 
-@lru_cache(maxsize=32)
-def _matrix_rows(spec: HadamardSpec) -> tuple[tuple[int, ...], ...]:
-    scale = spec.p - 2
-    return tuple(tuple(1 + scale * odd for odd in row) for row in _odd_rows(spec.n))
-
-
 def build_matrix(spec: HadamardSpec) -> list[list[int]]:
     """Materialize the full n x n residue matrix (display and tests only)."""
-    return [list(row) for row in _matrix_rows(spec)]
+    scale = spec.p - 2
+    return [[1 + scale * odd for odd in row] for row in _odd_rows(spec.n)]
 
 
 def _check_length(spec: HadamardSpec, v: Sequence[int]) -> None:
@@ -119,7 +115,7 @@ def apply_inverse(spec: HadamardSpec, w: Sequence[int]) -> list[int]:
 
 def self_check(spec: HadamardSpec) -> bool:
     """Brute-force confirmation that H . H == (n mod p) * I over Z_p."""
-    rows = _matrix_rows(spec)
+    rows = build_matrix(spec)
     n, p = spec.n, spec.p
     target = n % p
     cols = rows  # the matrix is symmetric

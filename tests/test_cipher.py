@@ -42,7 +42,7 @@ from hctcodec.errors import (
     UnsupportedBlockOrder,
 )
 from hctcodec.hadamard import SUPPORTED_ORDERS, HadamardSpec, apply_fast, apply_inverse
-from hctcodec.modmath import SUPPORTED_EXPONENTS
+from hctcodec.modmath import SUPPORTED_EXPONENTS, ModulusParams
 from vectors import (
     CIPHER_BITS,
     DIGEST16,
@@ -67,6 +67,14 @@ def test_key_schedule_validates_each_element():
         KeySchedule.from_exponents([3, 4])
     with pytest.raises(InvalidKeyElement):
         KeySchedule.from_exponents([])
+
+
+@pytest.mark.parametrize("x", [0, 1, 4, 6, 8, 11, 32])
+def test_key_schedule_refuses_exponents_outside_the_table(x):
+    # ModulusParams only checks p = 2^x - 1; the key itself must check the table,
+    # or encrypt would run mod 15 or mod 1, or divide by zero.
+    with pytest.raises(InvalidKeyElement):
+        KeySchedule((ModulusParams(3, 7), ModulusParams(x, (1 << x) - 1)))
 
 
 def test_encrypt_worked_example():

@@ -136,6 +136,23 @@ def test_matrix_rejects_bad_order(capsys):
     assert "UnsupportedBlockOrder" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order", [8, 16, 32, 64, 128])
+def test_matrix_order_flag_accepts_supported_orders(capsys, order):
+    assert main(["matrix", "--exponent", "3", "--order", str(order)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == order
+
+
+@pytest.mark.parametrize("order, message", [
+    ("12", "UnsupportedBlockOrder: block order 12 not in supported set (8, 16, 32, 64, 128)"),
+    ("x", "ValueError: invalid literal for int() with base 10: 'x'"),
+])
+def test_matrix_order_flag_names_the_refusal(capsys, order, message):
+    assert _status(["matrix", "--exponent", "3", "--order", order]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip("\n").endswith(f"argument --order: {message}")
+
+
 def test_analyze_stdout_csv(capsys):
     assert main(["analyze", "--key", "3,5", "--text", PLAIN_BITS]) == 0
     out = capsys.readouterr().out
