@@ -9,8 +9,9 @@ outside the sentinel metadata.
 
 from dataclasses import dataclass
 
-from .bitcodec import BitSeq
+from .bitcodec import BitSeq, padded_group_count
 from .cipher import CipherEnvelope, KeySchedule, decrypt_tolerant, encrypt
+from .hadamard import check_order
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
@@ -67,17 +68,30 @@ def avalanche_experiment(
 
     Sentinel restorations that no longer apply are skipped and counted on
     the report, so the experiment always reaches a comparable output the
-    way a corrupted transmission would.
+    way a corrupted transmission would.  Every level maps each S-bit
+    superblock (``KeySchedule.superblock_bits``) onto itself and pads only
+    the ragged tail, to at most S bits, so only the flipped bit's
+    superblock is encrypted and decrypted; the rest of the message comes
+    back unchanged.
     """
-    envelope = encrypt(plaintext, key, block_order)
-    if not 0 <= flip_index < len(envelope.payload):
-        raise ValueError(
-            f"flip index {flip_index} outside payload of {len(envelope.payload)} bits"
-        )
+    check_order(block_order)
+    length = plaintext.length
+    payload_bits = length
+    for params in key.elements:
+        payload_bits = padded_group_count(payload_bits, params.x, block_order) * params.x
+    if not 0 <= flip_index < payload_bits:
+        raise ValueError(f"flip index {flip_index} outside payload of {payload_bits} bits")
+    size = key.superblock_bits(block_order)
+    start = flip_index // size * size
+    end = min(start + size, length)
+    chunk = BitSeq.from_int(plaintext.value >> length - end & (1 << end - start) - 1, end - start)
+    envelope = encrypt(chunk, key, block_order)
     corrupted = CipherEnvelope(
-        envelope.version, block_order, envelope.levels, envelope.payload.flip(flip_index)
+        envelope.version, block_order, envelope.levels, envelope.payload.flip(flip_index - start)
     )
     recovered, anomalies = decrypt_tolerant(corrupted, key)
+    diff = recovered.value ^ chunk.value
+    recovered = BitSeq.from_int(plaintext.value ^ diff << length - end, length)
     return _diff(plaintext, recovered, anomalies.sentinel_conflicts)
 
 

@@ -9,15 +9,18 @@ the pre-padding bit length and the positions holding the group maximum
 ``BitSeq`` holds a sequence once, as an MSB-first int and a bit count, so
 the cipher's packed level loop, the envelope and the byte packing never
 format it as text.  ``SentinelSet`` likewise holds one form: the lane
-flags the cipher finds, or the index tuple the envelope carries; it
-converts between them only when asked, one slice at a time
-(``lane_slices``), so no text grows with the lane count and an empty
-slice costs none.  The per-group helpers below
+flags the cipher finds, or the big-endian 4-byte words the envelope
+carries, never an int per position; it converts between them only when
+asked, one slice at a time (``lane_slices``), so no text grows with the
+lane count and an empty slice costs none.  The per-group helpers below
 (``pad_and_group``, ``ungroup``, ``truncate``, ...) work on the '0'/'1'
 text form one value at a time; the tests use them as the oracle for the
 packed path.
 """
 
+import struct
+import sys
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, islice
@@ -117,26 +120,31 @@ class GroupedSeq:
 class SentinelSet:
     """Group positions that held the maximum value 2^x - 1.
 
-    A set is held in one form only.  ``SentinelSet(indices)`` keeps the
-    strictly ascending index tuple that HCT1 carries.  ``from_lanes`` keeps
-    the lane flags ``encrypt`` finds: for ``count`` x-bit lanes, a 1 at bit
-    j*x marks lane j from the least significant end, which is group position
-    count - 1 - j.  ``indices`` formats the tuple from the flags on each
-    access and is not cached; ``==``, ``hash``, ``in``, iteration and
-    ``repr`` go through it, so both forms of one set are equal.  Decrypt
-    asks ``fits``, then ``lanes``; neither formats an index from the flag form.
+    A set is held in one form only.  ``from_lanes`` keeps the lane flags
+    ``encrypt`` finds: for ``count`` x-bit lanes, a 1 at bit j*x marks lane
+    j from the least significant end, which is group position count - 1 - j.
+    ``SentinelSet(indices)`` and ``from_words`` keep the positions as HCT1
+    carries them, big-endian 4-byte words, 4 bytes a position where a tuple
+    of ints would take 36; a set with a position past 2^32 - 1, which HCT1
+    cannot carry, keeps its index tuple instead.  ``from_words`` checks that
+    the words ascend with a few whole-int operations (``_ascending``),
+    ``to_words`` writes them as they are, ``fits`` reads only the last one,
+    and ``lanes`` bisects an ``array('I')`` view of them.  ``indices``
+    formats the int tuple on each access; ``==`` and ``hash`` compare the
+    words, so every form of one set is equal.  Decrypt asks ``fits``, then
+    ``lanes``; neither builds a collection of ints.
 
-    Parsed indices stay a tuple because it grows with the sentinel count,
+    Parsed positions stay words because they grow with the sentinel count,
     which the envelope's bytes bound, while flags grow with the lane count:
     one 4-byte index can name lane 2^32 - 1.  Decrypt builds flags only
-    once ``fits`` has held the indices below the level's lane count.
+    once ``fits`` has held the positions below the level's lane count.
 
     Both conversions walk ``lane_slices``, the cuts of the lane kernels:
-    ``indices`` formats only the slices whose flags are not all zero, and
-    ``lanes`` formats only the slices holding an index, found by ``bisect``.
+    flags are formatted only in the slices that are not all zero, and
+    ``lanes`` formats only the slices holding a position, found by ``bisect``.
     """
 
-    __slots__ = ("_indices", "_flags", "_x", "_count")
+    __slots__ = ("_words", "_flags", "_x", "_count")
 
     def __init__(self, indices: Iterable[int] = ()):
         idx = tuple(indices)
@@ -144,25 +152,36 @@ class SentinelSet:
             raise ValueError("sentinel indices must be strictly ascending")
         if idx and idx[0] < 0:
             raise ValueError("sentinel indices must be non-negative")
-        self._indices = idx
+        try:
+            self._words = _pack(array("I", idx))
+        except OverflowError:  # a position past 2^32 - 1
+            self._words = idx
+
+    @classmethod
+    def from_words(cls, data: bytes) -> "SentinelSet":
+        """The set HCT1 carries as ``data``: strictly ascending big-endian 4-byte words."""
+        if not _ascending(data):
+            raise ValueError("sentinel indices must be strictly ascending")
+        words = object.__new__(cls)
+        words._words = bytes(data)
+        return words
 
     @classmethod
     def from_lanes(cls, flags: int, x: int, count: int) -> "SentinelSet":
         """The set whose flags over ``count`` x-bit lanes are ``flags`` (see above)."""
         lanes = object.__new__(cls)
-        lanes._indices, lanes._flags, lanes._x, lanes._count = None, flags, x, count
+        lanes._words, lanes._flags, lanes._x, lanes._count = None, flags, x, count
         return lanes
 
-    @property
-    def indices(self) -> tuple[int, ...]:
-        """The ascending index tuple, formatted from the flags when held as lanes."""
-        if self._indices is not None:
-            return self._indices
-        if not self._flags:
-            return ()
+    def _view(self) -> Sequence[int]:
+        """The ascending positions: an array, or the tuple of a set HCT1 cannot carry."""
+        if self._words is not None:
+            return self._words if isinstance(self._words, tuple) else _unpack(self._words)
         x, count = self._x, self._count
+        out = array("I" if count <= 1 << 32 else "Q")
+        if not self._flags:
+            return out
         data = self._flags.to_bytes(-(-count * x // 8), "big")
-        out: list[int] = []
         for first, lanes, cut in lane_slices(x, count):
             piece = data[cut]
             if piece.count(0) == len(piece):
@@ -170,20 +189,40 @@ class SentinelSet:
             marks = format(int.from_bytes(piece, "big"), f"0{lanes * x}b")[x - 1::x]
             runs = marks.replace("1", "1,").split(",")  # every run but the last ends on a mark
             out.extend(islice(accumulate(map(len, runs), initial=first - 1), 1, len(runs)))
-        return tuple(out)
+        return out
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        """The ascending index tuple, formatted on each access."""
+        return tuple(self._view())
+
+    def to_words(self) -> bytes:
+        """The positions as big-endian 4-byte words; struct.error past 2^32 - 1."""
+        words = self._words
+        if isinstance(words, bytes):
+            return words
+        if words is None:
+            words = self._view()
+            if words.typecode == "I":
+                return _pack(words)
+        # Flags over more than 2^32 lanes, or a wide tuple: struct.error past 2^32 - 1.
+        return struct.pack(f">{len(words)}I", *words)
 
     def fits(self, count: int) -> bool:
         """Whether every position lies below ``count``."""
-        if self._indices is None:  # the highest position is the lowest flagged lane's
+        words = self._words
+        if words is None:  # the highest position is the lowest flagged lane's
             flags = self._flags
             return not flags or self._count - 1 - (flags & -flags).bit_length() // self._x < count
-        return not self._indices or self._indices[-1] < count
+        if isinstance(words, tuple):
+            return words[-1] < count
+        return not words or int.from_bytes(words[-4:], "big") < count
 
     def lanes(self, x: int, count: int) -> int:
         """Flags over ``count`` x-bit lanes; every position must lie below ``count``."""
-        if self._indices is None and x == self._x and count == self._count:
+        if self._words is None and x == self._x and count == self._count:
             return self._flags
-        indices = self.indices
+        indices = self._view()
         if not indices:
             return 0
         flags = bytearray(-(-count * x // 8))
@@ -201,22 +240,69 @@ class SentinelSet:
             low = high
         return int.from_bytes(flags, "big")
 
+    def _key(self) -> bytes | tuple[int, ...]:
+        try:
+            return self.to_words()
+        except struct.error:  # a position past 2^32 - 1 has no HCT1 form
+            return self.indices
+
     def __len__(self) -> int:
-        return self._flags.bit_count() if self._indices is None else len(self._indices)
+        words = self._words
+        if words is None:
+            return self._flags.bit_count()
+        return len(words) // 4 if isinstance(words, bytes) else len(words)
 
     def __iter__(self):
-        return iter(self.indices)
+        return iter(self._view())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SentinelSet):
             return NotImplemented
-        return self.indices == other.indices
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self.indices)
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"SentinelSet({self.indices!r})"
+
+
+def _pack(words: array) -> bytes:
+    """Big-endian bytes of ``words``; byteswaps ``words`` in place on little-endian hosts."""
+    if sys.byteorder == "little":
+        words.byteswap()
+    return words.tobytes()
+
+
+def _unpack(data: bytes) -> array:
+    """The values of big-endian 4-byte words, as a native ``array('I')``."""
+    words = array("I", data)
+    if sys.byteorder == "little":
+        words.byteswap()
+    return words
+
+
+def _ascending(data: bytes) -> bool:
+    """Whether the big-endian 4-byte words of ``data`` strictly ascend, in a few int operations.
+
+    Read the words as the 32-bit lanes of one int ``v``; ``v >> 32`` holds
+    each lane's predecessor.  In ``v - (v >> 32)`` the lowest lane below its
+    predecessor is the lowest to borrow out, so no lane borrows iff none is
+    below; then subtracting 1 from every lane but the first word's borrows
+    iff one equals its predecessor.  The borrows into the bits of a - b are
+    a ^ b ^ (a - b).  The check runs over slices of SLICE_BITS bits, each
+    with the next slice's first word, so no temporary grows with the input.
+    """
+    step = SLICE_BITS // 8
+    for start in range(0, len(data), step):
+        piece = data[start:start + step + 4]
+        v = int.from_bytes(piece, "big")
+        prev = v >> 32
+        diff = v - prev
+        ones = int.from_bytes(b"\0\0\0\1" * (len(piece) // 4 - 1), "big")
+        if ((v ^ prev ^ diff) | (diff ^ ones ^ (diff - ones))) & ones << 32:
+            return False
+    return True
 
 
 def padded_group_count(bit_len: int, x: int, n: int) -> int:

@@ -17,9 +17,11 @@ all-ones lanes, restoring them is one OR and truncation one shift.  A
 ``BitSeq`` already holds that int, and encrypt, decrypt, the envelope and
 the digest keep it.  Each level's sentinels stay the lane flags that the
 forward transform reports (``SentinelSet.from_lanes``), and decrypt checks
-recorded lanes by their flags.  Index tuples exist only at the HCT1
-boundary: ``to_bytes`` formats them, ``from_bytes`` reads them, and
-decrypt turns parsed indices into flags once per level.  So the digest,
+recorded lanes by their flags.  Sentinel positions exist only at the
+HCT1 boundary, and there as the 4-byte words HCT1 stores, never as an int
+per position: ``to_bytes`` formats flags into words slice by slice and
+writes parsed words as they are, ``from_bytes`` keeps the words it reads,
+and decrypt turns parsed words into flags once per level.  So the digest,
 the avalanche experiment and an in-memory round trip never form an index.
 The per-group ``bitcodec`` helpers and the per-block ``hadamard`` kernels
 describe the same steps one value at a time; tests use them as the oracle.
@@ -109,10 +111,9 @@ class CipherEnvelope:
         parts = [_HEADER.pack(ENVELOPE_MAGIC, self.version, self.block_order, len(self.levels))]
         for index, rec in enumerate(self.levels):
             _check_level(index, rec, self.block_order)
-            indices = rec.sentinels.indices
             try:
-                parts.append(_LEVEL.pack(rec.x, rec.orig_bit_len, len(indices)))
-                parts.append(struct.pack(f">{len(indices)}I", *indices))
+                parts.append(_LEVEL.pack(rec.x, rec.orig_bit_len, len(rec.sentinels)))
+                parts.append(rec.sentinels.to_words())
             except struct.error as exc:
                 raise MalformedEnvelope(f"level {index}: does not fit the format: {exc}") from None
         _check_level(index, rec, self.block_order, len(self.payload))
@@ -139,10 +140,10 @@ class CipherEnvelope:
                 what = f"level {index} record"
                 x, orig_bit_len, sentinel_count = _LEVEL.unpack_from(data, offset)
                 what = f"level {index} sentinel indices"
-                indices = struct.unpack_from(f">{sentinel_count}I", data, offset + _LEVEL.size)
-                offset += _LEVEL.size + 4 * sentinel_count
+                (words,) = struct.unpack_from(f"{4 * sentinel_count}s", data, offset + _LEVEL.size)
+                offset += _LEVEL.size + len(words)
                 try:
-                    record = LevelRecord(x, orig_bit_len, SentinelSet(indices))
+                    record = LevelRecord(x, orig_bit_len, SentinelSet.from_words(words))
                 except ValueError:
                     raise MalformedEnvelope(
                         f"level {index}: sentinel indices not strictly ascending"

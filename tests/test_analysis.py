@@ -1,6 +1,8 @@
 """Difference series, avalanche experiment, degenerate detection, CSV."""
 
 import io
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -14,7 +16,7 @@ from hctcodec.analysis import (
     write_csv,
 )
 from hctcodec.bitcodec import BitSeq
-from hctcodec.cipher import KeySchedule, encrypt
+from hctcodec.cipher import CipherEnvelope, KeySchedule, decrypt_tolerant, encrypt
 from vectors import (
     PLAIN_BITS,
     PLAIN_VS_CIPHER_COMMON,
@@ -99,6 +101,47 @@ def test_avalanche_reports_every_flip_position():
         report = avalanche_experiment(BitSeq(PLAIN_BITS), KEY35, 8, index)
         assert report.sentinel_conflicts >= 0
         assert 0.0 <= report.fraction <= 1.0
+
+
+def whole_message_avalanche(plaintext, key, n, flip):
+    """Reference: encrypt, flip and tolerantly decrypt the whole message."""
+    env = encrypt(plaintext, key, n)
+    if not 0 <= flip < len(env.payload):
+        raise ValueError(f"flip index {flip} outside payload of {len(env.payload)} bits")
+    damaged = CipherEnvelope(env.version, n, env.levels, env.payload.flip(flip))
+    recovered, anomalies = decrypt_tolerant(damaged, key)
+    return replace(difference_series(plaintext, recovered),
+                   sentinel_conflicts=anomalies.sentinel_conflicts)
+
+
+@pytest.mark.parametrize("exponents, n", [((2, 7), 16), ((3, 5, 31), 8)])
+def test_avalanche_of_the_flipped_superblock_matches_the_whole_message(exponents, n):
+    # Flips in the first, a middle and the last full superblock and in the
+    # ragged tail; a message of whole superblocks; and the empty message.
+    key = KeySchedule.from_exponents(exponents)
+    size = key.superblock_bits(n)
+    rng = random.Random(1012)
+    conflicts = 0
+    for length in (3 * size + size // 3, 3 * size, size - 1):
+        # Mostly ones, so every level has sentinels for a flip to disturb.
+        value = rng.getrandbits(length) | rng.getrandbits(length) | rng.getrandbits(length)
+        message = BitSeq.from_int(value, length)
+        payload_bits = len(encrypt(message, key, n).payload)
+        flips = {0, 5, size - 1, size + 17, 2 * size, 3 * size - 1,
+                 3 * size, payload_bits - 1, *rng.sample(range(payload_bits), 8)}
+        for flip in sorted(f for f in flips if f < payload_bits):
+            report = avalanche_experiment(message, key, n, flip)
+            assert report == whole_message_avalanche(message, key, n, flip), (length, flip)
+            conflicts += report.sentinel_conflicts
+        for flip in (-1, payload_bits):
+            with pytest.raises(ValueError) as chunked:
+                avalanche_experiment(message, key, n, flip)
+            with pytest.raises(ValueError) as whole:
+                whole_message_avalanche(message, key, n, flip)
+            assert str(chunked.value) == str(whole.value)
+    assert conflicts > 0
+    with pytest.raises(ValueError, match="^flip index 0 outside payload of 0 bits$"):
+        avalanche_experiment(BitSeq(""), key, n, 0)
 
 
 def test_degenerate_detection():

@@ -1,6 +1,7 @@
 """Bit plumbing: BitSeq conversions, grouping, sentinels, truncation."""
 
 import random
+import struct
 from itertools import islice
 
 import pytest
@@ -187,12 +188,61 @@ def test_sentinel_set_validation():
         SentinelSet((2, 2))
     with pytest.raises(ValueError):
         SentinelSet((-1, 4))
+    with pytest.raises(ValueError):
+        SentinelSet((-1,))
+    with pytest.raises(ValueError):
+        SentinelSet.from_words(struct.pack(">3I", 1, 5, 5))
     assert SentinelSet(sorted({4, 1, 4})).indices == (1, 4)
     s = SentinelSet((1, 4))
     assert len(s) == 2
     assert 4 in s
     assert 2 not in s
     assert list(s) == [1, 4]
+    assert s.to_words() == struct.pack(">2I", 1, 4)
+    assert s == SentinelSet.from_words(struct.pack(">2I", 1, 4))
+
+
+word_values = st.one_of(st.sampled_from([0, 1, 2, 2**31, 2**32 - 2, 2**32 - 1]),
+                        st.integers(0, 2**32 - 1))
+
+
+@given(st.lists(word_values, max_size=8), st.booleans())
+def test_parsed_words_must_strictly_ascend(values, ordered):
+    # from_words checks all words at once with whole-int borrows; the
+    # reference is the pairwise comparison.
+    if ordered:
+        values = sorted(values)
+    data = struct.pack(f">{len(values)}I", *values)
+    if all(a < b for a, b in zip(values, values[1:])):
+        assert SentinelSet.from_words(data).indices == tuple(values)
+    else:
+        with pytest.raises(ValueError, match="strictly ascending"):
+            SentinelSet.from_words(data)
+
+
+def test_parsed_words_ascend_across_slice_cuts():
+    # The check runs per slice of SLICE_BITS // 32 words; a repeat or a
+    # descent on either side of a cut, or across it, must still show.
+    per_slice = SLICE_BITS // 32
+    values = list(range(5, 3 * per_slice + 100))
+    assert SentinelSet.from_words(struct.pack(f">{len(values)}I", *values)).indices == tuple(values)
+    for at in (1, per_slice - 1, per_slice, per_slice + 1, 2 * per_slice, len(values) - 1):
+        for bad in (values[at - 1], values[at - 1] - 1):
+            broken = values[:at] + [bad] + values[at + 1:]
+            with pytest.raises(ValueError, match="strictly ascending"):
+                SentinelSet.from_words(struct.pack(f">{len(broken)}I", *broken))
+
+
+def test_sentinel_set_past_four_bytes():
+    # Positions HCT1 cannot carry still make a set; only to_words refuses it.
+    wide = SentinelSet((1, 2**33 + 3))
+    assert (len(wide), wide.indices, list(wide)) == (2, (1, 2**33 + 3), [1, 2**33 + 3])
+    assert wide.fits(2**33 + 4) and not wide.fits(2**33 + 3)
+    assert wide == SentinelSet((1, 2**33 + 3)) and hash(wide) == hash(SentinelSet(wide))
+    assert wide != SentinelSet((0, 1, 2, 3))  # the same 16 bytes read as 4-byte words
+    assert SentinelSet((2**100,)).indices == (2**100,)
+    with pytest.raises(struct.error):
+        wide.to_words()
 
 
 def text_lanes(indices, x, count):

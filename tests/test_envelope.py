@@ -352,10 +352,11 @@ def test_to_bytes_refuses_header_fields_too_wide_for_the_format():
 
 
 def test_far_sentinel_index_costs_memory_only_for_the_payload():
-    # Why SentinelSet keeps parsed indices as a tuple: the tuple grows with
-    # the sentinel count, which the envelope's bytes bound, while lane flags
-    # grow with the lane count.  Here level 0 claims 2^63 bits and a sentinel
-    # at lane 2^32 - 1; the record check refuses it before any flags exist.
+    # Why SentinelSet keeps parsed indices as packed words: the words grow
+    # with the sentinel count, which the envelope's bytes bound, while lane
+    # flags grow with the lane count.  Here level 0 claims 2^63 bits and a
+    # sentinel at lane 2^32 - 1; the record check refuses it before any
+    # flags exist.
     blob = (
         ENVELOPE_MAGIC
         + struct.pack(">BBB", ENVELOPE_VERSION, 8, 2)
@@ -378,6 +379,54 @@ def test_far_sentinel_index_costs_memory_only_for_the_payload():
         tracemalloc.stop()
     assert str(strict.value) == str(tolerant.value)
     assert peak < 2**20
+
+
+def test_hostile_sentinel_count_is_refused_before_reading():
+    # One x = 3 level over 24 bits that claims 2^32 - 1 sentinels (16 GiB of
+    # indices) in a 31-byte envelope: the length check runs before any slice.
+    blob = (
+        ENVELOPE_MAGIC
+        + struct.pack(">BBB", ENVELOPE_VERSION, 8, 1)
+        + struct.pack(">BQI", 3, 24, 2**32 - 1)
+        + bytes(11)
+    )
+    assert len(blob) == 31
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedEnvelope,
+                           match="^truncated envelope while reading level 0 sentinel indices$"):
+            CipherEnvelope.from_bytes(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("exponents, n", [((3, 5, 31), 8), ((13,), 128), ((2, 7), 16)])
+def test_every_form_of_a_sentinel_set_agrees(exponents, n):
+    # The flags encrypt records, the same positions given as ints, flags
+    # rebuilt from those ints, and the words parsed back from HCT1 are one
+    # set; and a parsed envelope writes the bytes it was read from.
+    key = KeySchedule.from_exponents(exponents)
+    env = encrypt(BitSeq.from_bytes(random.Random(n).randbytes(1 << 16)), key, n)
+    blob = env.to_bytes()
+    parsed = CipherEnvelope.from_bytes(blob)
+    assert parsed.to_bytes() == blob
+    assert parsed == env
+    for record, read in zip(env.levels, parsed.levels):
+        count = record.padded_group_count(n)
+        indices = record.sentinels.indices
+        given_ints = SentinelSet(indices)
+        rebuilt = SentinelSet.from_lanes(given_ints.lanes(record.x, count), record.x, count)
+        forms = (record.sentinels, given_ints, rebuilt, read.sentinels)
+        last = indices[-1] if indices else -1
+        for form in forms:
+            assert form == forms[0] and hash(form) == hash(forms[0])
+            assert (len(form), form.indices, form.to_words()) == (
+                len(indices), indices, struct.pack(f">{len(indices)}I", *indices))
+            assert form.fits(last + 1) and form.fits(count)
+            assert not form.fits(last) or not indices
+    assert sum(len(record.sentinels) for record in env.levels) > 0
 
 
 edits = st.tuples(
