@@ -2,9 +2,10 @@
 
 The cipher is linear over each block, so a single corrupted ciphertext
 group changes every recovered value in its block.  These helpers quantify
-that spread as bitwise difference series and flag the inputs (all zeros,
-all ones) whose payload degenerates to zeros and carries no information
-outside the sentinel metadata.
+that spread as a bitwise difference series, the XOR of two sequences over
+their common prefix held as one ``BitSeq``, and flag the inputs (all
+zeros, all ones) whose payload degenerates to zeros and carries no
+information outside the sentinel metadata.
 """
 
 from dataclasses import dataclass
@@ -13,14 +14,16 @@ from .bitcodec import BitSeq, padded_group_count
 from .cipher import CipherEnvelope, KeySchedule, decrypt_tolerant, encrypt
 from .hadamard import check_order
 
-_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
-
 
 @dataclass(frozen=True)
 class DiffReport:
     """Bitwise comparison of two bit sequences over their common prefix.
 
-    sentinel_conflicts is nonzero only for reports produced by
+    series is the XOR of the two common prefixes as one BitSeq, a 1 where
+    they differ, so a report holds one int whatever its length.  A
+    sequence of 0/1 ints given as series is converted to that BitSeq, so a
+    report built from a tuple of bits equals the one difference_series
+    returns.  sentinel_conflicts is nonzero only for reports produced by
     avalanche_experiment, counting restorations skipped during the
     tolerant decrypt of the corrupted ciphertext.
     """
@@ -29,29 +32,32 @@ class DiffReport:
     length_b: int
     hamming: int
     length_delta: int
-    series: tuple[int, ...]
+    series: BitSeq
     sentinel_conflicts: int = 0
+
+    def __post_init__(self):
+        if not isinstance(self.series, BitSeq):
+            object.__setattr__(self, "series", BitSeq("".join(map(str, self.series))))
 
     @property
     def common(self) -> int:
-        return len(self.series)
+        return self.series.length
 
     @property
     def fraction(self) -> float:
         """Differing share of the common prefix; 0.0 for empty prefixes."""
-        return self.hamming / len(self.series) if self.series else 0.0
+        return self.hamming / self.series.length if self.series.length else 0.0
 
 
 def _diff(a: BitSeq, b: BitSeq, sentinel_conflicts: int) -> DiffReport:
     common = min(len(a), len(b))
     d = (a.value >> len(a) - common) ^ (b.value >> len(b) - common)
-    xor_bits = format(d, f"0{common}b").encode() if common else b""
     return DiffReport(
         length_a=len(a),
         length_b=len(b),
         hamming=d.bit_count(),
         length_delta=abs(len(a) - len(b)),
-        series=tuple(xor_bits.translate(_BIT_VALUES)),
+        series=BitSeq.from_int(d, common),
         sentinel_conflicts=sentinel_conflicts,
     )
 
@@ -59,6 +65,13 @@ def _diff(a: BitSeq, b: BitSeq, sentinel_conflicts: int) -> DiffReport:
 def difference_series(a: BitSeq, b: BitSeq) -> DiffReport:
     """Element-wise XOR over the common prefix; lengths reported separately."""
     return _diff(a, b, 0)
+
+
+def _payload_bits(length: int, key: KeySchedule, block_order: int) -> int:
+    """The payload length ``encrypt`` gives a ``length``-bit message, without encrypting."""
+    for params in key.elements:
+        length = padded_group_count(length, params.x, block_order) * params.x
+    return length
 
 
 def avalanche_experiment(
@@ -76,9 +89,7 @@ def avalanche_experiment(
     """
     check_order(block_order)
     length = plaintext.length
-    payload_bits = length
-    for params in key.elements:
-        payload_bits = padded_group_count(payload_bits, params.x, block_order) * params.x
+    payload_bits = _payload_bits(length, key, block_order)
     if not 0 <= flip_index < payload_bits:
         raise ValueError(f"flip index {flip_index} outside payload of {payload_bits} bits")
     size = key.superblock_bits(block_order)
@@ -114,8 +125,8 @@ def degenerate_check(plaintext: BitSeq) -> str | None:
 def write_csv(a: BitSeq, report: DiffReport, stream) -> None:
     """Emit ``report`` on ``a`` as CSV rows (bit_b = bit_a ^ diff) plus a '#' summary row."""
     stream.write("position,bit_a,bit_b,diff\n")
-    for i, (bit_a, d) in enumerate(zip(a.bits, report.series)):
-        stream.write(f"{i},{bit_a},{int(bit_a) ^ d},{d}\n")
+    for i, (bit_a, d) in enumerate(zip(a.bits, report.series.bits)):
+        stream.write(f"{i},{bit_a},{int(bit_a) ^ int(d)},{d}\n")
     stream.write(
         f"# length_a={report.length_a} length_b={report.length_b} "
         f"common={report.common} hamming={report.hamming} "

@@ -13,7 +13,13 @@ import sys
 import time
 from pathlib import Path
 
-from .analysis import avalanche_experiment, degenerate_check, difference_series, write_csv
+from .analysis import (
+    _payload_bits,
+    avalanche_experiment,
+    degenerate_check,
+    difference_series,
+    write_csv,
+)
 from .bitcodec import BitSeq, pad_and_group
 from .cipher import CipherEnvelope, KeySchedule, decrypt, encrypt, hash_digest
 from .errors import CodecError
@@ -226,8 +232,7 @@ def _cmd_trace(args) -> int:
 def _cmd_avalanche(args) -> int:
     key, n = args.key, args.block_size
     rng = random.Random(args.seed)
-    # The payload length depends only on the message length, key and block size.
-    payload_len = len(encrypt(BitSeq("0" * args.bits), key, n).payload)
+    payload_len = _payload_bits(args.bits, key, n)
     size = key.superblock_bits(n)
     rows, outside = [], 0
     for trial in range(args.trials):
@@ -237,7 +242,9 @@ def _cmd_avalanche(args) -> int:
         rows.append((trial, flip, report.hamming, report.common,
                      report.fraction, report.sentinel_conflicts))
         start = flip - flip % size  # payload bit i lies in plaintext superblock i // S
-        outside += report.hamming - sum(report.series[start:start + size])
+        end = min(start + size, report.common)
+        inside = report.series.value >> report.common - end & (1 << end - start) - 1
+        outside += report.hamming - inside.bit_count()
 
     fractions = [r[4] for r in rows]
     print(f"trials={args.trials} message_bits={args.bits} key={_key_text(key)} block={n}")

@@ -2,21 +2,23 @@
 
 import io
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hctcodec.analysis import (
     DiffReport,
+    _payload_bits,
     avalanche_experiment,
     degenerate_check,
     difference_series,
     write_csv,
 )
 from hctcodec.bitcodec import BitSeq
-from hctcodec.cipher import CipherEnvelope, KeySchedule, decrypt_tolerant, encrypt
+from hctcodec.cipher import CipherEnvelope, KeySchedule, decrypt_tolerant, encrypt, hash_digest
 from vectors import (
     PLAIN_BITS,
     PLAIN_VS_CIPHER_COMMON,
@@ -35,12 +37,12 @@ def test_identical_sequences():
     assert report.common == 4
     assert report.length_delta == 0
     assert report.fraction == 0.0
-    assert report.series == (0, 0, 0, 0)
+    assert report.series == BitSeq("0000")
 
 
 def test_disjoint_lengths():
     report = difference_series(BitSeq("111"), BitSeq("10"))
-    assert report.series == (0, 1)
+    assert report.series == BitSeq("01")
     assert report.common == 2
     assert report.hamming == 1
     assert report.length_a == 3
@@ -72,7 +74,28 @@ def test_difference_series_symmetry(a, b):
     assert fwd.series == rev.series
     assert fwd.length_delta == rev.length_delta
     assert fwd.length_a == rev.length_b
-    assert fwd.series == tuple(int(x != y) for x, y in zip(a, b))
+    assert fwd.series == BitSeq("".join(str(int(x != y)) for x, y in zip(a, b)))
+
+
+@given(bit_strings, bit_strings, st.integers(0, 3))
+@example("", "", 0)
+@example("", "1", 2)
+@example("0110", "01", 1)
+def test_report_built_from_a_tuple_of_bits_equals_the_library_report(a, b, conflicts):
+    # bench/oracle.py builds its expected report positionally, with the
+    # series as a tuple of 0/1 ints; bench/run.py compares reports with ==
+    # and calls dataclasses.replace on them.  Equal reports hash equal too.
+    bits = tuple(int(x != y) for x, y in zip(a, b))
+    built = DiffReport(len(a), len(b), sum(bits), abs(len(a) - len(b)), bits, conflicts)
+    report = replace(difference_series(BitSeq(a), BitSeq(b)), sentinel_conflicts=conflicts)
+    assert built == report
+    assert hash(built) == hash(report)
+    assert replace(built, sentinel_conflicts=0) == difference_series(BitSeq(a), BitSeq(b))
+
+
+def test_report_refuses_a_series_of_other_values():
+    with pytest.raises(ValueError):
+        DiffReport(2, 2, 1, 0, (0, 2))
 
 
 @given(bit_strings)
@@ -142,6 +165,45 @@ def test_avalanche_of_the_flipped_superblock_matches_the_whole_message(exponents
     assert conflicts > 0
     with pytest.raises(ValueError, match="^flip index 0 outside payload of 0 bits$"):
         avalanche_experiment(BitSeq(""), key, n, 0)
+
+
+@pytest.mark.parametrize("exponents, n", [((3, 5, 31), 8), ((13,), 128), ((2, 7), 16)])
+def test_payload_length_without_encrypting(exponents, n):
+    key = KeySchedule.from_exponents(exponents)
+    size = key.superblock_bits(n)
+    rng = random.Random(size)
+    for length in (0, 1, size - 1, size, 3 * size + size // 3):
+        message = BitSeq.from_int(rng.getrandbits(length), length)
+        assert _payload_bits(length, key, n) == len(encrypt(message, key, n).payload), length
+
+
+def test_short_call_peak_memory_per_byte():
+    # hash_digest plus one avalanche, as a short-message op runs them, on
+    # 1000-1100-bit messages under 2,7 at n = 16.  Each message runs once
+    # untraced first, so the lane-mask cache is full.  Holding the report's
+    # XOR as one int keeps the peak at 20-21 B/B; a tuple of one int per bit
+    # and its text and bytes copies took it to about 97.
+    key, rng = KeySchedule.from_exponents([2, 7]), random.Random(21)
+    calls = []
+    for length in rng.sample(range(1000, 1101), 8):
+        message = BitSeq.from_int(rng.getrandbits(length), length)
+        calls.append((message, rng.randrange(_payload_bits(length, key, 16))))
+    for message, flip in calls:
+        hash_digest(message, key, 16, 128)
+        avalanche_experiment(message, key, 16, flip)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for message, flip in calls:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            outputs = (hash_digest(message, key, 16, 128),
+                       avalanche_experiment(message, key, 16, flip))
+            peaks[len(message)] = (tracemalloc.get_traced_memory()[1] - base) / (len(message) / 8)
+            del outputs
+    finally:
+        tracemalloc.stop()
+    assert max(peaks.values()) <= 30, peaks
 
 
 def test_degenerate_detection():

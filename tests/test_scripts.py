@@ -23,6 +23,7 @@ from vectors import (
     L1_TRANSFORMED,
     L2_GROUPS,
     L2_TRANSFORMED,
+    PLAIN_BITS,
 )
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -36,10 +37,14 @@ SUBCOMMAND = {
 
 
 def _run_script(script, args):
+    return _run([SUBCOMMAND[script], *args])
+
+
+def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            returncode = main([SUBCOMMAND[script], *args])
+            returncode = main(argv)
         except SystemExit as exc:
             returncode = exc.code
     return SimpleNamespace(returncode=returncode, stdout=out.getvalue(), stderr=err.getvalue())
@@ -198,6 +203,32 @@ def test_avalanche_trials_csv_is_pinned(tmp_path):
     assert result.returncode == 0, result.stdout + result.stderr
     assert csv_path.read_text() == (DATA / "avalanche_seed1.csv").read_text()
     assert result.stderr == f"wrote {csv_path}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, expected, summary",
+    [
+        ([], "analyze_3_5.csv",
+         "# plaintext vs ciphertext payload: hamming=12 of 24 common bits "
+         "(fraction 0.5000), length_delta=16, sentinel_conflicts=0"),
+        (["--flip", "0"], "analyze_3_5_flip0.csv",
+         "# single-flip avalanche (payload bit 0): hamming=11 of 24 common bits "
+         "(fraction 0.4583), length_delta=0, sentinel_conflicts=1"),
+    ],
+)
+def test_analyze_output_is_pinned(tmp_path, flags, expected, summary):
+    # The CSV, to a file or to stdout, and the summary line, byte for byte.
+    # Without --flip the 24 plaintext bits meet a 40-bit payload.
+    argv = ["analyze", "--key", "3,5", "--text", PLAIN_BITS, *flags]
+    golden = (DATA / expected).read_bytes()
+    csv_path = tmp_path / "diff.csv"
+    result = _run([*argv, "--emit-csv", str(csv_path)])
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert csv_path.read_bytes() == golden
+    assert result.stdout == f"wrote {csv_path}\n{summary}\n"
+    result = _run(argv)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.encode() == golden + f"{summary}\n".encode()
 
 
 def test_avalanche_reports_unwritable_csv(tmp_path):
