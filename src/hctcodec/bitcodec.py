@@ -18,13 +18,11 @@ text form one value at a time; the tests use them as the oracle for the
 packed path.
 """
 
-import struct
 import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, islice
-from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import LengthUnderflow, NonZeroPadding, SentinelConflict, ValueOverflow
@@ -120,24 +118,26 @@ class GroupedSeq:
 class SentinelSet:
     """Group positions that held the maximum value 2^x - 1.
 
-    A set is held in one form only.  ``from_lanes`` keeps the lane flags
+    A set is held in one of two forms.  ``from_lanes`` keeps the lane flags
     ``encrypt`` finds: for ``count`` x-bit lanes, a 1 at bit j*x marks lane
     j from the least significant end, which is group position count - 1 - j.
     ``SentinelSet(indices)`` and ``from_words`` keep the positions as HCT1
     carries them, big-endian 4-byte words, 4 bytes a position where a tuple
-    of ints would take 36; a set with a position past 2^32 - 1, which HCT1
-    cannot carry, keeps its index tuple instead.  ``from_words`` checks that
-    the words ascend with a few whole-int operations (``_ascending``),
-    ``to_words`` writes them as they are, ``fits`` reads only the last one,
-    and ``lanes`` bisects an ``array('I')`` view of them.  ``indices``
-    formats the int tuple on each access; ``==`` and ``hash`` compare the
-    words, so every form of one set is equal.  Decrypt asks ``fits``, then
-    ``lanes``; neither builds a collection of ints.
+    of ints would take 36; so every position must lie in 0..2^32 - 1, and
+    both constructors check that the words ascend with a few whole-int
+    operations (``_ascending``).  ``to_words`` writes the words as they
+    are, ``fits`` reads only the last one, and ``lanes`` bisects an
+    ``array('I')`` view of them.  ``indices`` formats the int tuple on each
+    access; ``==`` and ``hash`` compare ``to_words()``, so both forms of one
+    set are equal.  Decrypt asks ``fits``, then ``lanes``; neither builds a
+    collection of ints.
 
     Parsed positions stay words because they grow with the sentinel count,
     which the envelope's bytes bound, while flags grow with the lane count:
     one 4-byte index can name lane 2^32 - 1.  Decrypt builds flags only
     once ``fits`` has held the positions below the level's lane count.
+    Flags over more than 2^32 lanes can hold a position HCT1 cannot carry;
+    ``to_words``, ``indices``, ``==`` and ``hash`` raise OverflowError on it.
 
     Both conversions walk ``lane_slices``, the cuts of the lane kernels:
     flags are formatted only in the slices that are not all zero, and
@@ -147,15 +147,12 @@ class SentinelSet:
     __slots__ = ("_words", "_flags", "_x", "_count")
 
     def __init__(self, indices: Iterable[int] = ()):
-        idx = tuple(indices)
-        if not all(map(lt, idx, islice(idx, 1, None))):
+        try:  # iter: array would read bytes as machine words, not one int each
+            self._words = _pack(array("I", iter(indices)))
+        except OverflowError:
+            raise ValueError("sentinel indices must lie in 0..2^32 - 1") from None
+        if not _ascending(self._words):
             raise ValueError("sentinel indices must be strictly ascending")
-        if idx and idx[0] < 0:
-            raise ValueError("sentinel indices must be non-negative")
-        try:
-            self._words = _pack(array("I", idx))
-        except OverflowError:  # a position past 2^32 - 1
-            self._words = idx
 
     @classmethod
     def from_words(cls, data: bytes) -> "SentinelSet":
@@ -173,12 +170,12 @@ class SentinelSet:
         lanes._words, lanes._flags, lanes._x, lanes._count = None, flags, x, count
         return lanes
 
-    def _view(self) -> Sequence[int]:
-        """The ascending positions: an array, or the tuple of a set HCT1 cannot carry."""
+    def _view(self) -> array:
+        """The ascending positions as an ``array('I')``; OverflowError past 2^32 - 1."""
         if self._words is not None:
-            return self._words if isinstance(self._words, tuple) else _unpack(self._words)
+            return _unpack(self._words)
         x, count = self._x, self._count
-        out = array("I" if count <= 1 << 32 else "Q")
+        out = array("I")
         if not self._flags:
             return out
         data = self._flags.to_bytes(-(-count * x // 8), "big")
@@ -197,16 +194,8 @@ class SentinelSet:
         return tuple(self._view())
 
     def to_words(self) -> bytes:
-        """The positions as big-endian 4-byte words; struct.error past 2^32 - 1."""
-        words = self._words
-        if isinstance(words, bytes):
-            return words
-        if words is None:
-            words = self._view()
-            if words.typecode == "I":
-                return _pack(words)
-        # Flags over more than 2^32 lanes, or a wide tuple: struct.error past 2^32 - 1.
-        return struct.pack(f">{len(words)}I", *words)
+        """The positions as big-endian 4-byte words; OverflowError past 2^32 - 1."""
+        return self._words if self._words is not None else _pack(self._view())
 
     def fits(self, count: int) -> bool:
         """Whether every position lies below ``count``."""
@@ -214,8 +203,6 @@ class SentinelSet:
         if words is None:  # the highest position is the lowest flagged lane's
             flags = self._flags
             return not flags or self._count - 1 - (flags & -flags).bit_length() // self._x < count
-        if isinstance(words, tuple):
-            return words[-1] < count
         return not words or int.from_bytes(words[-4:], "big") < count
 
     def lanes(self, x: int, count: int) -> int:
@@ -240,17 +227,8 @@ class SentinelSet:
             low = high
         return int.from_bytes(flags, "big")
 
-    def _key(self) -> bytes | tuple[int, ...]:
-        try:
-            return self.to_words()
-        except struct.error:  # a position past 2^32 - 1 has no HCT1 form
-            return self.indices
-
     def __len__(self) -> int:
-        words = self._words
-        if words is None:
-            return self._flags.bit_count()
-        return len(words) // 4 if isinstance(words, bytes) else len(words)
+        return self._flags.bit_count() if self._words is None else len(self._words) // 4
 
     def __iter__(self):
         return iter(self._view())
@@ -258,10 +236,10 @@ class SentinelSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SentinelSet):
             return NotImplemented
-        return self._key() == other._key()
+        return self.to_words() == other.to_words()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self.to_words())
 
     def __repr__(self) -> str:
         return f"SentinelSet({self.indices!r})"

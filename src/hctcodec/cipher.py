@@ -114,7 +114,7 @@ class CipherEnvelope:
             try:
                 parts.append(_LEVEL.pack(rec.x, rec.orig_bit_len, len(rec.sentinels)))
                 parts.append(rec.sentinels.to_words())
-            except struct.error as exc:
+            except (struct.error, OverflowError) as exc:
                 raise MalformedEnvelope(f"level {index}: does not fit the format: {exc}") from None
         _check_level(index, rec, self.block_order, len(self.payload))
         parts.append(_PAYLOAD_LEN.pack(len(self.payload)))

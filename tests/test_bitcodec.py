@@ -202,22 +202,38 @@ def test_sentinel_set_validation():
     assert s == SentinelSet.from_words(struct.pack(">2I", 1, 4))
 
 
-word_values = st.one_of(st.sampled_from([0, 1, 2, 2**31, 2**32 - 2, 2**32 - 1]),
-                        st.integers(0, 2**32 - 1))
+word_values = st.one_of(
+    st.sampled_from([-1, 0, 1, 2, 2**31, 2**32 - 2, 2**32 - 1, 2**32, 2**40]),
+    st.integers(0, 2**32 - 1),
+)
 
 
 @given(st.lists(word_values, max_size=8), st.booleans())
 def test_parsed_words_must_strictly_ascend(values, ordered):
-    # from_words checks all words at once with whole-int borrows; the
-    # reference is the pairwise comparison.
+    # from_words checks all words at once with whole-int borrows, and the
+    # int form, from a sequence, a generator or bytes, packs its values and
+    # runs the same check; the reference is the pairwise comparison.
     if ordered:
         values = sorted(values)
+    builds = [lambda: SentinelSet(values), lambda: SentinelSet(iter(values))]
+    if not all(0 <= v < 2**32 for v in values):
+        for build in builds:
+            with pytest.raises(ValueError, match="must lie in"):
+                build()
+        return
+    if all(v < 256 for v in values):  # bytes hold one int each, like any sequence
+        builds.append(lambda: SentinelSet(bytes(values)))
     data = struct.pack(f">{len(values)}I", *values)
+    builds.append(lambda: SentinelSet.from_words(data))
     if all(a < b for a, b in zip(values, values[1:])):
-        assert SentinelSet.from_words(data).indices == tuple(values)
+        sets = [build() for build in builds]
+        for s in sets:
+            assert s.indices == tuple(values) and s.to_words() == data
+            assert s == sets[-1] and hash(s) == hash(sets[-1])
     else:
-        with pytest.raises(ValueError, match="strictly ascending"):
-            SentinelSet.from_words(data)
+        for build in builds:
+            with pytest.raises(ValueError, match="strictly ascending"):
+                build()
 
 
 def test_parsed_words_ascend_across_slice_cuts():
@@ -234,15 +250,15 @@ def test_parsed_words_ascend_across_slice_cuts():
 
 
 def test_sentinel_set_past_four_bytes():
-    # Positions HCT1 cannot carry still make a set; only to_words refuses it.
-    wide = SentinelSet((1, 2**33 + 3))
-    assert (len(wide), wide.indices, list(wide)) == (2, (1, 2**33 + 3), [1, 2**33 + 3])
-    assert wide.fits(2**33 + 4) and not wide.fits(2**33 + 3)
-    assert wide == SentinelSet((1, 2**33 + 3)) and hash(wide) == hash(SentinelSet(wide))
-    assert wide != SentinelSet((0, 1, 2, 3))  # the same 16 bytes read as 4-byte words
-    assert SentinelSet((2**100,)).indices == (2**100,)
-    with pytest.raises(struct.error):
-        wide.to_words()
+    # HCT1 carries a position as a 4-byte word; one it cannot carry makes
+    # no set, as a negative one makes none.  The highest word round-trips.
+    for indices in ((1, 2**33 + 3), (2**32,), (-1,)):
+        with pytest.raises(ValueError, match=r"^sentinel indices must lie in 0\.\.2\^32 - 1$"):
+            SentinelSet(indices)
+    top = SentinelSet((2**32 - 1,))
+    assert top.to_words() == b"\xff\xff\xff\xff"
+    back = SentinelSet.from_words(top.to_words())
+    assert back == top and back.indices == (2**32 - 1,)
 
 
 def text_lanes(indices, x, count):

@@ -2,7 +2,7 @@
 
 import random
 import tracemalloc
-from itertools import islice
+from itertools import islice, product
 from math import lcm
 
 import pytest
@@ -544,6 +544,41 @@ def test_encrypted_envelopes_pass_the_record_check_and_other_keys_fail_it(
         for run in (decrypt, decrypt_tolerant):
             with pytest.raises(MalformedEnvelope, match=f"^level {last}: recorded x "):
                 run(envelope, KeySchedule.from_exponents(other))
+
+
+def test_level_1_carries_sentinels_only_where_the_chain_allows():
+    # Level 1 reads level 0's payload of a-bit residues, none all ones, so
+    # its b-bit groups can be all ones iff b != a and b <= 2a - 2.  The
+    # crafted input sets the b-bit window of level 0's payload that covers
+    # the fewest whole a-bit lanes to ones, then clears the lowest bit of
+    # each lane inside it; inverting the payload block by block gives the
+    # plaintext values.
+    n, rng = 8, random.Random(22)
+    carrying = 0
+    for a, b in product(SUPPORTED_EXPONENTS, repeat=2):
+        key, lanes = KeySchedule.from_exponents([a, b]), n * b
+        can = b != a and b <= 2 * a - 2
+        carrying += can
+
+        def whole(k):  # the a-bit lanes inside b-bit window k
+            return range(-(-k * b // a), (k + 1) * b // a)
+
+        k = min(range(n * a), key=lambda k: len(whole(k)))
+        assert (not whole(k)) == can
+        payload = ((1 << b) - 1) << (lanes * a - (k + 1) * b)
+        for j in whole(k):
+            payload ^= 1 << (lanes - 1 - j) * a
+        residues = [payload >> (lanes - 1 - j) * a & (1 << a) - 1 for j in range(lanes)]
+        assert max(residues) < (1 << a) - 1  # a payload level 0 can emit
+        values = per_block(apply_inverse, HadamardSpec(n, (1 << a) - 1), residues)
+        env = encrypt(ungroup(values, a), key, n)
+        assert env.levels[0].sentinels == SentinelSet(())
+        assert env.levels[1].sentinels == SentinelSet((k,) if can else ())
+        if not can:
+            for length in (1, a * b * n, rng.randrange(2, 3000)):
+                for bits in (random_bits(rng, length), BitSeq("1" * length)):
+                    assert len(encrypt(bits, key, n).levels[1].sentinels) == 0
+    assert carrying == 34
 
 
 def test_product_path_never_formats_bit_text(monkeypatch):

@@ -255,10 +255,19 @@ def test_to_bytes_rejects_unencodable_level_count():
         env.to_bytes()
 
 
+class PastFourBytes(SentinelSet):
+    """Stands in for flags over more than 2^32 lanes with a position HCT1
+    cannot carry, on which to_words raises OverflowError; a real one needs
+    over 1 GiB of plaintext."""
+
+    def to_words(self):
+        raise OverflowError("unsigned int is greater than maximum")
+
+
 @pytest.mark.parametrize(
     "bad",
     [
-        LevelRecord(3, 2**40, SentinelSet((2**32,))),
+        LevelRecord(3, 0, PastFourBytes(())),
         LevelRecord(3, 2**64, SentinelSet(())),
     ],
 )
