@@ -11,11 +11,11 @@ the cipher's packed level loop, the envelope and the byte packing never
 format it as text.  ``SentinelSet`` likewise holds one form: the lane
 flags the cipher finds, or the big-endian 4-byte words the envelope
 carries, never an int per position; it converts between them only when
-asked, one slice at a time (``lane_slices``), so no text grows with the
-lane count and an empty slice costs none.  The per-group helpers below
-(``pad_and_group``, ``ungroup``, ``truncate``, ...) work on the '0'/'1'
-text form one value at a time; the tests use them as the oracle for the
-packed path.
+asked, one slice at a time (``lane_slices``) and only over each slice's
+span of positions, so no text grows with the lane count and an empty
+slice costs none.  The per-group helpers below (``pad_and_group``,
+``ungroup``, ``truncate``, ...) work on the '0'/'1' text form one value at
+a time; the tests use them as the oracle for the packed path.
 """
 
 import sys
@@ -128,20 +128,26 @@ class SentinelSet:
     operations (``_ascending``).  ``to_words`` writes the words as they
     are, ``fits`` reads only the last one, and ``lanes`` bisects an
     ``array('I')`` view of them.  ``indices`` formats the int tuple on each
-    access; ``==`` and ``hash`` compare ``to_words()``, so both forms of one
-    set are equal.  Decrypt asks ``fits``, then ``lanes``; neither builds a
-    collection of ints.
+    access.  Two flag sets over the same lanes compare their flags; any
+    other pair compares ``to_words()``, so both forms of one set are equal,
+    and ``hash`` is always that of ``to_words()``.  Decrypt asks ``fits``,
+    then ``lanes``; neither builds a collection of ints.
 
     Parsed positions stay words because they grow with the sentinel count,
     which the envelope's bytes bound, while flags grow with the lane count:
     one 4-byte index can name lane 2^32 - 1.  Decrypt builds flags only
     once ``fits`` has held the positions below the level's lane count.
     Flags over more than 2^32 lanes can hold a position HCT1 cannot carry;
-    ``to_words``, ``indices``, ``==`` and ``hash`` raise OverflowError on it.
+    ``to_words``, ``indices``, ``hash`` and any ``==`` that compares words
+    raise OverflowError on it.
 
-    Both conversions walk ``lane_slices``, the cuts of the lane kernels:
-    flags are formatted only in the slices that are not all zero, and
-    ``lanes`` formats only the slices holding a position, found by ``bisect``.
+    Both conversions walk ``lane_slices``, the cuts of the lane kernels, and
+    in each slice handle only the span from its first position to its last:
+    flags are formatted from the highest flagged lane down to the lowest
+    (``f & -f``, ``bit_length``) and skipped where all zero, and ``lanes``
+    builds its text from the first to the last position that ``bisect``
+    finds in the slice, then shifts it into place.  So a sparse set costs
+    text only around its positions, and a dense one what a whole slice does.
     """
 
     __slots__ = ("_words", "_flags", "_x", "_count")
@@ -180,12 +186,15 @@ class SentinelSet:
             return out
         data = self._flags.to_bytes(-(-count * x // 8), "big")
         for first, lanes, cut in lane_slices(x, count):
-            piece = data[cut]
-            if piece.count(0) == len(piece):
+            flags = int.from_bytes(data[cut], "big")
+            if not flags:
                 continue
-            marks = format(int.from_bytes(piece, "big"), f"0{lanes * x}b")[x - 1::x]
+            # Only the lanes from the highest flagged one down to the lowest:
+            # the text then starts and ends on a mark, one every x characters.
+            marks = format(flags >> (flags & -flags).bit_length() - 1, "b")[::x]
+            top = first + lanes - 1 - (flags.bit_length() - 1) // x  # the first mark's position
             runs = marks.replace("1", "1,").split(",")  # every run but the last ends on a mark
-            out.extend(islice(accumulate(map(len, runs), initial=first - 1), 1, len(runs)))
+            out.extend(islice(accumulate(map(len, runs), initial=top - 1), 1, len(runs)))
         return out
 
     @property
@@ -218,12 +227,18 @@ class SentinelSet:
             high = bisect_left(indices, first + lanes, low)
             if low == high:
                 continue
-            lane_marks = bytearray(b"0") * lanes
+            # Text only from the slice's first position to its last, a mark
+            # every x characters; the shift puts the last mark at its lane's
+            # lowest bit.  No name holds the int: it would stay alive beside
+            # the next slice's.
+            start, end = indices[low], indices[high - 1]
+            lane_marks = bytearray(b"0") * (end - start + 1)
             for i in indices[low:high]:
-                lane_marks[i - first] = 49  # ord("1")
-            marks = bytearray(b"0") * (lanes * x)
-            marks[x - 1::x] = lane_marks  # the lowest bit of each lane
-            flags[cut] = int(marks, 2).to_bytes(cut.stop - cut.start, "big")
+                lane_marks[i - start] = 49  # ord("1")
+            marks = bytearray(b"0") * ((end - start) * x + 1)
+            marks[::x] = lane_marks
+            shift = (first + lanes - 1 - end) * x
+            flags[cut] = (int(marks, 2) << shift).to_bytes(cut.stop - cut.start, "big")
             low = high
         return int.from_bytes(flags, "big")
 
@@ -236,6 +251,9 @@ class SentinelSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SentinelSet):
             return NotImplemented
+        if self._words is None and other._words is None:
+            if (self._x, self._count) == (other._x, other._count):  # no words to format
+                return self._flags == other._flags
         return self.to_words() == other.to_words()
 
     def __hash__(self) -> int:

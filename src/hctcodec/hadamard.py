@@ -9,7 +9,11 @@ serves as the independent oracle for the butterfly kernel.
 
 The cipher itself runs ``apply_lanes``, which transforms every block of a
 whole message with a few operations on one Python int; the per-block kernels
-above it are kept as the reference that tests compare it with.
+above it are kept as the reference that tests compare it with.  Its lanes
+sit in 2x-bit slots and are reduced lazily: a stage lets each slot grow
+past p, and the Mersenne fold runs only where the next stage could fill
+the slot, and twice at the end (D. Harvey, "Faster arithmetic for
+number-theoretic transforms", J. Symbolic Computation 60, 2014).
 """
 
 from dataclasses import dataclass
@@ -158,19 +162,35 @@ def _sliced(v: int, x: int, n: int, count: int, inverse: bool) -> tuple[int, int
 
 
 # One entry covers a level of at most SLICE_BITS bits or one slice of a
-# larger level, and holds at most 17 times its bits (n = 128), so the cache
-# retains at most 128 * 17 * 2^15 bits (8.5 MiB), whatever the input sizes.
-@lru_cache(maxsize=128)
-def _lane_masks(x: int, n: int, count: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
-    """Masks of ``apply_lanes``: even-lane slots, all slots, slot units, (lo mask, shift) stages."""
+# larger level.  At n = 128 it holds 29 times its bits: two masks of twice
+# its bits for each of six stages, and low, pm and ones.  So 64 entries
+# retain at most 64 * 29 * 2^15 bits (7.25 MiB), whatever the input sizes.
+@lru_cache(maxsize=64)
+def _lane_masks(
+    x: int, n: int, count: int
+) -> tuple[int, int, int, tuple[tuple[int, int, int, bool], ...]]:
+    """Masks of ``apply_lanes``: even-lane slots, all slots, slot units, and the stage plans.
+
+    A plan is (selection, addend, shift, fold first).  The selection covers
+    whole 2x-bit lower slots, and the addend holds k * p in each, with
+    k = ceil(bound / p) for the stage's input bound.  Stage 0 meets lanes of
+    at most p, so ``low`` serves as both.  A fold (to at most 2p) runs first
+    only where bound + k * p would reach 2^(2x), the slot's width.
+    """
     p = (1 << x) - 1
-    slot, half = 2 * x, count * x
+    slot, half, top = 2 * x, count * x, 1 << 2 * x
     unit = _repeat(1, slot, count // 2)
     low = unit * p
-    stages = [(low, half)]  # odd lane 2k+1 against even lane 2k
-    g = 1
+    stages = [(low, low, half, False)]  # odd lane 2k+1 against even lane 2k
+    bound, g = 2 * p, 1
     while g < n // 2:  # slot k against slot k - g inside each half
-        stages.append((_repeat(_repeat(p, slot, g), 2 * g * slot, count // (2 * g)), g * slot))
+        add = -(-bound // p) * p
+        fold = bound + add >= top
+        if fold:
+            bound, add = 2 * p, 2 * p
+        lower = _repeat(_repeat(1, slot, g), 2 * g * slot, count // (2 * g))
+        stages.append((lower * (top - 1), lower * add, g * slot, fold))
+        bound += add
         g *= 2
     return low, low | low << half, unit | unit << half, tuple(stages)
 
@@ -181,12 +201,17 @@ def apply_lanes(v: int, x: int, n: int, count: int, inverse: bool) -> tuple[int,
     Equal, block by block, to ``apply_fast`` (or ``apply_inverse``) with
     p = 2^x - 1; lanes may hold p, and the result is canonical.  Even and odd
     lanes go into the low and high halves of one int, each lane in a 2x-bit
-    slot, so a butterfly has x bits of headroom and reduces with the Mersenne
-    end-around carry.  Lanes run backwards inside a block, so the sum lands
-    in the slot with the higher index; the difference adds the stage's
-    lower-slot mask, p per slot, before subtracting.  The inverse scale
-    (n mod p)^-1 is 2^(-log2 n mod x): a rotation of each lane.  The masks
-    depend only on (x, n, count) and are cached.  Above SLICE_BITS bits each
+    slot.  Lanes run backwards inside a block, so the sum lands in the slot
+    with the higher index; the difference adds k * p to the lower slot before
+    subtracting, with k * p at least the slot's bound, so it never borrows.
+    Each stage thus leaves a slot at most bound + k * p, and the Mersenne
+    end-around carry (low x bits plus the rest, at most 2p from below
+    2^(2x)) runs before a stage only where that would reach 2^(2x): for
+    x >= 7 never inside n = 128's seven stages, for x = 2 before every stage
+    from the third.  Two carries after the last stage leave each lane at
+    most p.  The inverse scale (n mod p)^-1 is 2^(-log2 n mod x): a rotation
+    of each lane.  The masks and the fold plan depend only on (x, n, count)
+    and are cached (``_lane_masks``).  Above SLICE_BITS bits each
     slice of ``lane_slices`` (whole 128-lane blocks) runs on its own, as
     blocks never mix, so temporaries and masks stay the size of one slice.
     Returns the result and flags (``SentinelSet.from_lanes``): the lanes of
@@ -198,11 +223,14 @@ def apply_lanes(v: int, x: int, n: int, count: int, inverse: bool) -> tuple[int,
     low, pm, ones, stages = _lane_masks(x, n, count)
     w = v & low | (v >> x & low) << half
     full = 0 if inverse else (w + ones) >> x & ones
-    for lo_mask, shift in stages:
-        lo = w & lo_mask
+    for sel, add, shift, fold in stages:
+        if fold:
+            w = (w & pm) + (w >> x & pm)
+        lo = w & sel
         hi = w ^ lo
-        w = hi + (lo << shift) + (hi >> shift) + lo_mask - lo
-        w = (w & pm) + (w >> x & pm)
+        w = hi + (lo << shift) + (hi >> shift) + add - lo
+    w = (w & pm) + (w >> x & pm)  # each slot below 2^(2x): now at most 2p
+    w = (w & pm) + (w >> x & pm)  # now at most p
     if inverse:
         r = -(n.bit_length() - 1) % x
         w = (w << r & pm) | (w >> (x - r) & pm)

@@ -273,6 +273,9 @@ def test_sparse_and_dense_conversions_match_the_text_path():
     # Levels of 1, 2 and 3 slices, each one lane short or over, and counts
     # whose bits end mid-byte.  Sentinels: none, the lanes on both sides of
     # every slice cut, in one slice only, a few, and about one lane in eight.
+    # Both conversions handle only the span from a slice's first flagged lane
+    # to its last, so also: one lane in the middle of every slice, and only
+    # the first and last lanes of the middle slice.
     rng = random.Random(64)
     for x in SUPPORTED_EXPONENTS:
         _, (_, step, _) = islice(lane_slices(x, 128 * SLICE_BITS), 2)  # a whole slice
@@ -280,19 +283,43 @@ def test_sparse_and_dense_conversions_match_the_text_path():
             slices = [range(first, first + lanes) for first, lanes, _ in lane_slices(x, count)]
             cuts = [piece.start for piece in slices[1:]]
             edges = {0, count - 1, *cuts, *(cut - 1 for cut in cuts)}
-            last = slices[-1]
+            last, middle = slices[-1], slices[len(slices) // 2]
             for indices in (
                 (),
                 tuple(sorted(edges)),
                 tuple(sorted(rng.sample(last, min(5, len(last))))),
                 tuple(sorted(rng.sample(range(count), min(3, count)))),
                 tuple(sorted(edges.union(rng.sample(range(count), count // 8)))),
+                tuple(piece[len(piece) // 2] for piece in slices),
+                tuple(sorted({middle[0], middle[-1]})),
             ):
                 flags = text_lanes(indices, x, count)
                 assert SentinelSet(indices).lanes(x, count) == flags, (x, count, len(indices))
                 assert SentinelSet.from_lanes(flags, x, count).indices == indices, (
                     x, count, len(indices),
                 )
+
+
+def test_flag_sets_compare_by_their_flags():
+    # Two flag sets over the same lanes compare their flags; against the
+    # words parsed from the same positions, a flag set is equal and hashes
+    # the same.  One lane more or less makes a different set.
+    rng = random.Random(23)
+    for x in (2, 13, 31):
+        _, (_, step, _) = islice(lane_slices(x, 128 * SLICE_BITS), 2)
+        count = 2 * step + 5
+        indices = tuple(sorted(rng.sample(range(count), 40)))
+        flags = text_lanes(indices, x, count)
+        lanes = SentinelSet.from_lanes(flags, x, count)
+        words = SentinelSet.from_words(lanes.to_words())
+        assert words.indices == indices
+        assert lanes == words and words == lanes and hash(lanes) == hash(words)
+        assert lanes == SentinelSet.from_lanes(flags, x, count)
+        spare = next(i for i in range(count) if i not in indices)
+        for lane in (spare, indices[7]):  # one flag more, one flag fewer
+            changed = SentinelSet.from_lanes(flags ^ 1 << (count - 1 - lane) * x, x, count)
+            assert changed != lanes and lanes != changed
+            assert changed != words and SentinelSet.from_words(changed.to_words()) == changed
 
 
 def test_restore_worked_example():

@@ -205,16 +205,22 @@ def pack(values, x):
 
 
 def test_lane_engine_matches_block_kernels():
-    # Every (x, n) pair, 1-4 blocks, lanes drawn from 0, p and random values.
-    # The forward pass flags the lanes of its input that hold p; the inverse none.
+    # Every (x, n) pair: 1-4 blocks of lanes drawn from 0, 1, p - 1, p and
+    # random values, then one block of all p and two alternating 0 and p,
+    # whose sums and differences reach the kernel's bounds.  The forward pass
+    # flags the lanes of its input that hold p; the inverse none.
     rng = random.Random(20261018)
     for x in SUPPORTED_EXPONENTS:
         p = (1 << x) - 1
         for n in SUPPORTED_ORDERS:
             spec = HadamardSpec(n, p)
-            for blocks in (1, 2, 3, 4):
-                count = blocks * n
-                values = [rng.choice((0, p, rng.randrange(p + 1))) for _ in range(count)]
+            cases = [
+                [rng.choice((0, 1, p - 1, p, rng.randrange(p + 1))) for _ in range(blocks * n)]
+                for blocks in (1, 2, 3, 4)
+            ]
+            cases += [[p] * n, [0, p] * n]
+            for values in cases:
+                blocks, count = len(values) // n, len(values)
                 v = pack(values, x)
                 full = pack([int(a == p) for a in values], x)
                 for inverse, kernel, flags in ((False, apply_fast, full),
@@ -272,6 +278,46 @@ def _slice_counts(x, count):
     return {lanes for _, lanes, _ in lane_slices(x, count)}
 
 
+def lazy_plan(x, n):
+    """(k * p, fold first) of each butterfly stage, rebuilt from the bound recursion.
+
+    Lanes of at most p enter; a stage adds k * p with k = ceil(bound / p),
+    and a fold, run first only where the stage would reach 2^(2x), leaves
+    at most 2p.
+    """
+    p, width = (1 << x) - 1, 1 << 2 * x
+    plan, bound = [], p
+    for _ in range(n.bit_length() - 1):
+        kp = -(-bound // p) * p
+        fold = bound + kp >= width
+        if fold:
+            bound, kp = 2 * p, 2 * p
+        plan.append((kp, fold))
+        bound += kp
+    return plan
+
+
+def test_lazy_plan_keeps_every_slot_below_its_width():
+    # The kernel's plan is the recursion's, and along it no difference goes
+    # negative (each k * p covers the bound) and no slot carries into the
+    # next (every bound stays below 2^(2x)).  The two folds after the last
+    # stage then leave at most 2p, and at most p.
+    for x in SUPPORTED_EXPONENTS:
+        p, width = (1 << x) - 1, 1 << 2 * x
+        for n in SUPPORTED_ORDERS:
+            _, _, _, stages = hadamard._lane_masks(x, n, n)
+            plan = lazy_plan(x, n)
+            assert [(add & width - 1, fold) for _, add, _, fold in stages] == plan, (x, n)
+            assert not plan[0][1]  # stage 0 meets lanes of at most p
+            bound = p
+            for s, (kp, fold) in enumerate(plan):
+                if fold:
+                    bound = 2 * p
+                assert kp % p == 0 and kp >= bound, (x, n, s)
+                bound += kp
+                assert bound < width, (x, n, s)
+
+
 def test_memoized_masks_match_rebuilt_ones_and_stay_bounded():
     # Lane counts 0..4096 in steps of n, and counts around one and two slices,
     # which cross SLICE_BITS.  Every cached entry is one level or slice of at
@@ -282,7 +328,7 @@ def test_memoized_masks_match_rebuilt_ones_and_stay_bounded():
     for x in SUPPORTED_EXPONENTS:
         p, slot = (1 << x) - 1, 2 * x
         for n in SUPPORTED_ORDERS:
-            step = full_slice_lanes(x)
+            step, plan = full_slice_lanes(x), lazy_plan(x, n)
             for count in (*range(0, 4097, n), step - n, step, step + n, 2 * step + n):
                 v = rng.getrandbits(count * x)
                 cache.cache_clear()
@@ -299,14 +345,23 @@ def test_memoized_masks_match_rebuilt_ones_and_stay_bounded():
                     assert low == repeat(p, slot, c // 2)
                     assert pm == repeat(p, slot, c)
                     assert ones == repeat(1, slot, c)
-                    assert stages[0][0] is low and stages[0][1] == c * x
-                    assert stages[1:] == tuple(
-                        (repeat(repeat(p, slot, g), 2 * g * slot, c // (2 * g)), g * slot)
-                        for g in (1 << i for i in range(n.bit_length() - 2))
-                    )
-                    masks = {id(m): m for m in (low, pm, ones, *(mask for mask, _ in stages))}
+                    # Stage 0 reuses low; stage g's masks cover g whole lower
+                    # slots of every 2g, and the addend holds k * p in each.
+                    assert stages[0][0] is low and stages[0][1] is low
+                    assert stages == ((low, low, c * x, False), *(
+                        (
+                            repeat(repeat((1 << slot) - 1, slot, g), 2 * g * slot, c // (2 * g)),
+                            repeat(repeat(kp, slot, g), 2 * g * slot, c // (2 * g)),
+                            g * slot,
+                            fold,
+                        )
+                        for g, (kp, fold) in zip((1 << i for i in range(7)), plan[1:])
+                    )), (x, n, c)
+                    held_masks = (low, pm, ones, *(m for stage in stages for m in stage[:2]))
+                    masks = {id(m): m for m in held_masks}
                     largest = max(largest, sum(m.bit_length() for m in masks.values()))
-    # Whatever the input sizes, the cache retains at most 128 * 17 * 2^15 bits (8.5 MiB).
-    assert cache.cache_info().maxsize == 128
-    assert largest <= 17 * SLICE_BITS
+    # Whatever the input sizes, the cache retains at most 64 * 29 * 2^15 bits
+    # (7.25 MiB), within the 17 * 2^22 bits (8.5 MiB) it held before.
+    assert cache.cache_info().maxsize == 64
+    assert largest <= 29 * SLICE_BITS
     assert cache.cache_info().maxsize * largest <= 17 * 2**22
