@@ -112,8 +112,9 @@ class CipherEnvelope:
         for index, rec in enumerate(self.levels):
             _check_level(index, rec, self.block_order)
             try:
-                parts.append(_LEVEL.pack(rec.x, rec.orig_bit_len, len(rec.sentinels)))
-                parts.append(rec.sentinels.to_words())
+                words = rec.sentinels.to_words()
+                parts.append(_LEVEL.pack(rec.x, rec.orig_bit_len, len(words) // 4))
+                parts.append(words)
             except (struct.error, OverflowError) as exc:
                 raise MalformedEnvelope(f"level {index}: does not fit the format: {exc}") from None
         _check_level(index, rec, self.block_order, len(self.payload))

@@ -10,10 +10,13 @@ serves as the independent oracle for the butterfly kernel.
 The cipher itself runs ``apply_lanes``, which transforms every block of a
 whole message with a few operations on one Python int; the per-block kernels
 above it are kept as the reference that tests compare it with.  Its lanes
-sit in 2x-bit slots and are reduced lazily: a stage lets each slot grow
-past p, and the Mersenne fold runs only where the next stage could fill
-the slot, and twice at the end (D. Harvey, "Faster arithmetic for
-number-theoretic transforms", J. Symbolic Computation 60, 2014).
+sit in 2x-bit slots, and splitting the even lanes from the odd ones runs
+the first butterfly stage.  Slots are reduced lazily: a stage lets each
+slot grow past p, and the Mersenne fold runs only where the next stage
+could fill the slot (D. Harvey, "Faster arithmetic for number-theoretic
+transforms", J. Symbolic Computation 60, 2014).  One fold after the last
+stage leaves each slot below 2p, the inverse scale is a shift and one
+more fold, and one add then makes every lane canonical.
 """
 
 from dataclasses import dataclass
@@ -162,26 +165,29 @@ def _sliced(v: int, x: int, n: int, count: int, inverse: bool) -> tuple[int, int
 
 
 # One entry covers a level of at most SLICE_BITS bits or one slice of a
-# larger level.  At n = 128 it holds 29 times its bits: two masks of twice
-# its bits for each of six stages, and low, pm and ones.  So 64 entries
-# retain at most 64 * 29 * 2^15 bits (7.25 MiB), whatever the input sizes.
+# larger level.  At n = 128 it holds 30 times its bits: two masks of twice
+# its bits for each of the six stages after the first, pm and ones, and
+# the half-width unit and low.  So 64 entries retain at most
+# 64 * 30 * 2^15 bits (7.5 MiB), whatever the input sizes.
 @lru_cache(maxsize=64)
 def _lane_masks(
     x: int, n: int, count: int
-) -> tuple[int, int, int, tuple[tuple[int, int, int, bool], ...]]:
-    """Masks of ``apply_lanes``: even-lane slots, all slots, slot units, and the stage plans.
+) -> tuple[int, int, int, int, tuple[tuple[int, int, int, bool], ...]]:
+    """Masks of ``apply_lanes``: even-slot units and p, every slot's p and 1, and stage plans.
 
-    A plan is (selection, addend, shift, fold first).  The selection covers
-    whole 2x-bit lower slots, and the addend holds k * p in each, with
-    k = ceil(bound / p) for the stage's input bound.  Stage 0 meets lanes of
-    at most p, so ``low`` serves as both.  A fold (to at most 2p) runs first
-    only where bound + k * p would reach 2^(2x), the slot's width.
+    ``unit`` and ``low`` hold 1 and p in each 2x-bit slot of the low half,
+    ``pm`` and ``ones`` p and 1 in every slot.  Stage 0 runs on the entry's
+    even and odd halves and leaves at most 2p; a plan covers each later
+    stage as (selection, addend, shift, fold first).  The selection covers
+    whole lower slots, and the addend holds k * p in each, with
+    k = ceil(bound / p) for the stage's input bound.  A fold (to at most 2p)
+    runs first only where bound + k * p would reach 2^(2x), the slot's width.
     """
     p = (1 << x) - 1
     slot, half, top = 2 * x, count * x, 1 << 2 * x
     unit = _repeat(1, slot, count // 2)
     low = unit * p
-    stages = [(low, low, half, False)]  # odd lane 2k+1 against even lane 2k
+    stages = []
     bound, g = 2 * p, 1
     while g < n // 2:  # slot k against slot k - g inside each half
         add = -(-bound // p) * p
@@ -192,47 +198,59 @@ def _lane_masks(
         stages.append((lower * (top - 1), lower * add, g * slot, fold))
         bound += add
         g *= 2
-    return low, low | low << half, unit | unit << half, tuple(stages)
+    return unit, low, low | low << half, unit | unit << half, tuple(stages)
 
 
 def apply_lanes(v: int, x: int, n: int, count: int, inverse: bool) -> tuple[int, int]:
     """Transform all blocks of ``count`` x-bit lanes packed MSB-first in ``v``.
 
     Equal, block by block, to ``apply_fast`` (or ``apply_inverse``) with
-    p = 2^x - 1; lanes may hold p, and the result is canonical.  Even and odd
-    lanes go into the low and high halves of one int, each lane in a 2x-bit
-    slot.  Lanes run backwards inside a block, so the sum lands in the slot
-    with the higher index; the difference adds k * p to the lower slot before
-    subtracting, with k * p at least the slot's bound, so it never borrows.
-    Each stage thus leaves a slot at most bound + k * p, and the Mersenne
-    end-around carry (low x bits plus the rest, at most 2p from below
-    2^(2x)) runs before a stage only where that would reach 2^(2x): for
-    x >= 7 never inside n = 128's seven stages, for x = 2 before every stage
-    from the third.  Two carries after the last stage leave each lane at
-    most p.  The inverse scale (n mod p)^-1 is 2^(-log2 n mod x): a rotation
-    of each lane.  The masks and the fold plan depend only on (x, n, count)
-    and are cached (``_lane_masks``).  Above SLICE_BITS bits each
-    slice of ``lane_slices`` (whole 128-lane blocks) runs on its own, as
-    blocks never mix, so temporaries and masks stay the size of one slice.
+    p = 2^x - 1; lanes may hold p, and the result is canonical.  The even
+    lanes e and odd lanes o are taken apart in 2x-bit slots, and stage 0
+    (odd lane 2k+1 against even lane 2k) joins them: e + o in the high half
+    and o + p - e in the low, each at most 2p.  Lanes run backwards inside a
+    block, so a sum lands in the slot with the higher index; each later
+    difference adds k * p to the lower slot before subtracting, with k * p
+    at least the slot's bound, so it never borrows.  A stage thus leaves a
+    slot at most bound + k * p, and the Mersenne end-around carry (low x
+    bits plus the rest, at most 2p from below 2^(2x)) runs before a stage
+    only where that would reach 2^(2x): for x >= 7 never inside n = 128's
+    seven stages, for x = 2 before every stage from the third.
+
+    Every bound is 2^j * p, and 2^(2x) - 1 = p * (p + 2) with p + 2 odd,
+    so the last bound is at most 2^(2x) - 2 and one carry after the last
+    stage leaves each slot at most 2p - 1.  The inverse scale (n mod p)^-1
+    is 2^r with r = -log2 n mod x: a shift by r keeps a slot below
+    2^(2x) - 1, as its low r bits are 0, and one more carry brings it back
+    to 2p - 1.  Then one add makes the lanes canonical: t + 1 reaches bit x
+    iff t >= p, and (t + that bit) & p is t mod p for t in 0..2p - 1.
+    The masks and the fold plan depend only on (x, n, count) and are
+    cached (``_lane_masks``).  Above SLICE_BITS bits each slice of
+    ``lane_slices`` (whole 128-lane blocks) runs on its own, as blocks
+    never mix, so temporaries and masks stay the size of one slice.
     Returns the result and flags (``SentinelSet.from_lanes``): the lanes of
-    ``v`` holding p, found by the add that canonicalizes, or 0 for the inverse.
+    ``v`` holding p, found from e + 1 and o + 1 on the half-width lanes,
+    or 0 for the inverse.
     """
     half = count * x
     if half > SLICE_BITS:
         return _sliced(v, x, n, count, inverse)
-    low, pm, ones, stages = _lane_masks(x, n, count)
-    w = v & low | (v >> x & low) << half
-    full = 0 if inverse else (w + ones) >> x & ones
+    unit, low, pm, ones, stages = _lane_masks(x, n, count)
+    e = v & low
+    o = v >> x & low
+    full = 0 if inverse else (e + unit >> x & unit) | (o + unit >> x & unit) << x
+    w = (e + o << half) + (o + low - e)
     for sel, add, shift, fold in stages:
         if fold:
             w = (w & pm) + (w >> x & pm)
         lo = w & sel
         hi = w ^ lo
         w = hi + (lo << shift) + (hi >> shift) + add - lo
-    w = (w & pm) + (w >> x & pm)  # each slot below 2^(2x): now at most 2p
-    w = (w & pm) + (w >> x & pm)  # now at most p
+    w = (w & pm) + (w >> x & pm)  # each slot at most 2p - 1
     if inverse:
         r = -(n.bit_length() - 1) % x
-        w = (w << r & pm) | (w >> (x - r) & pm)
-    w ^= ((w + ones) >> x & ones) * ((1 << x) - 1)
-    return w & low | (w >> half) << x, full & low | (full >> half) << x
+        if r:
+            w <<= r
+            w = (w & pm) + (w >> x & pm)
+    w += w + ones >> x & ones
+    return w & low | (w >> half & low) << x, full

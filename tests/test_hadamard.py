@@ -298,17 +298,20 @@ def lazy_plan(x, n):
 
 
 def test_lazy_plan_keeps_every_slot_below_its_width():
-    # The kernel's plan is the recursion's, and along it no difference goes
-    # negative (each k * p covers the bound) and no slot carries into the
-    # next (every bound stays below 2^(2x)).  The two folds after the last
-    # stage then leave at most 2p, and at most p.
+    # The kernel's plan is the recursion's after stage 0, which the entry
+    # runs as o + p - e, and along it no difference goes negative (each
+    # k * p covers the bound) and no slot carries into the next (every
+    # bound stays below 2^(2x)).  The last bound stays below 2^(2x) - 1, so
+    # the one fold after the last stage leaves at most 2p - 1; the
+    # inverse's shift of that by r stays below 2^(2x) - 1 too, so its
+    # second fold also leaves at most 2p - 1.
     for x in SUPPORTED_EXPONENTS:
         p, width = (1 << x) - 1, 1 << 2 * x
         for n in SUPPORTED_ORDERS:
-            _, _, _, stages = hadamard._lane_masks(x, n, n)
+            _, _, _, _, stages = hadamard._lane_masks(x, n, n)
             plan = lazy_plan(x, n)
-            assert [(add & width - 1, fold) for _, add, _, fold in stages] == plan, (x, n)
-            assert not plan[0][1]  # stage 0 meets lanes of at most p
+            assert plan[0] == (p, False)  # stage 0 meets lanes of at most p
+            assert [(add & width - 1, fold) for _, add, _, fold in stages] == plan[1:], (x, n)
             bound = p
             for s, (kp, fold) in enumerate(plan):
                 if fold:
@@ -316,6 +319,19 @@ def test_lazy_plan_keeps_every_slot_below_its_width():
                 assert kp % p == 0 and kp >= bound, (x, n, s)
                 bound += kp
                 assert bound < width, (x, n, s)
+            assert bound <= width - 2, (x, n)
+            r = -(n.bit_length() - 1) % x
+            assert (2 * p - 1) << r < width - 1, (x, n)
+
+
+def test_one_add_makes_a_folded_lane_canonical():
+    # After the last fold a lane t lies in 0..2p - 1; t + 1 reaches bit x
+    # iff t >= p, and adding that bit then keeping the low x bits is t mod p.
+    for x in SUPPORTED_EXPONENTS:
+        p = (1 << x) - 1
+        ts = range(2 * p) if x <= 13 else (0, p - 1, p, p + 1, 2 * p - 2, 2 * p - 1)
+        for t in ts:
+            assert (t + ((t + 1) >> x & 1)) & p == t % p, (x, t)
 
 
 def test_memoized_masks_match_rebuilt_ones_and_stay_bounded():
@@ -341,14 +357,15 @@ def test_memoized_masks_match_rebuilt_ones_and_stay_bounded():
                 hits = cache.cache_info().hits
                 entries = {key: cache(*key) for key in held}
                 assert cache.cache_info().hits == hits + len(held)
-                for (_, _, c), (low, pm, ones, stages) in entries.items():
+                for (_, _, c), (unit, low, pm, ones, stages) in entries.items():
+                    assert unit == repeat(1, slot, c // 2)
                     assert low == repeat(p, slot, c // 2)
                     assert pm == repeat(p, slot, c)
                     assert ones == repeat(1, slot, c)
-                    # Stage 0 reuses low; stage g's masks cover g whole lower
-                    # slots of every 2g, and the addend holds k * p in each.
-                    assert stages[0][0] is low and stages[0][1] is low
-                    assert stages == ((low, low, c * x, False), *(
+                    # Stage 0 runs at the entry and has no plan; stage g's
+                    # masks cover g whole lower slots of every 2g, and the
+                    # addend holds k * p in each.
+                    assert stages == tuple(
                         (
                             repeat(repeat((1 << slot) - 1, slot, g), 2 * g * slot, c // (2 * g)),
                             repeat(repeat(kp, slot, g), 2 * g * slot, c // (2 * g)),
@@ -356,12 +373,12 @@ def test_memoized_masks_match_rebuilt_ones_and_stay_bounded():
                             fold,
                         )
                         for g, (kp, fold) in zip((1 << i for i in range(7)), plan[1:])
-                    )), (x, n, c)
-                    held_masks = (low, pm, ones, *(m for stage in stages for m in stage[:2]))
+                    ), (x, n, c)
+                    held_masks = (unit, low, pm, ones, *(m for stage in stages for m in stage[:2]))
                     masks = {id(m): m for m in held_masks}
                     largest = max(largest, sum(m.bit_length() for m in masks.values()))
-    # Whatever the input sizes, the cache retains at most 64 * 29 * 2^15 bits
-    # (7.25 MiB), within the 17 * 2^22 bits (8.5 MiB) it held before.
+    # Whatever the input sizes, the cache retains at most 64 * 30 * 2^15 bits
+    # (7.5 MiB), within the 17 * 2^22 bits (8.5 MiB) it held before.
     assert cache.cache_info().maxsize == 64
-    assert largest <= 29 * SLICE_BITS
+    assert largest <= 30 * SLICE_BITS
     assert cache.cache_info().maxsize * largest <= 17 * 2**22
