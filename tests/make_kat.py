@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from hctcodec import BitSeq, KeySchedule  # noqa: E402
+from hctcodec.bitcodec import SLICE_BITS  # noqa: E402
 from hctcodec.hadamard import SUPPORTED_ORDERS  # noqa: E402
 from hctcodec.modmath import SUPPORTED_EXPONENTS  # noqa: E402
 from oracle import encrypt  # noqa: E402
@@ -28,6 +29,10 @@ KEYS = [((x,), n) for x in SUPPORTED_EXPONENTS for n in SUPPORTED_ORDERS] + [
     ((3, 5, 31), 8), ((2, 7), 16),
     ((3, 5), 8), ((5, 3), 16), ((3, 3), 32), ((7, 2), 64), ((17, 13), 8),
 ]
+# Messages of 2 * SLICE_BITS + 1 bits, whose level 0 runs as three slices of
+# the lane engine, so blocks sit on both sides of each slice cut.  Listed
+# after KEYS, with seeds after theirs, so earlier lines never move.
+LONG_KEYS = [((3, 5, 31), 8), ((13,), 128), ((2, 7), 16), ((7, 5), 128), ((2, 31), 128)]
 HEX_LIMIT = 64  # longer envelopes are stored as their SHA-256
 
 
@@ -41,6 +46,16 @@ def envelope_bytes(records, payload: BitSeq, n: int) -> bytes:
     return b"".join(parts)
 
 
+def vector(exponents, n: int, length: int, content: str, value: int) -> str:
+    """One line of the file: the case and its envelope from the oracle."""
+    key = KeySchedule.from_exponents(exponents)
+    records, payload = encrypt(BitSeq.from_int(value, length), key, n)
+    blob = envelope_bytes(records, payload, n)
+    answer = (f"hex:{blob.hex()}" if len(blob) <= HEX_LIMIT
+              else f"sha256:{hashlib.sha256(blob).hexdigest()}")
+    return f"{','.join(map(str, exponents))} {n} {length} {content} {answer}"
+
+
 def main() -> None:
     lines = [
         "# HCT1 known-answer vectors, written by tests/make_kat.py from the per-block",
@@ -52,19 +67,18 @@ def main() -> None:
     ]
     seed = 0
     for exponents, n in KEYS:
-        key = KeySchedule.from_exponents(exponents)
-        x, size = exponents[0], key.superblock_bits(n)
+        x, size = exponents[0], KeySchedule.from_exponents(exponents).superblock_bits(n)
         cases = []
         for length in sorted({0, 1, x * n - 1, x * n + 1, size + 1}):
             seed += 1
             cases.append((length, str(seed), random.Random(seed).getrandbits(length)))
         cases.append((size + 1, "ones", (1 << size + 1) - 1))
-        for length, content, value in cases:
-            records, payload = encrypt(BitSeq.from_int(value, length), key, n)
-            blob = envelope_bytes(records, payload, n)
-            answer = (f"hex:{blob.hex()}" if len(blob) <= HEX_LIMIT
-                      else f"sha256:{hashlib.sha256(blob).hexdigest()}")
-            lines.append(f"{','.join(map(str, exponents))} {n} {length} {content} {answer}")
+        lines += [vector(exponents, n, *case) for case in cases]
+    length = 2 * SLICE_BITS + 1
+    for exponents, n in LONG_KEYS:
+        seed += 1
+        value = random.Random(seed).getrandbits(length)
+        lines.append(vector(exponents, n, length, str(seed), value))
     (ROOT / "tests" / "data" / "kat_v1.txt").write_text("\n".join(lines) + "\n")
 
 

@@ -324,6 +324,29 @@ def test_lazy_plan_keeps_every_slot_below_its_width():
             assert (2 * p - 1) << r < width - 1, (x, n)
 
 
+def test_bitwise_joins_are_exact():
+    # apply_lanes joins with | and ^ where + and - could carry or borrow.
+    # Entry: e lies in each slot's p, so p - e is p ^ e, and the low half's
+    # o + (p ^ e) stays below 2^(2x), so it never reaches the high half.
+    # Stage: hi has cleared the selected lower slots and add sits only in
+    # them, so hi + add is hi | add; lo << shift fills only unselected
+    # slots and hi >> shift only selected ones, so their sum is an |.
+    for x in SUPPORTED_EXPONENTS:
+        p, width = (1 << x) - 1, 1 << 2 * x
+        for e in (0, 1, p - 1, p):
+            assert p - e == p ^ e, (x, e)
+        for e in (0, p):
+            for o in (0, p):
+                assert o + (p ^ e) <= 2 * p < width, (x, e, o)
+        for n in SUPPORTED_ORDERS:
+            everything = (1 << 2 * n * x) - 1
+            _, _, _, _, stages = hadamard._lane_masks(x, n, n)
+            for s, (sel, add, shift, _) in enumerate(stages, 1):
+                assert add & ~sel == 0, (x, n, s)
+                assert sel << shift & (everything ^ sel) >> shift == 0, (x, n, s)
+                assert sel << shift | (everything ^ sel) >> shift == everything, (x, n, s)
+
+
 def test_one_add_makes_a_folded_lane_canonical():
     # After the last fold a lane t lies in 0..2p - 1; t + 1 reaches bit x
     # iff t >= p, and adding that bit then keeping the low x bits is t mod p.
