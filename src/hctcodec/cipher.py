@@ -26,6 +26,12 @@ the avalanche experiment and an in-memory round trip never form an index.
 The per-group ``bitcodec`` helpers and the per-block ``hadamard`` kernels
 describe the same steps one value at a time; tests use them as the oracle.
 
+Every level maps each S-bit superblock onto itself and pads only the
+ragged tail, so a key of two or more levels runs a message longer than
+SLICE_BITS bits and S chunk by chunk: its whole superblocks are cut into
+bytes once, each chunk passes every level as one int, and only the tail
+runs the level loop.  One level, or one slice, is cut once either way.
+
 The envelope is the self-contained ciphertext container: without the
 per-level bit lengths and sentinel sets the payload alone is not
 invertible.  Carrying them in-band means a ciphertext file can always be
@@ -39,9 +45,9 @@ reads alike on every path, its message starting ``level k:``.
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .bitcodec import BitSeq, SentinelSet, padded_group_count
+from .bitcodec import SLICE_BITS, BitSeq, SentinelSet, padded_group_count
 from .errors import (
     InvalidKeyElement,
     MalformedEnvelope,
@@ -207,6 +213,8 @@ def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> Cipher
     """
     check_order(block_order)
     v, length = plaintext.value, plaintext.length
+    if length > SLICE_BITS and len(key.elements) > 1 and length >= key.superblock_bits(block_order):
+        return _encrypt_chunks(plaintext, key, block_order)
     levels = []
     for params in key.elements:
         x = params.x
@@ -218,6 +226,45 @@ def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> Cipher
     return CipherEnvelope(
         ENVELOPE_VERSION, block_order, tuple(levels), BitSeq.from_int(v, length)
     )
+
+
+def _chunks(size: int, key: KeySchedule, n: int) -> Iterator[tuple[slice, int]]:
+    """Byte range and bit count of each chunk of a ``size``-byte head of whole superblocks.
+
+    A chunk is the most superblocks within SLICE_BITS bits, or one.
+    """
+    superblock = key.superblock_bits(n)
+    step = max(SLICE_BITS // superblock, 1) * superblock // 8
+    for start in range(0, size, step):
+        end = min(start + step, size)
+        yield slice(start, end), 8 * (end - start)
+
+
+def _encrypt_chunks(plaintext: BitSeq, key: KeySchedule, n: int) -> CipherEnvelope:
+    """``encrypt`` of the head chunk by chunk and of the ragged tail by the level loop, joined."""
+    tail = plaintext.length % key.superblock_bits(n)
+    data = bytearray((plaintext.value >> tail).to_bytes((plaintext.length - tail) // 8, "big"))
+    head, marks = 8 * len(data), [None] * len(key.elements)
+    for cut, bits in _chunks(len(data), key, n):
+        chunk = int.from_bytes(data[cut], "big")
+        for level, params in enumerate(key.elements):
+            chunk, flags = apply_lanes(chunk, params.x, n, bits // params.x, False)
+            if flags:  # a level gets a flag buffer once a chunk has flags
+                marks[level] = marks[level] or bytearray(len(data))
+                marks[level][cut] = flags.to_bytes(bits // 8, "big")
+        data[cut] = chunk.to_bytes(bits // 8, "big")
+    rest = encrypt(BitSeq.from_int(plaintext.value & (1 << tail) - 1, tail), key, n)
+    levels = []
+    for level, record in enumerate(rest.levels):  # every tail level ends on a byte
+        x, count = record.x, record.padded_group_count(n)
+        flags = record.sentinels.lanes(x, count)
+        if marks[level]:
+            marks[level] += flags.to_bytes(count * x // 8, "big")
+            flags, marks[level] = int.from_bytes(marks[level], "big"), None
+        sentinels = SentinelSet.from_lanes(flags, x, head // x + count)
+        levels.append(LevelRecord(x, head + record.orig_bit_len, sentinels))
+    data += rest.payload.to_bytes()
+    return CipherEnvelope(ENVELOPE_VERSION, n, tuple(levels), BitSeq.from_bytes(data))
 
 
 @dataclass
@@ -243,18 +290,28 @@ def _check_records(envelope: CipherEnvelope, key: KeySchedule) -> None:
         bits = record.orig_bit_len
 
 
+def _conflict(level: int, v: int, held: int, x: int, last: int) -> SentinelConflict:
+    """The error for the lowest position in ``held``, where v's lowest lane is position ``last``."""
+    lane = (held.bit_length() - 1) // x
+    return SentinelConflict(f"level {level}: sentinel position {last - lane} holds "
+                            f"{v >> lane * x & (1 << x) - 1}, expected 0")
+
+
 def _decrypt_levels(
-    envelope: CipherEnvelope, key: KeySchedule
+    envelope: CipherEnvelope, key: KeySchedule, head: int = 0, found: list | None = None
 ) -> tuple[BitSeq, DecryptAnomalies, Exception | None]:
     """Check the records, then undo the levels in reverse, counting payload anomalies.
 
     Returns the bits, the counts and the first anomalous level's error: a
     sentinel lane not holding 0 (SentinelConflict), else NonZeroPadding,
-    its message starting ``level k:`` (HCT1 record k).
+    its message starting ``level k:`` (HCT1 record k).  A tail after a
+    ``head``-bit head takes the head's errors per level in ``found``.
     """
     _check_records(envelope, key)
-    n, v = envelope.block_order, envelope.payload.value
-    anomalies, first = DecryptAnomalies(), None
+    n, length = envelope.block_order, envelope.levels[0].orig_bit_len
+    if length > SLICE_BITS and len(key.elements) > 1 and length >= key.superblock_bits(n):
+        return _decrypt_chunks(envelope, key)
+    v, anomalies, first = envelope.payload.value, DecryptAnomalies(), None
     for level in reversed(range(len(key.elements))):
         params, record = key.elements[level], envelope.levels[level]
         x, p = params.x, params.p
@@ -271,18 +328,59 @@ def _decrypt_levels(
         anomalies.sentinel_conflicts += held.bit_count()
         anomalies.padding_violations += padding != 0
         if first is None:
-            if held:
-                lane = (held.bit_length() - 1) // x
-                first = SentinelConflict(
-                    f"level {level}: sentinel position {count - 1 - lane} holds "
-                    f"{v >> lane * x & p}, expected 0"
-                )
+            if found and found[level]:
+                first = found[level]
+            elif held:
+                first = _conflict(level, v, held, x, head // x + count - 1)
             elif padding:
                 first = NonZeroPadding(
                     f"level {level}: discarded padding contains {padding.bit_count()} one bits"
                 )
         v >>= drop
-    return BitSeq.from_int(v, envelope.levels[0].orig_bit_len), anomalies, first
+    return BitSeq.from_int(v, length), anomalies, first
+
+
+def _decrypt_chunks(
+    envelope: CipherEnvelope, key: KeySchedule
+) -> tuple[BitSeq, DecryptAnomalies, Exception | None]:
+    """``_decrypt_levels`` of the head chunk by chunk and of the ragged tail by the level loop.
+
+    Each level's flags are formed once and cut at the chunks' byte ranges.
+    """
+    n, payload, length = envelope.block_order, envelope.payload, envelope.levels[0].orig_bit_len
+    tail = length % key.superblock_bits(n)
+    head, marks, records = length - tail, [], []
+    for record in envelope.levels:  # every level ends on a byte
+        x, count = record.x, record.padded_group_count(n)
+        flags = record.sentinels.lanes(x, count)
+        flags = flags and memoryview(flags.to_bytes(count * x // 8, "big"))
+        marks.append(flags and flags[:head // 8])
+        sentinels = SentinelSet.from_lanes(flags and int.from_bytes(flags[head // 8:], "big"),
+                                           x, count - head // x)
+        records.append(LevelRecord(x, record.orig_bit_len - head, sentinels))
+    data = bytearray(payload.to_bytes())
+    conflicts, found = 0, [None] * len(records)
+    for cut, bits in _chunks(head // 8, key, n):
+        chunk = int.from_bytes(data[cut], "big")
+        for level in reversed(range(len(records))):
+            x, p = key.elements[level].x, key.elements[level].p
+            chunk, _ = apply_lanes(chunk, x, n, bits // x, True)
+            flags = marks[level] and int.from_bytes(marks[level][cut], "big")
+            if flags:  # as in _decrypt_levels
+                low = flags * (p >> 1)
+                held = ((chunk & low) + low | chunk) >> x - 1 & flags
+                chunk |= (flags ^ held) * p
+                conflicts += held.bit_count()
+                if held and not found[level]:
+                    found[level] = _conflict(level, chunk, held, x, 8 * cut.stop // x - 1)
+        data[cut] = chunk.to_bytes(bits // 8, "big")
+    del marks  # before the tail runs: the head's flags of every level
+    rest = CipherEnvelope(envelope.version, n, tuple(records), BitSeq.from_bytes(data[head // 8:]))
+    out, anomalies, first = _decrypt_levels(rest, key, head, found)
+    anomalies.sentinel_conflicts += conflicts
+    v = int.from_bytes(memoryview(data)[:head // 8], "big")
+    del data  # before the head and the tail are joined
+    return BitSeq.from_int(v << tail | out.value, length), anomalies, first
 
 
 def decrypt(envelope: CipherEnvelope, key: KeySchedule) -> BitSeq:

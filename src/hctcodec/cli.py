@@ -236,7 +236,7 @@ def _cmd_avalanche(args) -> int:
     size = key.superblock_bits(n)
     rows, outside = [], 0
     for trial in range(args.trials):
-        message = BitSeq("".join(rng.choice("01") for _ in range(args.bits)))
+        message = BitSeq.from_int(rng.getrandbits(args.bits), args.bits)
         flip = rng.randrange(payload_len)
         report = avalanche_experiment(message, key, n, flip)
         rows.append((trial, flip, report.hamming, report.common,
@@ -266,7 +266,7 @@ def _cmd_collisions(args) -> int:
     rng = random.Random(args.seed)
     pairs = []
     for _ in range(args.pairs):
-        a = BitSeq("".join(rng.choice("01") for _ in range(args.bits)))
+        a = BitSeq.from_int(rng.getrandbits(args.bits), args.bits)
         pairs.append((a, a.flip(rng.randrange(args.bits))))
     size = args.key.superblock_bits(8)
     print(f"pairs={args.pairs} message_bits={args.bits} key={_key_text(args.key)}")

@@ -33,6 +33,13 @@ KEYS = [((x,), n) for x in SUPPORTED_EXPONENTS for n in SUPPORTED_ORDERS] + [
 # the lane engine, so blocks sit on both sides of each slice cut.  Listed
 # after KEYS, with seeds after theirs, so earlier lines never move.
 LONG_KEYS = [((3, 5, 31), 8), ((13,), 128), ((2, 7), 16), ((7, 5), 128), ((2, 31), 128)]
+# Messages that run chunk by chunk through every level (a key of two or more
+# levels, longer than SLICE_BITS and than its superblock S): two whole
+# chunks of 8 * S bits with no tail; S = 59520 > SLICE_BITS, so two
+# one-superblock chunks and a 1-bit tail; and many chunks and a ragged tail
+# with sentinels at every level.  Seeds follow LONG_KEYS'.
+CHUNK_CASES = [((3, 5, 31), 8, 2 * 8 * 3720), ((3, 5, 31), 128, 2 * 59520 + 1),
+               ((5, 3, 2), 16, 2 * SLICE_BITS + 1)]
 HEX_LIMIT = 64  # longer envelopes are stored as their SHA-256
 
 
@@ -76,6 +83,10 @@ def main() -> None:
         lines += [vector(exponents, n, *case) for case in cases]
     length = 2 * SLICE_BITS + 1
     for exponents, n in LONG_KEYS:
+        seed += 1
+        value = random.Random(seed).getrandbits(length)
+        lines.append(vector(exponents, n, length, str(seed), value))
+    for exponents, n, length in CHUNK_CASES:
         seed += 1
         value = random.Random(seed).getrandbits(length)
         lines.append(vector(exponents, n, length, str(seed), value))

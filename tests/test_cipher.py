@@ -498,26 +498,160 @@ def test_decrypt_checks_sentinel_lanes_at_the_edges_of_their_values():
 
 
 def test_each_level_is_one_kernel_pass_each_way(monkeypatch):
-    # Encrypt's forward pass reports the sentinels and decrypt's inverse pass
-    # restores them, so each level of many slices is cut into slices once.
-    key, n = KeySchedule.from_exponents([5, 3, 2]), 16
+    # A key of several levels runs a long message chunk by chunk: the head
+    # of whole superblocks is cut into chunks once each way, each chunk
+    # passes every level once (in reverse to decrypt) and is never cut into
+    # slices, and the ragged tail then passes every level once.  A one-level
+    # key walks each level's slices once each way.
     bits = BitSeq.from_int(random.Random(5).getrandbits(100_000), 100_000)
-    walks = []
+    calls, cuts, walks = [], [], []
+    kernel, chunks = cipher.apply_lanes, cipher._chunks
+
+    def counted_kernel(v, x, n, count, inverse):
+        calls.append((x, count, inverse))
+        return kernel(v, x, n, count, inverse)
+
+    def counted_chunks(*args):
+        cuts.append(args)
+        return chunks(*args)
 
     def counted(x, count):
         walks.append((x, count))
         return lane_slices(x, count)
 
+    monkeypatch.setattr(cipher, "apply_lanes", counted_kernel)
+    monkeypatch.setattr(cipher, "_chunks", counted_chunks)
     monkeypatch.setattr(hadamard, "lane_slices", counted)
+    key, n = KeySchedule.from_exponents([5, 3, 2]), 16
+    size = key.superblock_bits(n)
+    head = len(bits) - len(bits) % size
+    sizes = [bits for _, bits in chunks(head // 8, key, n)]
+    assert len(sizes) == 4 and len(set(sizes)) == 2 and all(s <= SLICE_BITS for s in sizes)
+    wide = KeySchedule.from_exponents([3, 5, 31])  # S = 59520 > SLICE_BITS
+    assert [bits for _, bits in chunks(2 * 59520 // 8, wide, 128)] == [59520, 59520]
     env = encrypt(bits, key, n)
-    shapes = [(record.x, record.padded_group_count(n)) for record in env.levels]
+    tails = [(record.x, record.padded_group_count(n) - head // record.x) for record in env.levels]
     assert all(len(record.sentinels) for record in env.levels)
-    assert all(x * count > 2 * SLICE_BITS for x, count in shapes)
-    assert walks == shapes
+    assert cuts == [(head // 8, key, n)] and walks == []
+    assert calls == [(x, s // x, False) for s in sizes for x in (5, 3, 2)] + [
+        (x, count, False) for x, count in tails]
+    for envelope in (env, CipherEnvelope.from_bytes(env.to_bytes())):
+        calls.clear(), cuts.clear()
+        assert decrypt(envelope, key) == bits
+        assert cuts == [(head // 8, key, n)] and walks == []
+        assert calls == [(x, s // x, True) for s in sizes for x in (2, 3, 5)] + [
+            (x, count, True) for x, count in tails[::-1]]
+
+    cuts.clear()
+    key = KeySchedule.from_exponents([5])
+    env = encrypt(bits, key, n)
+    shapes = [(5, env.levels[0].padded_group_count(n))]
+    assert 5 * shapes[0][1] > 2 * SLICE_BITS and walks == shapes
     for envelope in (env, CipherEnvelope.from_bytes(env.to_bytes())):
         walks.clear()
         assert decrypt(envelope, key) == bits
-        assert walks == shapes[::-1]
+        assert walks == shapes
+    assert cuts == []
+
+
+def chunk_size(key, n):
+    """Bits per chunk: the most whole superblocks in SLICE_BITS bits, or one superblock."""
+    size = key.superblock_bits(n)
+    return max(SLICE_BITS // size, 1) * size
+
+
+def group(bits, x, i):
+    """The value of x-bit group i of ``bits``, zero-padded past its end."""
+    shift = len(bits) - (i + 1) * x
+    return (bits.value >> shift if shift >= 0 else bits.value << -shift) & (1 << x) - 1
+
+
+def forged(env, level, positions):
+    """``env`` with sentinel ``positions`` added to level ``level``'s record."""
+    record = env.levels[level]
+    sentinels = SentinelSet(sorted(set(record.sentinels) | set(positions)))
+    levels = env.levels[:level] + (LevelRecord(record.x, record.orig_bit_len, sentinels),)
+    return CipherEnvelope(env.version, env.block_order, levels + env.levels[level + 1:],
+                          env.payload)
+
+
+@pytest.mark.parametrize("exponents, n, shape", [
+    ((3, 5, 31), 8, (2, 0, 0)),  # a head of exactly two chunks, no tail
+    ((3, 5, 31), 8, (2, 1, 1001)),  # two chunks, a one-superblock last chunk, a tail
+    ((3, 5, 31), 128, (2, 0, 777)),  # S = 59520 > SLICE_BITS: a chunk is a superblock
+    ((3, 3), 32, (2, 5, 95)),
+    ((5, 3, 2), 16, (2, 7, 402)),  # every level carries sentinels
+])
+def test_chunk_path_matches_the_per_level_path(monkeypatch, exponents, n, shape):
+    # Envelopes, bytes, strict errors and tolerant counts of the chunk path
+    # equal those of the per-level path, which a SLICE_BITS past any length
+    # selects, on forged sentinels in the head and in the tail at two levels
+    # and on nonzero tail padding.
+    key = KeySchedule.from_exponents(exponents)
+    size, step = key.superblock_bits(n), chunk_size(key, n)
+    chunks, extra, tail = shape
+    length = chunks * step + extra * size + tail
+    head = length - tail
+    assert length > SLICE_BITS and head % step == extra * size
+    rng = random.Random(length)
+    value = rng.getrandbits(length) | rng.getrandbits(length) | rng.getrandbits(length)
+    bits = BitSeq.from_int(value, length)
+    env = encrypt(bits, key, n)
+
+    def per_level(run, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(cipher, "SLICE_BITS", 1 << 62)
+            return outcome(lambda: run(*args))
+
+    whole = per_level(encrypt, bits, key, n)
+    assert env == whole and env.to_bytes() == whole.to_bytes()
+    assert len(env.levels[0].sentinels) and (
+        exponents != (5, 3, 2) or all(len(record.sentinels) for record in env.levels))
+
+    # Level 0 recovers the plaintext's groups: forge over the first nonzero,
+    # non-sentinel group of each of the first two chunks and of the tail.
+    x, p = exponents[0], (1 << exponents[0]) - 1
+    count = env.levels[0].padded_group_count(n)
+
+    def first_plain(start):
+        return next(i for i in range(start, count) if 0 < group(bits, x, i) < p)
+
+    in_first, in_head = first_plain(0), first_plain(step // x)
+    last = len(exponents) - 1
+    top = env.levels[last].padded_group_count(n)
+    cases = [env, forged(env, 0, [in_first, in_head])]
+    if tail:
+        in_tail = first_plain(head // x)
+        assert in_tail >= head // x  # a tail position counts the head's lanes
+        tail_only = forged(env, 0, [in_tail])
+        assert outcome(lambda: decrypt(tail_only, key)) == (
+            SentinelConflict, f"level 0: sentinel position {in_tail} holds "
+                              f"{group(bits, x, in_tail)}, expected 0")
+        both = forged(forged(env, 0, [in_head, in_tail]), last,
+                      [step // exponents[last] + 3, top - 1])
+        # A level-0 record one bit shorter pads to the same groups and makes
+        # the message's last bit, a 1, padding.
+        assert value & 1
+
+        def shortened(envelope):
+            record = envelope.levels[0]
+            short = LevelRecord(x, length - 1, record.sentinels)
+            assert short.padded_group_count(n) == count
+            return CipherEnvelope(env.version, n, (short, *envelope.levels[1:]), env.payload)
+
+        cases += [tail_only, both, shortened(env), shortened(both)]
+        assert outcome(lambda: decrypt(cases[-2], key)) == (
+            NonZeroPadding, "level 0: discarded padding contains 1 one bits")
+    assert outcome(lambda: decrypt(cases[1], key)) == (  # the first chunk's
+        SentinelConflict, f"level 0: sentinel position {in_first} holds "
+                          f"{group(bits, x, in_first)}, expected 0")
+    for damaged in cases:
+        for envelope in (damaged, CipherEnvelope.from_bytes(damaged.to_bytes())):
+            for run in (decrypt, decrypt_tolerant):
+                assert outcome(lambda: run(envelope, key)) == per_level(run, envelope, key)
+    if tail:
+        counts = decrypt_tolerant(cases[-1], key)[1]
+        assert counts.sentinel_conflicts >= 3 and counts.padding_violations >= 1
 
 
 @settings(max_examples=200, deadline=None)
