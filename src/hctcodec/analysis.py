@@ -10,8 +10,8 @@ information outside the sentinel metadata.
 
 from dataclasses import dataclass
 
-from .bitcodec import BitSeq, padded_group_count
-from .cipher import CipherEnvelope, KeySchedule, decrypt_tolerant, encrypt
+from .bitcodec import BitSeq
+from .cipher import KeySchedule, _forward, _inverse, _plan
 from .hadamard import check_order
 
 
@@ -49,7 +49,8 @@ class DiffReport:
         return self.hamming / self.series.length if self.series.length else 0.0
 
 
-def _diff(a: BitSeq, b: BitSeq, sentinel_conflicts: int) -> DiffReport:
+def difference_series(a: BitSeq, b: BitSeq) -> DiffReport:
+    """Element-wise XOR over the common prefix; lengths reported separately."""
     common = min(len(a), len(b))
     d = (a.value >> len(a) - common) ^ (b.value >> len(b) - common)
     return DiffReport(
@@ -58,20 +59,7 @@ def _diff(a: BitSeq, b: BitSeq, sentinel_conflicts: int) -> DiffReport:
         hamming=d.bit_count(),
         length_delta=abs(len(a) - len(b)),
         series=BitSeq.from_int(d, common),
-        sentinel_conflicts=sentinel_conflicts,
     )
-
-
-def difference_series(a: BitSeq, b: BitSeq) -> DiffReport:
-    """Element-wise XOR over the common prefix; lengths reported separately."""
-    return _diff(a, b, 0)
-
-
-def _payload_bits(length: int, key: KeySchedule, block_order: int) -> int:
-    """The payload length ``encrypt`` gives a ``length``-bit message, without encrypting."""
-    for params in key.elements:
-        length = padded_group_count(length, params.x, block_order) * params.x
-    return length
 
 
 def avalanche_experiment(
@@ -85,25 +73,23 @@ def avalanche_experiment(
     superblock (``KeySchedule.superblock_bits``) onto itself and pads only
     the ragged tail, to at most S bits, so only the flipped bit's
     superblock is encrypted and decrypted; the rest of the message comes
-    back unchanged.
+    back unchanged.  That superblock runs through the cipher's level loops
+    as one int, inverted with the plan and flags its encryption made, so
+    no envelope is built and no record is checked.
     """
     check_order(block_order)
     length = plaintext.length
-    payload_bits = _payload_bits(length, key, block_order)
+    _, payload_bits = _plan(key._exponents, block_order, length)
     if not 0 <= flip_index < payload_bits:
         raise ValueError(f"flip index {flip_index} outside payload of {payload_bits} bits")
     size = key.superblock_bits(block_order)
     start = flip_index // size * size
     end = min(start + size, length)
-    chunk = BitSeq.from_int(plaintext.value >> length - end & (1 << end - start) - 1, end - start)
-    envelope = encrypt(chunk, key, block_order)
-    corrupted = CipherEnvelope(
-        envelope.version, block_order, envelope.levels, envelope.payload.flip(flip_index - start)
-    )
-    recovered, anomalies = decrypt_tolerant(corrupted, key)
-    diff = recovered.value ^ chunk.value
-    recovered = BitSeq.from_int(plaintext.value ^ diff << length - end, length)
-    return _diff(plaintext, recovered, anomalies.sentinel_conflicts)
+    chunk = plaintext.value >> length - end & (1 << end - start) - 1
+    v, out, plan, marks = _forward(chunk, end - start, key._exponents, block_order)
+    v, conflicts, _, _ = _inverse(v ^ 1 << out - 1 - (flip_index - start), plan, marks, block_order)
+    diff = (v ^ chunk) << length - end  # the recovered message is plaintext ^ diff
+    return DiffReport(length, length, diff.bit_count(), 0, BitSeq.from_int(diff, length), conflicts)
 
 
 def degenerate_check(plaintext: BitSeq) -> str | None:

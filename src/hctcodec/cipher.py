@@ -13,17 +13,19 @@ pass then counts payload anomalies, and ``decrypt`` raises the first.
 Each level runs on the whole message as one Python int, one x-bit lane
 per group (``hadamard.apply_lanes``, slice by slice above
 ``bitcodec.SLICE_BITS`` bits): padding is a shift, sentinels are the
-all-ones lanes, restoring them is one OR and truncation one shift.  A
-``BitSeq`` already holds that int, and encrypt, decrypt, the envelope and
-the digest keep it.  Each level's sentinels stay the lane flags that the
-forward transform reports (``SentinelSet.from_lanes``), and decrypt checks
-recorded lanes by their flags.  Sentinel positions exist only at the
-HCT1 boundary, and there as the 4-byte words HCT1 stores, never as an int
-per position: ``to_bytes`` formats flags into words slice by slice and
-writes parsed words as they are, ``from_bytes`` keeps the words it reads,
-and decrypt turns parsed words into flags once per level.  So the digest,
-the avalanche experiment and an in-memory round trip never form an index.
-The per-group ``bitcodec`` helpers and the per-block ``hadamard`` kernels
+all-ones lanes, restoring them is one OR and truncation one shift.  The
+level loops on ints (``_forward``, ``_inverse``) are wrapped by encrypt and
+decrypt and called directly, with no envelope, by the digest and the
+avalanche experiment.  Each level's
+sentinels stay the lane flags that the forward transform reports
+(``SentinelSet.from_lanes``), and decrypt checks recorded lanes by their
+flags.  Sentinel positions exist only at the HCT1 boundary, and there as
+the 4-byte words HCT1 stores, never as an int per position: ``to_bytes``
+formats flags into words slice by slice and writes parsed words as they
+are, ``from_bytes`` keeps the words it reads, and decrypt turns parsed
+words into flags once per level.  So the digest, the avalanche
+experiment and an in-memory round trip never form an index.  The
+per-group ``bitcodec`` helpers and the per-block ``hadamard`` kernels
 describe the same steps one value at a time; tests use them as the oracle.
 
 Every level maps each S-bit superblock onto itself and pads only the
@@ -76,6 +78,7 @@ class KeySchedule:
             raise InvalidKeyElement("key must contain at least one exponent")
         for params in self.elements:
             validate_key_element(params.x)
+        object.__setattr__(self, "_exponents", tuple(params.x for params in self.elements))  # for _plan
 
     @classmethod
     def from_exponents(cls, exponents: Iterable[int]) -> "KeySchedule":
@@ -204,6 +207,32 @@ def _check_level(level: int, record: LevelRecord, n: int, bits: int | None = Non
         raise MalformedEnvelope(f"level {level}: sentinels lie past its {count} groups")
 
 
+def _plan(exponents: tuple[int, ...], n: int, length: int) -> tuple[list, int]:
+    """Each level's (x, bits in, padded lane count, can carry sentinels), and the payload bits.
+
+    Level 0 can carry sentinels.  Level k >= 1 reads level k-1's canonical
+    residues, none all ones, and zero padding, so its longest run of ones
+    is 2 x_{k-1} - 2 bits, and equal widths make each group one lane: its
+    groups can be all ones iff x_k != x_{k-1} and x_k <= 2 x_{k-1} - 2.
+    """
+    levels, below = [], 0
+    for x in exponents:
+        count = padded_group_count(length, x, n)
+        levels.append((x, length, count, not below or x != below and x <= 2 * below - 2))
+        length, below = count * x, x
+    return levels, length
+
+
+def _forward(v: int, length: int, exponents: tuple[int, ...], n: int) -> tuple[int, int, list, list]:
+    """The payload int and bit count of the ``length``-bit int ``v``, the plan, each level's flags."""
+    plan, bits = _plan(exponents, n, length)
+    marks = []
+    for x, length, count, _ in plan:
+        v, flags = apply_lanes(v << count * x - length, x, n, count, False)
+        marks.append(flags)
+    return v, bits, plan, marks
+
+
 def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> CipherEnvelope:
     """Run the full multi-level pipeline and wrap the result in an envelope.
 
@@ -212,20 +241,13 @@ def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> Cipher
     input is legal and produces an empty payload with one record per level.
     """
     check_order(block_order)
-    v, length = plaintext.value, plaintext.length
+    length = plaintext.length
     if length > SLICE_BITS and len(key.elements) > 1 and length >= key.superblock_bits(block_order):
         return _encrypt_chunks(plaintext, key, block_order)
-    levels = []
-    for params in key.elements:
-        x = params.x
-        count = padded_group_count(length, x, block_order)
-        v <<= count * x - length
-        v, flags = apply_lanes(v, x, block_order, count, False)
-        levels.append(LevelRecord(x, length, SentinelSet.from_lanes(flags, x, count)))
-        length = count * x
-    return CipherEnvelope(
-        ENVELOPE_VERSION, block_order, tuple(levels), BitSeq.from_int(v, length)
-    )
+    v, bits, plan, marks = _forward(plaintext.value, length, key._exponents, block_order)
+    levels = tuple(LevelRecord(x, bits_in, SentinelSet.from_lanes(flags, x, count))
+                   for (x, bits_in, count, _), flags in zip(plan, marks))
+    return CipherEnvelope(ENVELOPE_VERSION, block_order, levels, BitSeq.from_int(v, bits))
 
 
 def _chunks(size: int, key: KeySchedule, n: int) -> Iterator[tuple[slice, int]]:
@@ -275,74 +297,98 @@ class DecryptAnomalies:
     padding_violations: int = 0
 
 
-def _check_records(envelope: CipherEnvelope, key: KeySchedule) -> None:
-    """Raise MalformedEnvelope for a record the key cannot invert, last level first."""
+def _check_records(envelope: CipherEnvelope, key: KeySchedule) -> list:
+    """Raise MalformedEnvelope for a record the key cannot invert, last level first.
+
+    Then the records match the returned plan, and a level that cannot carry
+    sentinels must record none.
+    """
     if len(key.elements) != len(envelope.levels):
         raise MalformedEnvelope(f"envelope has {len(envelope.levels)} levels but key "
                                 f"supplies {len(key.elements)} exponents")
-    check_order(envelope.block_order)
+    n = envelope.block_order
+    check_order(n)
+    plan, _ = _plan(key._exponents, n, envelope.levels[0].orig_bit_len)
     bits = envelope.payload.length
-    for level in reversed(range(len(key.elements))):
-        x, record = key.elements[level].x, envelope.levels[level]
+    for level in reversed(range(len(plan))):
+        x, record = plan[level][0], envelope.levels[level]
         if record.x != x:
             raise MalformedEnvelope(f"level {level}: recorded x {record.x}, key has x {x}")
-        _check_level(level, record, envelope.block_order, bits)
+        _check_level(level, record, n, bits)
         bits = record.orig_bit_len
+    for level in reversed(range(1, len(plan))):  # the records now hold the key's chain
+        if not plan[level][3] and envelope.levels[level].sentinels:
+            raise MalformedEnvelope(f"level {level}: sentinels recorded where x {plan[level][0]} "
+                                    f"after x {plan[level - 1][0]} cannot carry any")
+    return plan
 
 
-def _conflict(level: int, v: int, held: int, x: int, last: int) -> SentinelConflict:
-    """The error for the lowest position in ``held``, where v's lowest lane is position ``last``."""
+def _conflict(level: int, v: int, held: int, x: int, last: int) -> tuple[int, int, int]:
+    """The anomaly at the lowest position in ``held``, where v's lowest lane is position ``last``."""
     lane = (held.bit_length() - 1) // x
-    return SentinelConflict(f"level {level}: sentinel position {last - lane} holds "
-                            f"{v >> lane * x & (1 << x) - 1}, expected 0")
+    return level, last - lane, v >> lane * x & (1 << x) - 1
 
 
-def _decrypt_levels(
-    envelope: CipherEnvelope, key: KeySchedule, head: int = 0, found: list | None = None
-) -> tuple[BitSeq, DecryptAnomalies, Exception | None]:
-    """Check the records, then undo the levels in reverse, counting payload anomalies.
+def _inverse(
+    v: int, plan: list, marks: list, n: int, head: int = 0, found: list | None = None
+) -> tuple[int, int, int, tuple | None]:
+    """Undo the plan's levels in reverse on the payload int ``v``, restoring each level's flags.
 
-    Returns the bits, the counts and the first anomalous level's error: a
-    sentinel lane not holding 0 (SentinelConflict), else NonZeroPadding,
-    its message starting ``level k:`` (HCT1 record k).  A tail after a
-    ``head``-bit head takes the head's errors per level in ``found``.
+    Returns the int, the sentinel conflict and padding violation counts and
+    the first anomalous level's anomaly: (level, position, value) for the
+    lowest sentinel lane not holding 0, else (level, None, one bits) for
+    nonzero padding.  A tail after a ``head``-bit head takes the head's
+    anomalies per level in ``found``.
     """
-    _check_records(envelope, key)
-    n, length = envelope.block_order, envelope.levels[0].orig_bit_len
-    if length > SLICE_BITS and len(key.elements) > 1 and length >= key.superblock_bits(n):
-        return _decrypt_chunks(envelope, key)
-    v, anomalies, first = envelope.payload.value, DecryptAnomalies(), None
-    for level in reversed(range(len(key.elements))):
-        params, record = key.elements[level], envelope.levels[level]
-        x, p = params.x, params.p
-        count = record.padded_group_count(n)
+    conflicts = violations = 0
+    first = None
+    for level in reversed(range(len(plan))):
+        x, length, count, _ = plan[level]
         v, _ = apply_lanes(v, x, n, count, True)
-        flags = record.sentinels.lanes(x, count)
-        # A flagged lane holds a nonzero value iff its top bit is set or adding
-        # 2^(x-1) - 1 to its low x - 1 bits sets it (no carry leaves the lane).
-        low = flags * (p >> 1)
-        held = ((v & low) + low | v) >> x - 1 & flags
-        v |= (flags ^ held) * p
-        drop = count * x - record.orig_bit_len
-        padding = v & ((1 << drop) - 1)
-        anomalies.sentinel_conflicts += held.bit_count()
-        anomalies.padding_violations += padding != 0
+        flags, held = marks[level], 0
+        if flags:
+            # A flagged lane holds a nonzero value iff its top bit is set or adding
+            # 2^(x-1) - 1 to its low x - 1 bits sets it (no carry leaves the lane).
+            p = (1 << x) - 1
+            low = flags * (p >> 1)
+            held = ((v & low) + low | v) >> x - 1 & flags
+            v |= (flags ^ held) * p
+        drop = count * x - length
+        padding = v & (1 << drop) - 1
+        conflicts += held.bit_count()
+        violations += padding != 0
         if first is None:
             if found and found[level]:
                 first = found[level]
             elif held:
                 first = _conflict(level, v, held, x, head // x + count - 1)
             elif padding:
-                first = NonZeroPadding(
-                    f"level {level}: discarded padding contains {padding.bit_count()} one bits"
-                )
+                first = level, None, padding.bit_count()
         v >>= drop
-    return BitSeq.from_int(v, length), anomalies, first
+    return v, conflicts, violations, first
+
+
+def _decrypt_levels(
+    envelope: CipherEnvelope, key: KeySchedule, head: int = 0, found: list | None = None
+) -> tuple[BitSeq, DecryptAnomalies, tuple | None]:
+    """Check the records, then undo the levels in reverse, counting payload anomalies.
+
+    Returns the bits, the counts and the first anomaly, as ``_inverse`` does
+    with ``head`` and ``found``; its level is that of HCT1 record k.
+    """
+    plan = _check_records(envelope, key)
+    n, length = envelope.block_order, envelope.levels[0].orig_bit_len
+    if length > SLICE_BITS and len(key.elements) > 1 and length >= key.superblock_bits(n):
+        return _decrypt_chunks(envelope, key)
+    marks = [record.sentinels.lanes(x, count)
+             for record, (x, _, count, _) in zip(envelope.levels, plan)]
+    v, conflicts, violations, first = _inverse(envelope.payload.value, plan, marks, n, head, found)
+    return BitSeq.from_int(v, length), DecryptAnomalies(conflicts, violations), first
 
 
 def _decrypt_chunks(
     envelope: CipherEnvelope, key: KeySchedule
-) -> tuple[BitSeq, DecryptAnomalies, Exception | None]:
+) -> tuple[BitSeq, DecryptAnomalies, tuple | None]:
     """``_decrypt_levels`` of the head chunk by chunk and of the ragged tail by the level loop.
 
     Each level's flags are formed once and cut at the chunks' byte ranges.
@@ -393,7 +439,11 @@ def decrypt(envelope: CipherEnvelope, key: KeySchedule) -> BitSeq:
     """
     bits, _, first = _decrypt_levels(envelope, key)
     if first:
-        raise first
+        level, position, value = first
+        if position is None:
+            raise NonZeroPadding(f"level {level}: discarded padding contains {value} one bits")
+        raise SentinelConflict(f"level {level}: sentinel position {position} holds {value}, "
+                               f"expected 0")
     return bits
 
 
@@ -413,7 +463,7 @@ def decrypt_tolerant(
 def hash_digest(
     data: BitSeq, key: KeySchedule, block_order: int = 8, digest_bits: int = 128
 ) -> BitSeq:
-    """Keyed digest: encrypt, keep the first digest_bits payload bits.
+    """Keyed digest: the first digest_bits bits of ``encrypt``'s payload, without an envelope.
 
     The payload is zero-extended when shorter than the requested digest.
     Deterministic: equal inputs always produce equal digests.  This is a
@@ -425,9 +475,9 @@ def hash_digest(
     check_order(block_order)
     size = key.superblock_bits(block_order)
     prefix = -(-digest_bits // size) * size
-    if len(data) > prefix:  # whole superblocks: no level pads, the payload prefix is the same
-        data = BitSeq.from_int(data.value >> len(data) - prefix, prefix)
-    payload = encrypt(data, key, block_order).payload
-    spare = len(payload) - digest_bits
-    value = payload.value >> spare if spare >= 0 else payload.value << -spare
-    return BitSeq.from_int(value, digest_bits)
+    v, length = data.value, data.length
+    if length > prefix:  # whole superblocks: no level pads, the payload prefix is the same
+        v, length = v >> length - prefix, prefix
+    v, bits, _, _ = _forward(v, length, key._exponents, block_order)
+    spare = bits - digest_bits
+    return BitSeq.from_int(v >> spare if spare >= 0 else v << -spare, digest_bits)

@@ -13,15 +13,9 @@ import sys
 import time
 from pathlib import Path
 
-from .analysis import (
-    _payload_bits,
-    avalanche_experiment,
-    degenerate_check,
-    difference_series,
-    write_csv,
-)
+from .analysis import avalanche_experiment, degenerate_check, difference_series, write_csv
 from .bitcodec import BitSeq, pad_and_group
-from .cipher import CipherEnvelope, KeySchedule, decrypt, encrypt, hash_digest
+from .cipher import CipherEnvelope, KeySchedule, _plan, decrypt, encrypt, hash_digest
 from .errors import CodecError
 from .hadamard import HadamardSpec, apply_fast, apply_naive, build_matrix, check_order
 from .modmath import validate_key_element
@@ -232,7 +226,7 @@ def _cmd_trace(args) -> int:
 def _cmd_avalanche(args) -> int:
     key, n = args.key, args.block_size
     rng = random.Random(args.seed)
-    payload_len = _payload_bits(args.bits, key, n)
+    _, payload_len = _plan(key._exponents, n, args.bits)
     size = key.superblock_bits(n)
     rows, outside = [], 0
     for trial in range(args.trials):

@@ -1,0 +1,138 @@
+"""Mutation check: each known fault of the package must fail the tests named for it.
+
+Run from anywhere, after the tier-1 tests:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # some of them
+
+For each mutant the runner copies ``src/`` into a temporary directory,
+replaces the mutant's old text by its new text in one file of the copy
+(the old text must occur there exactly once), and runs the mutant's tests
+with ``-x`` against the copy.  A mutant is killed when pytest reports a
+failed test.  The runner exits 1 if a mutant survives or no longer
+applies, so a test edit that stops catching a known fault, or a source
+edit that moves the faulty text, shows up here.
+
+Only mutants that change behaviour belong in the list.  For example,
+``bound + add >= top`` -> ``>`` in ``_lane_masks`` changes nothing, as no
+bound 2^j * p + k * p equals 2^(2x), and swapping ``|``, ``^`` and ``+``
+at a disjoint join changes nothing either; no test can catch those.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # under src/hctcodec
+    old: str
+    new: str
+    tests: tuple[str, ...]  # test ids, relative to the repository root
+
+
+HADAMARD = "tests/test_hadamard.py::"
+MUTANTS = [
+    # The lane kernel's exactness rests on its slot bounds, its disjoint
+    # joins and its one-add canonicalization.
+    Mutant("addend widened into the upper slots", "hadamard.py",
+           "lower * add, g * slot, fold))",
+           "(lower | lower << g * slot) * add, g * slot, fold))",
+           (HADAMARD + "test_lane_engine_matches_block_kernels",)),
+    Mutant("fold planned against 2 * top, so slots may overflow", "hadamard.py",
+           "fold = bound + add >= top",
+           "fold = bound + add >= 2 * top",
+           (HADAMARD + "test_lazy_plan_keeps_every_slot_below_its_width",
+            HADAMARD + "test_lane_engine_matches_block_kernels")),
+    Mutant("no fold after the last stage", "hadamard.py",
+           "    w = (w & pm) + (w >> x & pm)  # each slot at most 2p - 1\n",
+           "",
+           (HADAMARD + "test_lane_engine_matches_block_kernels",)),
+    Mutant("wrong inverse scale", "hadamard.py",
+           "r = -(n.bit_length() - 1) % x",
+           "r = (n.bit_length() - 1) % x",
+           (HADAMARD + "test_lane_engine_matches_block_kernels",)),
+    Mutant("canonicalizing add without the + 1", "hadamard.py",
+           "w += w + ones >> x & ones",
+           "w += w >> x & ones",
+           (HADAMARD + "test_one_add_makes_a_folded_lane_canonical",
+            HADAMARD + "test_lane_engine_matches_block_kernels")),
+    # SentinelSet holds positions as the 4-byte words HCT1 carries.
+    Mutant("constructor accepts unordered positions", "bitcodec.py",
+           "        if not _ascending(self._words):\n",
+           "        if False:\n",
+           ("tests/test_bitcodec.py::test_sentinel_set_validation",)),
+    Mutant("positions read from bytes as machine words", "bitcodec.py",
+           'array("I", iter(indices))',
+           'array("I", indices)',
+           ("tests/test_bitcodec.py::test_parsed_words_must_strictly_ascend",)),
+    Mutant("to_bytes lets OverflowError out", "cipher.py",
+           "except (struct.error, OverflowError) as exc:",
+           "except struct.error as exc:",
+           ("tests/test_envelope.py::test_to_bytes_rejects_unencodable_level_record",)),
+    # The digest and the avalanche experiment run on the cipher's level cores.
+    Mutant("avalanche flips the bit after the chosen one", "analysis.py",
+           "v ^ 1 << out - 1 - (flip_index - start)",
+           "v ^ 1 << out - (flip_index - start)",
+           ("tests/test_analysis.py::test_digest_and_avalanche_equal_the_envelope_pipeline",)),
+    Mutant("inverse core does not restore flagged lanes", "cipher.py",
+           "v |= (flags ^ held) * p",
+           "v |= 0",
+           ("tests/test_cipher.py::test_round_trip_property",
+            "tests/test_analysis.py::test_digest_and_avalanche_equal_the_envelope_pipeline")),
+]
+
+
+def run(mutant: Mutant, scratch: Path) -> str | None:
+    """None if the mutant's tests fail, else why the mutant is not killed."""
+    src = scratch / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    target = src / "hctcodec" / mutant.path
+    text = target.read_text()
+    if text.count(mutant.old) != 1:
+        return f"its old text occurs {text.count(mutant.old)} times in {mutant.path}, not once"
+    target.write_text(text.replace(mutant.old, mutant.new))
+    # The copy replaces src/ both on PYTHONPATH and in the ini's pythonpath;
+    # the working directory keeps pytest's and hypothesis's caches out of the
+    # tree, and a fixed seed makes each verdict repeatable.
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+               "--hypothesis-seed=0", "--rootdir", str(ROOT), "-o", f"pythonpath={src}",
+               *(str(ROOT / test) for test in mutant.tests)]
+    done = subprocess.run(command, cwd=scratch, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    if done.returncode == 1:
+        return None
+    if done.returncode == 0:
+        return "survived: its tests pass"
+    return f"pytest exited {done.returncode}:\n{done.stdout[-2000:]}{done.stderr[-2000:]}"
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {mutant.name for mutant in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    failed = 0
+    for mutant in MUTANTS:
+        if names and mutant.name not in names:
+            continue
+        start = time.perf_counter()
+        with tempfile.TemporaryDirectory(prefix="hctcodec-mutant-") as scratch:
+            problem = run(mutant, Path(scratch))
+        verdict = "killed" if problem is None else f"NOT KILLED, {problem}"
+        print(f"{mutant.name}: {verdict} ({time.perf_counter() - start:.1f} s)", flush=True)
+        failed += problem is not None
+    print(f"{failed} of {len(names) or len(MUTANTS)} mutants not killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

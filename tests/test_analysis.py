@@ -11,14 +11,20 @@ from hypothesis import strategies as st
 
 from hctcodec.analysis import (
     DiffReport,
-    _payload_bits,
     avalanche_experiment,
     degenerate_check,
     difference_series,
     write_csv,
 )
-from hctcodec.bitcodec import BitSeq
-from hctcodec.cipher import CipherEnvelope, KeySchedule, decrypt_tolerant, encrypt, hash_digest
+from hctcodec.bitcodec import SLICE_BITS, BitSeq
+from hctcodec.cipher import (
+    CipherEnvelope,
+    KeySchedule,
+    _plan,
+    decrypt_tolerant,
+    encrypt,
+    hash_digest,
+)
 from vectors import (
     PLAIN_BITS,
     PLAIN_VS_CIPHER_COMMON,
@@ -167,6 +173,39 @@ def test_avalanche_of_the_flipped_superblock_matches_the_whole_message(exponents
         avalanche_experiment(BitSeq(""), key, n, 0)
 
 
+@pytest.mark.parametrize("exponents, n", [
+    ((2, 7), 16), ((3, 5, 31), 8), ((13,), 128), ((5, 3, 2), 16),
+    ((3, 5, 31), 128),  # S = 59520 > SLICE_BITS: a longer message is encrypted by chunks
+])
+def test_digest_and_avalanche_equal_the_envelope_pipeline(exponents, n):
+    # hash_digest and avalanche_experiment run the level loops on ints and
+    # build no envelope; through the public API they must equal the payload
+    # prefix of encrypt, and encrypt, flip, decrypt_tolerant and
+    # difference_series, at lengths around S and above SLICE_BITS, with flips
+    # on superblock edges and in the ragged tail.
+    key = KeySchedule.from_exponents(exponents)
+    size = key.superblock_bits(n)
+    rng = random.Random(size + n)
+    conflicts = 0
+    for length in sorted({0, 1, size - 1, size, size + 1, SLICE_BITS + 1}):
+        # Mostly ones, so every level that can carry sentinels has some.
+        value = rng.getrandbits(length) | rng.getrandbits(length) | rng.getrandbits(length)
+        message = BitSeq.from_int(value, length)
+        payload = encrypt(message, key, n).payload
+        for width in sorted({1, 128, size - 1, size, size + 1, length + 1}):
+            spare = len(payload) - width
+            prefix = payload.value >> spare if spare >= 0 else payload.value << -spare
+            assert hash_digest(message, key, n, width) == BitSeq.from_int(prefix, width), (
+                length, width)
+        tail = length - length % size
+        flips = {0, size - 1, size, tail - 1, tail, tail + 1, len(payload) - 1}
+        for flip in sorted(f for f in flips if 0 <= f < len(payload)):
+            report = avalanche_experiment(message, key, n, flip)
+            assert report == whole_message_avalanche(message, key, n, flip), (length, flip)
+            conflicts += report.sentinel_conflicts
+    assert conflicts > 0
+
+
 @pytest.mark.parametrize("exponents, n", [((3, 5, 31), 8), ((13,), 128), ((2, 7), 16)])
 def test_payload_length_without_encrypting(exponents, n):
     key = KeySchedule.from_exponents(exponents)
@@ -174,20 +213,25 @@ def test_payload_length_without_encrypting(exponents, n):
     rng = random.Random(size)
     for length in (0, 1, size - 1, size, 3 * size + size // 3):
         message = BitSeq.from_int(rng.getrandbits(length), length)
-        assert _payload_bits(length, key, n) == len(encrypt(message, key, n).payload), length
+        env = encrypt(message, key, n)
+        plan, payload_bits = _plan(exponents, n, length)
+        assert payload_bits == len(env.payload), length
+        assert [level[:3] for level in plan] == [
+            (record.x, record.orig_bit_len, record.padded_group_count(n)) for record in env.levels]
 
 
 def test_short_call_peak_memory_per_byte():
     # hash_digest plus one avalanche, as a short-message op runs them, on
     # 1000-1100-bit messages under 2,7 at n = 16.  Each message runs once
-    # untraced first, so the lane-mask cache is full.  Holding the report's
-    # XOR as one int keeps the peak at 20-21 B/B; a tuple of one int per bit
-    # and its text and bytes copies took it to about 97.
+    # untraced first, so the lane-mask cache is full.  Both calls run the
+    # cipher's level loops on ints, with no envelope, which keeps the peak at
+    # 10-11 B/B; through envelopes it was 20-21, and with a tuple of one int
+    # per bit in the report, about 97.
     key, rng = KeySchedule.from_exponents([2, 7]), random.Random(21)
     calls = []
     for length in rng.sample(range(1000, 1101), 8):
         message = BitSeq.from_int(rng.getrandbits(length), length)
-        calls.append((message, rng.randrange(_payload_bits(length, key, 16))))
+        calls.append((message, rng.randrange(_plan((2, 7), 16, length)[1])))
     for message, flip in calls:
         hash_digest(message, key, 16, 128)
         avalanche_experiment(message, key, 16, flip)
@@ -203,7 +247,7 @@ def test_short_call_peak_memory_per_byte():
             del outputs
     finally:
         tracemalloc.stop()
-    assert max(peaks.values()) <= 30, peaks
+    assert max(peaks.values()) <= 16, peaks
 
 
 def test_degenerate_detection():

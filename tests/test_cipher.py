@@ -218,24 +218,100 @@ def test_tolerant_decrypt_counts_sentinel_conflicts():
 
 
 def test_strict_decrypt_raises_the_anomaly_of_the_last_damaged_record():
-    # Level 0 gets a bogus sentinel over group 0 (which holds 6), level 1 one
-    # over group 0 (which recovers 16).  Levels are undone from the last
+    # Under 5,3 level 1 can carry sentinels; it records groups 2 and 3.
+    # Level 0 gets a bogus sentinel over group 0 (which holds 25), level 1 one
+    # over group 0 (which recovers 3).  Levels are undone from the last
     # record, so the level 1 conflict is met first.  Tolerant decrypt leaves
     # both groups as they are, so both conflicts are counted and the output
     # survives.
-    env = encrypt(BitSeq(PLAIN_BITS), KEY35)
-    bad0 = LevelRecord(3, 24, SentinelSet((0, 4)))
-    bad1 = LevelRecord(5, 24, SentinelSet((0,)))
+    key = KeySchedule.from_exponents([5, 3])
+    env = encrypt(BitSeq(PLAIN_BITS), key)
+    assert env.levels[1] == LevelRecord(3, 40, SentinelSet((2, 3)))
+    bad0 = LevelRecord(5, 24, SentinelSet((0,)))
+    bad1 = LevelRecord(3, 40, SentinelSet((0, 2, 3)))
     both = CipherEnvelope(env.version, 8, (bad0, bad1), env.payload)
     only0 = CipherEnvelope(env.version, 8, (bad0, env.levels[1]), env.payload)
     with pytest.raises(SentinelConflict) as exc:
-        decrypt(both, KEY35)
-    assert str(exc.value) == "level 1: sentinel position 0 holds 16, expected 0"
+        decrypt(both, key)
+    assert str(exc.value) == "level 1: sentinel position 0 holds 3, expected 0"
     with pytest.raises(SentinelConflict) as exc:
-        decrypt(only0, KEY35)
-    assert str(exc.value) == "level 0: sentinel position 0 holds 6, expected 0"
-    assert decrypt_tolerant(both, KEY35) == (BitSeq(PLAIN_BITS), DecryptAnomalies(
+        decrypt(only0, key)
+    assert str(exc.value) == "level 0: sentinel position 0 holds 25, expected 0"
+    assert decrypt_tolerant(both, key) == (BitSeq(PLAIN_BITS), DecryptAnomalies(
         sentinel_conflicts=2, padding_violations=0))
+
+
+def can_carry(exponents, level):
+    """Whether a level of the key ``exponents`` can record sentinels.
+
+    Level 0 can.  Level k >= 1 reads level k-1's residues, none all ones, so
+    its groups can be all ones iff x_k != x_(k-1) and x_k <= 2 x_(k-1) - 2
+    (see test_level_1_carries_sentinels_only_where_the_chain_allows).
+    """
+    a, b = exponents[level - 1], exponents[level]
+    return level == 0 or b != a and b <= 2 * a - 2
+
+
+def test_a_level_1_sentinel_under_3_5_is_a_malformed_record(monkeypatch):
+    # The forgery that once gave "level 1: sentinel position 0 holds 16": level
+    # 1 of 3,5 reads 3-bit residues, none all ones, so no 5-bit group of it
+    # can be all ones, and the record is refused before any lane arithmetic.
+    env = encrypt(BitSeq(PLAIN_BITS), KEY35)
+    bad1 = LevelRecord(5, 24, SentinelSet((0,)))
+    forged = CipherEnvelope(env.version, 8, (env.levels[0], bad1), env.payload)
+
+    def no_arithmetic(*args):
+        raise AssertionError("lane arithmetic ran before the record check")
+
+    monkeypatch.setattr(cipher, "apply_lanes", no_arithmetic)
+    parsed = CipherEnvelope.from_bytes(forged.to_bytes())  # HCT1 itself has no chain
+    for envelope in (forged, parsed):
+        for run in (decrypt, decrypt_tolerant):
+            with pytest.raises(MalformedEnvelope, match="^level 1: sentinels recorded where "
+                                                        "x 5 after x 3 cannot carry any$"):
+                run(envelope, KEY35)
+
+
+def test_levels_that_cannot_carry_sentinels_refuse_recorded_ones(monkeypatch):
+    # For each of the 30 exponent pairs whose level 1 cannot carry sentinels,
+    # one forged level-1 sentinel, as flags or as HCT1 words, is refused by
+    # both decrypts before any lane arithmetic; the same forgery under the
+    # 34 other pairs passes the record check.  A fourth level is held to the
+    # rule as well.
+    n, rng = 8, random.Random(27)
+    envelopes = {}
+    for a, b in product(SUPPORTED_EXPONENTS, repeat=2):
+        key = KeySchedule.from_exponents([a, b])
+        envelopes[a, b] = encrypt(random_bits(rng, rng.randrange(1, 400)), key, n)
+    deep = KeySchedule.from_exponents([5, 3, 2, 2])  # levels 0-2 can carry, level 3 cannot
+    env4 = encrypt(first_bits(bytes(range(40)) + b"\xff" * 8, 381), deep, 16)
+    assert all(len(record.sentinels) for record in env4.levels[:3])
+
+    def no_arithmetic(*args):
+        raise AssertionError("lane arithmetic ran")
+
+    monkeypatch.setattr(cipher, "apply_lanes", no_arithmetic)
+    refused = 0
+    for (a, b), env in envelopes.items():
+        count = env.levels[1].padded_group_count(n)
+        flags = SentinelSet.from_lanes(1 << (count - 1) * b, b, count)  # position 0
+        for sentinels in (flags, SentinelSet((0,))):
+            record = LevelRecord(b, env.levels[1].orig_bit_len, sentinels)
+            damaged = CipherEnvelope(env.version, n, (env.levels[0], record), env.payload)
+            for run in (decrypt, decrypt_tolerant):
+                if can_carry((a, b), 1):
+                    with pytest.raises(AssertionError, match="^lane arithmetic ran$"):
+                        run(damaged, KeySchedule.from_exponents([a, b]))
+                    continue
+                with pytest.raises(MalformedEnvelope, match=f"^level 1: sentinels recorded "
+                                   f"where x {b} after x {a} cannot carry any$"):
+                    run(damaged, KeySchedule.from_exponents([a, b]))
+        refused += not can_carry((a, b), 1)
+    assert refused == 30
+    for run in (decrypt, decrypt_tolerant):
+        with pytest.raises(MalformedEnvelope, match="^level 3: sentinels recorded where "
+                                                    "x 2 after x 2 cannot carry any$"):
+            run(forged(env4, 3, [0]), deep)
 
 
 @settings(max_examples=300, deadline=None)
@@ -327,6 +403,12 @@ def reference_check(envelope, key):
         if any(i >= count for i in record.sentinels):
             raise MalformedEnvelope(f"level {level}: sentinels lie past its {count} groups")
         bits = record.orig_bit_len
+    exponents = [params.x for params in key.elements]
+    for level in reversed(range(1, len(exponents))):
+        if not can_carry(exponents, level) and len(envelope.levels[level].sentinels):
+            raise MalformedEnvelope(f"level {level}: sentinels recorded where x "
+                                    f"{exponents[level]} after x {exponents[level - 1]} "
+                                    f"cannot carry any")
 
 
 def reference_decrypt(envelope, key, anomalies):
@@ -586,7 +668,7 @@ def test_chunk_path_matches_the_per_level_path(monkeypatch, exponents, n, shape)
     # Envelopes, bytes, strict errors and tolerant counts of the chunk path
     # equal those of the per-level path, which a SLICE_BITS past any length
     # selects, on forged sentinels in the head and in the tail at two levels
-    # and on nonzero tail padding.
+    # (where the key lets two levels carry them) and on nonzero tail padding.
     key = KeySchedule.from_exponents(exponents)
     size, step = key.superblock_bits(n), chunk_size(key, n)
     chunks, extra, tail = shape
@@ -627,8 +709,19 @@ def test_chunk_path_matches_the_per_level_path(monkeypatch, exponents, n, shape)
         assert outcome(lambda: decrypt(tail_only, key)) == (
             SentinelConflict, f"level 0: sentinel position {in_tail} holds "
                               f"{group(bits, x, in_tail)}, expected 0")
-        both = forged(forged(env, 0, [in_head, in_tail]), last,
-                      [step // exponents[last] + 3, top - 1])
+        # Only 5,3,2 can carry sentinels at its last level.  Under the other
+        # keys a forgery there is a malformed record on both paths, and a
+        # third level-0 forgery takes its place.
+        if can_carry(exponents, last):
+            both = forged(forged(env, 0, [in_head, in_tail]), last,
+                          [step // exponents[last] + 3, top - 1])
+        else:
+            both = forged(env, 0, [in_head, in_tail, first_plain(in_tail + 1)])
+            beyond = forged(env, last, [top - 1])
+            assert outcome(lambda: decrypt(beyond, key)) == (
+                MalformedEnvelope, f"level {last}: sentinels recorded where x {exponents[last]} "
+                                   f"after x {exponents[last - 1]} cannot carry any")
+            cases.append(beyond)
         # A level-0 record one bit shorter pads to the same groups and makes
         # the message's last bit, a 1, padding.
         assert value & 1
@@ -716,9 +809,9 @@ def test_level_1_carries_sentinels_only_where_the_chain_allows():
 
 
 def test_product_path_never_formats_bit_text(monkeypatch):
-    # Level 1 of the (3, 5) key finds sentinels in the 0xff run, the length is
-    # not byte-aligned, and the flipped payload bit makes the tolerant decrypt
-    # skip sentinel restorations.
+    # Level 0 of the (3, 5) key finds 126 sentinels in the 0xff run (level 1
+    # cannot carry any), the length is not byte-aligned, and the flipped
+    # payload bit makes the tolerant decrypt skip sentinel restorations.
     message = first_bits(bytes(range(256)) + b"\xff" * 16, 2171)
 
     def no_text(self):
@@ -805,6 +898,35 @@ def test_flag_sentinels_carried_onto_another_record_decrypt_like_their_indices()
                     for run in (decrypt, decrypt_tolerant):
                         a, b = (outcome(lambda: run(e, key)) for e in pair)
                         assert a == b, (x1, x2, n, groups)
+
+
+def test_only_strict_decrypt_builds_an_anomaly_error(monkeypatch):
+    # Tolerant decrypt, on the level loop and on the chunk path, and the
+    # avalanche experiment keep an anomaly's coordinates; only decrypt turns
+    # the first into SentinelConflict or NonZeroPadding.  A flip in the last
+    # block of the top level damages its padding, elsewhere level 0's sentinels.
+    key, n, rng = KeySchedule.from_exponents([3, 5, 31]), 8, random.Random(31)
+
+    def no_error(*args):
+        raise AssertionError("an anomaly error was built")
+
+    for length in (300, 2 * SLICE_BITS + 123):  # the level loop, then the chunk path
+        value = rng.getrandbits(length) | rng.getrandbits(length) | rng.getrandbits(length)
+        message = BitSeq.from_int(value, length)
+        env = encrypt(message, key, n)
+        flips = sorted(rng.sample(range(len(env.payload)), 40)) + [len(env.payload) - 1]
+        damaged = [CipherEnvelope(env.version, n, env.levels, env.payload.flip(flip))
+                   for flip in flips]
+        strict = {outcome(lambda: decrypt(e, key))[0] for e in damaged}
+        assert {SentinelConflict, NonZeroPadding} <= strict, strict
+        with monkeypatch.context() as patch:
+            patch.setattr(cipher, "SentinelConflict", no_error)
+            patch.setattr(cipher, "NonZeroPadding", no_error)
+            counts = [decrypt_tolerant(e, key)[1] for e in damaged]
+            reports = [avalanche_experiment(message, key, n, flip) for flip in flips]
+        assert sum(c.sentinel_conflicts for c in counts) == sum(
+            r.sentinel_conflicts for r in reports) > 0
+        assert any(c.padding_violations for c in counts)
 
 
 def test_lane_path_never_formats_sentinel_indices(monkeypatch):
