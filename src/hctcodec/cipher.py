@@ -30,9 +30,10 @@ describe the same steps one value at a time; tests use them as the oracle.
 
 Every level maps each S-bit superblock onto itself and pads only the
 ragged tail, so a key of two or more levels runs a message longer than
-SLICE_BITS bits and S chunk by chunk: its whole superblocks are cut into
-bytes once, each chunk passes every level as one int, and only the tail
-runs the level loop.  One level, or one slice, is cut once either way.
+SLICE_BITS bits chunk by chunk (``_head``): its whole superblocks are cut
+into bytes once, and each chunk, then the tail, is one call to the same
+level loop.  Decrypt keeps each level's first anomaly in message order.
+One level, or one slice, is cut once either way.
 
 The envelope is the self-contained ciphertext container: without the
 per-level bit lengths and sentinel sets the payload alone is not
@@ -228,26 +229,21 @@ def _forward(v: int, length: int, exponents: tuple[int, ...], n: int) -> tuple[i
     plan, bits = _plan(exponents, n, length)
     marks = []
     for x, length, count, _ in plan:
-        v, flags = apply_lanes(v << count * x - length, x, n, count, False)
+        pad = count * x - length
+        v, flags = apply_lanes(v << pad if pad else v, x, n, count, False)
         marks.append(flags)
     return v, bits, plan, marks
 
 
-def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> CipherEnvelope:
-    """Run the full multi-level pipeline and wrap the result in an envelope.
+def _head(length: int, key: KeySchedule, n: int) -> int:
+    """Bits of the message's whole superblocks when they run chunk by chunk, else 0.
 
-    The ciphertext bit length is a multiple of block_order * x for the last
-    exponent x, so it generally differs from the plaintext length.  Empty
-    input is legal and produces an empty payload with one record per level.
+    A key of one level, or a message of at most SLICE_BITS bits, gains
+    nothing from chunks: the level loop cuts each level once anyway.
     """
-    check_order(block_order)
-    length = plaintext.length
-    if length > SLICE_BITS and len(key.elements) > 1 and length >= key.superblock_bits(block_order):
-        return _encrypt_chunks(plaintext, key, block_order)
-    v, bits, plan, marks = _forward(plaintext.value, length, key._exponents, block_order)
-    levels = tuple(LevelRecord(x, bits_in, SentinelSet.from_lanes(flags, x, count))
-                   for (x, bits_in, count, _), flags in zip(plan, marks))
-    return CipherEnvelope(ENVELOPE_VERSION, block_order, levels, BitSeq.from_int(v, bits))
+    if length <= SLICE_BITS or len(key.elements) < 2:
+        return 0
+    return length - length % key.superblock_bits(n)
 
 
 def _chunks(size: int, key: KeySchedule, n: int) -> Iterator[tuple[slice, int]]:
@@ -262,31 +258,39 @@ def _chunks(size: int, key: KeySchedule, n: int) -> Iterator[tuple[slice, int]]:
         yield slice(start, end), 8 * (end - start)
 
 
-def _encrypt_chunks(plaintext: BitSeq, key: KeySchedule, n: int) -> CipherEnvelope:
-    """``encrypt`` of the head chunk by chunk and of the ragged tail by the level loop, joined."""
-    tail = plaintext.length % key.superblock_bits(n)
-    data = bytearray((plaintext.value >> tail).to_bytes((plaintext.length - tail) // 8, "big"))
-    head, marks = 8 * len(data), [None] * len(key.elements)
-    for cut, bits in _chunks(len(data), key, n):
-        chunk = int.from_bytes(data[cut], "big")
-        for level, params in enumerate(key.elements):
-            chunk, flags = apply_lanes(chunk, params.x, n, bits // params.x, False)
-            if flags:  # a level gets a flag buffer once a chunk has flags
-                marks[level] = marks[level] or bytearray(len(data))
-                marks[level][cut] = flags.to_bytes(bits // 8, "big")
-        data[cut] = chunk.to_bytes(bits // 8, "big")
-    rest = encrypt(BitSeq.from_int(plaintext.value & (1 << tail) - 1, tail), key, n)
-    levels = []
-    for level, record in enumerate(rest.levels):  # every tail level ends on a byte
-        x, count = record.x, record.padded_group_count(n)
-        flags = record.sentinels.lanes(x, count)
-        if marks[level]:
-            marks[level] += flags.to_bytes(count * x // 8, "big")
-            flags, marks[level] = int.from_bytes(marks[level], "big"), None
-        sentinels = SentinelSet.from_lanes(flags, x, head // x + count)
-        levels.append(LevelRecord(x, head + record.orig_bit_len, sentinels))
-    data += rest.payload.to_bytes()
-    return CipherEnvelope(ENVELOPE_VERSION, n, tuple(levels), BitSeq.from_bytes(data))
+def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> CipherEnvelope:
+    """Run the full multi-level pipeline and wrap the result in an envelope.
+
+    The ciphertext bit length is a multiple of block_order * x for the last
+    exponent x, so it generally differs from the plaintext length.  Empty
+    input is legal and produces an empty payload with one record per level.
+    """
+    check_order(block_order)
+    n, exponents, v, length = block_order, key._exponents, plaintext.value, plaintext.length
+    head = _head(length, key, n)
+    if head:
+        tail, buffers = length - head, [None] * len(exponents)
+        data = bytearray((v >> tail).to_bytes(head // 8, "big"))
+        for cut, bits in _chunks(head // 8, key, n):
+            chunk, _, _, marks = _forward(int.from_bytes(data[cut], "big"), bits, exponents, n)
+            for level, flags in enumerate(marks):
+                if flags:  # a level gets a flag buffer once a chunk has flags
+                    buffers[level] = buffers[level] or bytearray(head // 8)
+                    buffers[level][cut] = flags.to_bytes(bits // 8, "big")
+            data[cut] = chunk.to_bytes(bits // 8, "big")
+        v &= (1 << tail) - 1
+    v, bits, plan, marks = _forward(v, length - head, exponents, n)
+    if head:  # every tail level ends on a byte
+        for level, (x, _, count, _) in enumerate(plan):
+            if buffers[level]:
+                buffers[level] += marks[level].to_bytes(count * x // 8, "big")
+                marks[level], buffers[level] = int.from_bytes(buffers[level], "big"), None
+        data += v.to_bytes(bits // 8, "big")
+        plan, bits = _plan(exponents, n, length)
+        v = int.from_bytes(data, "big")
+    levels = tuple(LevelRecord(x, bits_in, SentinelSet.from_lanes(flags, x, count))
+                   for (x, bits_in, count, _), flags in zip(plan, marks))
+    return CipherEnvelope(ENVELOPE_VERSION, n, levels, BitSeq.from_int(v, bits))
 
 
 @dataclass
@@ -323,29 +327,21 @@ def _check_records(envelope: CipherEnvelope, key: KeySchedule) -> list:
     return plan
 
 
-def _conflict(level: int, v: int, held: int, x: int, last: int) -> tuple[int, int, int]:
-    """The anomaly at the lowest position in ``held``, where v's lowest lane is position ``last``."""
-    lane = (held.bit_length() - 1) // x
-    return level, last - lane, v >> lane * x & (1 << x) - 1
-
-
-def _inverse(
-    v: int, plan: list, marks: list, n: int, head: int = 0, found: list | None = None
-) -> tuple[int, int, int, tuple | None]:
+def _inverse(v: int, plan: list, marks: list, n: int, head: int = 0) -> tuple[int, int, int, list]:
     """Undo the plan's levels in reverse on the payload int ``v``, restoring each level's flags.
 
     Returns the int, the sentinel conflict and padding violation counts and
-    the first anomalous level's anomaly: (level, position, value) for the
+    each level's first anomaly, or None: (level, position, value) for the
     lowest sentinel lane not holding 0, else (level, None, one bits) for
-    nonzero padding.  A tail after a ``head``-bit head takes the head's
-    anomalies per level in ``found``.
+    nonzero padding.  ``v`` starts ``head`` bits into every level, so its
+    positions count the ``head // x`` lanes before it.
     """
     conflicts = violations = 0
-    first = None
+    found = [None] * len(plan)
     for level in reversed(range(len(plan))):
         x, length, count, _ = plan[level]
         v, _ = apply_lanes(v, x, n, count, True)
-        flags, held = marks[level], 0
+        flags = marks[level]
         if flags:
             # A flagged lane holds a nonzero value iff its top bit is set or adding
             # 2^(x-1) - 1 to its low x - 1 bits sets it (no carry leaves the lane).
@@ -353,80 +349,56 @@ def _inverse(
             low = flags * (p >> 1)
             held = ((v & low) + low | v) >> x - 1 & flags
             v |= (flags ^ held) * p
+            if held:
+                conflicts += held.bit_count()
+                lane = (held.bit_length() - 1) // x
+                found[level] = level, head // x + count - 1 - lane, v >> lane * x & p
         drop = count * x - length
-        padding = v & (1 << drop) - 1
-        conflicts += held.bit_count()
-        violations += padding != 0
-        if first is None:
-            if found and found[level]:
-                first = found[level]
-            elif held:
-                first = _conflict(level, v, held, x, head // x + count - 1)
-            elif padding:
-                first = level, None, padding.bit_count()
-        v >>= drop
-    return v, conflicts, violations, first
+        if drop:
+            padding = v & (1 << drop) - 1
+            if padding:
+                violations += 1
+                found[level] = found[level] or (level, None, padding.bit_count())
+            v >>= drop
+    return v, conflicts, violations, found
 
 
 def _decrypt_levels(
-    envelope: CipherEnvelope, key: KeySchedule, head: int = 0, found: list | None = None
-) -> tuple[BitSeq, DecryptAnomalies, tuple | None]:
+    envelope: CipherEnvelope, key: KeySchedule
+) -> tuple[BitSeq, DecryptAnomalies, list]:
     """Check the records, then undo the levels in reverse, counting payload anomalies.
 
-    Returns the bits, the counts and the first anomaly, as ``_inverse`` does
-    with ``head`` and ``found``; its level is that of HCT1 record k.
+    Returns the bits, the counts and each level's first anomaly, as
+    ``_inverse`` does; the level is that of HCT1 record k.  A head of whole
+    superblocks runs chunk by chunk, each chunk cut at the same byte range
+    of every level's flags, and the anomalies of earlier chunks come first.
     """
     plan = _check_records(envelope, key)
     n, length = envelope.block_order, envelope.levels[0].orig_bit_len
-    if length > SLICE_BITS and len(key.elements) > 1 and length >= key.superblock_bits(n):
-        return _decrypt_chunks(envelope, key)
     marks = [record.sentinels.lanes(x, count)
              for record, (x, _, count, _) in zip(envelope.levels, plan)]
-    v, conflicts, violations, first = _inverse(envelope.payload.value, plan, marks, n, head, found)
-    return BitSeq.from_int(v, length), DecryptAnomalies(conflicts, violations), first
-
-
-def _decrypt_chunks(
-    envelope: CipherEnvelope, key: KeySchedule
-) -> tuple[BitSeq, DecryptAnomalies, tuple | None]:
-    """``_decrypt_levels`` of the head chunk by chunk and of the ragged tail by the level loop.
-
-    Each level's flags are formed once and cut at the chunks' byte ranges.
-    """
-    n, payload, length = envelope.block_order, envelope.payload, envelope.levels[0].orig_bit_len
-    tail = length % key.superblock_bits(n)
-    head, marks, records = length - tail, [], []
-    for record in envelope.levels:  # every level ends on a byte
-        x, count = record.x, record.padded_group_count(n)
-        flags = record.sentinels.lanes(x, count)
-        flags = flags and memoryview(flags.to_bytes(count * x // 8, "big"))
-        marks.append(flags and flags[:head // 8])
-        sentinels = SentinelSet.from_lanes(flags and int.from_bytes(flags[head // 8:], "big"),
-                                           x, count - head // x)
-        records.append(LevelRecord(x, record.orig_bit_len - head, sentinels))
-    data = bytearray(payload.to_bytes())
-    conflicts, found = 0, [None] * len(records)
+    head = _head(length, key, n)
+    if not head:
+        v, conflicts, violations, found = _inverse(envelope.payload.value, plan, marks, n)
+        return BitSeq.from_int(v, length), DecryptAnomalies(conflicts, violations), found
+    tail, exponents = length - head, key._exponents
+    views = [flags and memoryview(flags.to_bytes(count * x // 8, "big"))
+             for flags, (x, _, count, _) in zip(marks, plan)]  # every level ends on a byte
+    marks = [view and int.from_bytes(view[head // 8:], "big") for view in views]
+    data, conflicts, found = bytearray(envelope.payload.to_bytes()), 0, [None] * len(plan)
     for cut, bits in _chunks(head // 8, key, n):
-        chunk = int.from_bytes(data[cut], "big")
-        for level in reversed(range(len(records))):
-            x, p = key.elements[level].x, key.elements[level].p
-            chunk, _ = apply_lanes(chunk, x, n, bits // x, True)
-            flags = marks[level] and int.from_bytes(marks[level][cut], "big")
-            if flags:  # as in _decrypt_levels
-                low = flags * (p >> 1)
-                held = ((chunk & low) + low | chunk) >> x - 1 & flags
-                chunk |= (flags ^ held) * p
-                conflicts += held.bit_count()
-                if held and not found[level]:
-                    found[level] = _conflict(level, chunk, held, x, 8 * cut.stop // x - 1)
+        chunk, held, _, part = _inverse(
+            int.from_bytes(data[cut], "big"), _plan(exponents, n, bits)[0],
+            [view and int.from_bytes(view[cut], "big") for view in views], n, 8 * cut.start)
         data[cut] = chunk.to_bytes(bits // 8, "big")
-    del marks  # before the tail runs: the head's flags of every level
-    rest = CipherEnvelope(envelope.version, n, tuple(records), BitSeq.from_bytes(data[head // 8:]))
-    out, anomalies, first = _decrypt_levels(rest, key, head, found)
-    anomalies.sentinel_conflicts += conflicts
-    v = int.from_bytes(memoryview(data)[:head // 8], "big")
-    del data  # before the head and the tail are joined
-    return BitSeq.from_int(v << tail | out.value, length), anomalies, first
+        conflicts += held
+        found = [a or b for a, b in zip(found, part)]
+    del views  # before the tail runs: the head's flags of every level
+    v, held, violations, last = _inverse(int.from_bytes(memoryview(data)[head // 8:], "big"),
+                                         _plan(exponents, n, tail)[0], marks, n, head)
+    v |= int.from_bytes(memoryview(data)[:head // 8], "big") << tail
+    found = [a or b for a, b in zip(found, last)]
+    return BitSeq.from_int(v, length), DecryptAnomalies(conflicts + held, violations), found
 
 
 def decrypt(envelope: CipherEnvelope, key: KeySchedule) -> BitSeq:
@@ -437,9 +409,8 @@ def decrypt(envelope: CipherEnvelope, key: KeySchedule) -> BitSeq:
     a failing record raises MalformedEnvelope.  Then the tolerant pass runs,
     and its first payload anomaly (SentinelConflict / NonZeroPadding) is raised.
     """
-    bits, _, first = _decrypt_levels(envelope, key)
-    if first:
-        level, position, value = first
+    bits, _, found = _decrypt_levels(envelope, key)
+    for level, position, value in filter(None, reversed(found)):
         if position is None:
             raise NonZeroPadding(f"level {level}: discarded padding contains {value} one bits")
         raise SentinelConflict(f"level {level}: sentinel position {position} holds {value}, "

@@ -87,7 +87,17 @@ MUTANTS = [
            "v |= (flags ^ held) * p",
            "v |= 0",
            ("tests/test_cipher.py::test_round_trip_property",
-            "tests/test_analysis.py::test_digest_and_avalanche_equal_the_envelope_pipeline")),
+            "tests/test_analysis.py::test_digest_and_avalanche_equal_the_envelope_pipeline",
+            "tests/test_cipher.py::test_each_level_is_one_kernel_pass_each_way")),
+    # Chunks and the tail of a long message run through the same cores.
+    Mutant("head offset dropped", "cipher.py",
+           "head // x + count - 1 - lane",
+           "count - 1 - lane",
+           ("tests/test_cipher.py::test_chunk_path_matches_the_per_level_path",)),
+    Mutant("tail anomaly merged before the head's", "cipher.py",
+           "[a or b for a, b in zip(found, last)]",
+           "[b or a for a, b in zip(found, last)]",
+           ("tests/test_cipher.py::test_chunk_path_matches_the_per_level_path",)),
 ]
 
 

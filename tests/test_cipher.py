@@ -583,11 +583,12 @@ def test_each_level_is_one_kernel_pass_each_way(monkeypatch):
     # A key of several levels runs a long message chunk by chunk: the head
     # of whole superblocks is cut into chunks once each way, each chunk
     # passes every level once (in reverse to decrypt) and is never cut into
-    # slices, and the ragged tail then passes every level once.  A one-level
-    # key walks each level's slices once each way.
+    # slices, and the ragged tail then passes every level once.  Decrypt
+    # checks the records once, the tail's with the rest.  A one-level key
+    # walks each level's slices once each way.
     bits = BitSeq.from_int(random.Random(5).getrandbits(100_000), 100_000)
-    calls, cuts, walks = [], [], []
-    kernel, chunks = cipher.apply_lanes, cipher._chunks
+    calls, cuts, walks, checks = [], [], [], []
+    kernel, chunks, check = cipher.apply_lanes, cipher._chunks, cipher._check_records
 
     def counted_kernel(v, x, n, count, inverse):
         calls.append((x, count, inverse))
@@ -601,7 +602,12 @@ def test_each_level_is_one_kernel_pass_each_way(monkeypatch):
         walks.append((x, count))
         return lane_slices(x, count)
 
+    def counted_check(envelope, key):
+        checks.append(envelope)
+        return check(envelope, key)
+
     monkeypatch.setattr(cipher, "apply_lanes", counted_kernel)
+    monkeypatch.setattr(cipher, "_check_records", counted_check)
     monkeypatch.setattr(cipher, "_chunks", counted_chunks)
     monkeypatch.setattr(hadamard, "lane_slices", counted)
     key, n = KeySchedule.from_exponents([5, 3, 2]), 16
@@ -618,9 +624,10 @@ def test_each_level_is_one_kernel_pass_each_way(monkeypatch):
     assert calls == [(x, s // x, False) for s in sizes for x in (5, 3, 2)] + [
         (x, count, False) for x, count in tails]
     for envelope in (env, CipherEnvelope.from_bytes(env.to_bytes())):
-        calls.clear(), cuts.clear()
+        calls.clear(), cuts.clear(), checks.clear()
         assert decrypt(envelope, key) == bits
         assert cuts == [(head // 8, key, n)] and walks == []
+        assert len(checks) == 1 and checks[0] is envelope
         assert calls == [(x, s // x, True) for s in sizes for x in (2, 3, 5)] + [
             (x, count, True) for x, count in tails[::-1]]
 
@@ -745,6 +752,37 @@ def test_chunk_path_matches_the_per_level_path(monkeypatch, exponents, n, shape)
     if tail:
         counts = decrypt_tolerant(cases[-1], key)[1]
         assert counts.sentinel_conflicts >= 3 and counts.padding_violations >= 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(SUPPORTED_EXPONENTS), min_size=2, max_size=3),
+    st.sampled_from([8, 16, 32]),
+    st.integers(0, 4000),
+    st.randoms(use_true_random=False),
+)
+def test_chunk_path_matches_the_level_loop_under_any_key(exponents, n, length, rng):
+    # With SLICE_BITS at 64, a message of at least one superblock runs as
+    # chunks of one or a few superblocks and a ragged tail.  At the real
+    # SLICE_BITS every length here takes the level loop, which must give
+    # the same envelope, bytes, strict outcome and tolerant counts, also
+    # with a sentinel forged at a random level-0 position.
+    key = KeySchedule.from_exponents(exponents)
+    bits = BitSeq.from_int(rng.getrandbits(length), length)
+    env = encrypt(bits, key, n)
+    count = env.levels[0].padded_group_count(n)
+    cases = [env, forged(env, 0, [rng.randrange(count)])] if count else [env]
+
+    def runs():
+        return [outcome(lambda: run(envelope, key))
+                for envelope in cases for run in (decrypt, decrypt_tolerant)]
+
+    whole = runs()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cipher, "SLICE_BITS", 64)
+        chunked = encrypt(bits, key, n)
+        assert chunked == env and chunked.to_bytes() == env.to_bytes()
+        assert runs() == whole
 
 
 @settings(max_examples=200, deadline=None)
