@@ -6,10 +6,11 @@ order with zeros, and remembers two things needed for lossless inversion:
 the pre-padding bit length and the positions holding the group maximum
 2^x - 1 (which is congruent to 0 mod p and would otherwise be lost).
 
-``BitSeq`` holds a sequence once, as an MSB-first int and a bit count, so
-the cipher's packed level loop, the envelope and the byte packing never
-format it as text.  ``SentinelSet`` likewise holds one form: the lane
-flags the cipher finds, or the big-endian 4-byte words the envelope
+``BitSeq`` holds a sequence once, as an MSB-first int or as bytes, and a
+bit count, so the cipher's packed level loop, the envelope and the byte
+packing never format it as text, and a file stays bytes through the
+cipher.  ``SentinelSet`` likewise holds one form: the lane flags the
+cipher finds, as bytes, or the big-endian 4-byte words the envelope
 carries, never an int per position; it converts between them only when
 asked, one slice at a time (``lane_slices``) and only over each slice's
 span of positions, so no text grows with the lane count and an empty
@@ -48,28 +49,44 @@ def lane_slices(x: int, count: int) -> Iterator[tuple[int, int, slice]]:
         lane, end = end, end + step
 
 
-@dataclass(frozen=True, init=False)
 class BitSeq:
-    """An ordered bit sequence: one MSB-first int and its bit count.
+    """An ordered bit sequence and its bit count, held as an MSB-first int or as bytes.
 
-    ``BitSeq("0101")`` parses and validates text; ``from_int`` and
-    ``from_bytes`` build one without any text, and ``bits`` formats the
-    text form on demand.  Leading zeros are carried by ``length``.
+    ``BitSeq("0101")`` parses text and ``from_int`` keeps an int;
+    ``from_bytes`` keeps bytes, whose last byte may end in zero fill as
+    ``to_bytes`` writes it.  The other forms (``value``, ``bits``,
+    ``to_bytes``) are formed on each access.  ``==`` and ``hash`` read the
+    length and ``to_bytes()``, or compare two ints, so all forms agree.
     """
 
-    value: int
-    length: int
+    __slots__ = ("_value", "length", "_data")
 
     def __init__(self, bits: str = ""):
         if not isinstance(bits, str):
             raise TypeError(f"BitSeq takes a str of '0'/'1', not {type(bits).__name__}")
         if bits.encode().translate(None, b"01"):
             raise ValueError("bit sequence may contain only '0' and '1'")
-        object.__setattr__(self, "value", int(bits, 2) if bits else 0)
-        object.__setattr__(self, "length", len(bits))
+        _set(self, "_value", int(bits, 2) if bits else 0)
+        _set(self, "length", len(bits))
+        _set(self, "_data", None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"BitSeq is immutable; cannot set {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild the form through its constructor
+        if self._data is None:
+            return BitSeq.from_int, (self._value, self.length)
+        return BitSeq._packed, (self._data, self.length)
 
     def __repr__(self) -> str:
         return f"BitSeq({self.bits!r})"
+
+    @property
+    def value(self) -> int:
+        """The MSB-first int; a byte form forms it on each access."""
+        if self._data is None:
+            return self._value
+        return int.from_bytes(self._data, "big") >> -self.length % 8
 
     @property
     def bits(self) -> str:
@@ -78,6 +95,16 @@ class BitSeq:
 
     def __len__(self) -> int:
         return self.length
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BitSeq):
+            return NotImplemented
+        if self._data is None and other._data is None:
+            return self._value == other._value and self.length == other.length
+        return self.length == other.length and self.to_bytes() == other.to_bytes()
+
+    def __hash__(self) -> int:
+        return hash((self.length, self.to_bytes()))
 
     def flip(self, index: int) -> "BitSeq":
         """Return a copy with the bit at ``index`` inverted."""
@@ -91,19 +118,34 @@ class BitSeq:
         if value < 0 or value >> length:
             raise ValueError(f"value does not fit in {length} unsigned bits")
         seq = object.__new__(cls)
-        object.__setattr__(seq, "value", value)
-        object.__setattr__(seq, "length", length)
+        _set(seq, "_value", value)
+        _set(seq, "length", length)
+        _set(seq, "_data", None)
         return seq
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BitSeq":
-        """Unpack every bit of ``data``, MSB-first."""
-        return cls.from_int(int.from_bytes(data, "big"), 8 * len(data))
+        """Every bit of ``data``, MSB-first, held as bytes (a copy, unless ``data`` is bytes)."""
+        data = data if type(data) is bytes else bytes(memoryview(data))
+        return cls._packed(data, 8 * len(data))
+
+    @classmethod
+    def _packed(cls, data: bytes, length: int) -> "BitSeq":
+        """The first ``length`` bits of ``data``; its ``-length % 8`` fill bits must be 0."""
+        seq = object.__new__(cls)
+        _set(seq, "length", length)
+        _set(seq, "_data", data)
+        return seq
 
     def to_bytes(self) -> bytes:
         """Pack MSB-first, zero-filling the final partial byte."""
+        if self._data is not None:
+            return self._data
         fill = -self.length % 8
-        return (self.value << fill).to_bytes((self.length + fill) // 8, "big")
+        return (self._value << fill).to_bytes((self.length + fill) // 8, "big")
+
+
+_set = object.__setattr__  # BitSeq's constructors; its own __setattr__ refuses
 
 
 @dataclass(frozen=True)
@@ -119,8 +161,10 @@ class SentinelSet:
     """Group positions that held the maximum value 2^x - 1.
 
     A set is held in one of two forms.  ``from_lanes`` keeps the lane flags
-    ``encrypt`` finds: for ``count`` x-bit lanes, a 1 at bit j*x marks lane
-    j from the least significant end, which is group position count - 1 - j.
+    ``encrypt`` finds, the ``ceil(count * x / 8)`` big-endian bytes (as
+    given, or b"" for none) of an int in which, for ``count`` x-bit lanes,
+    a 1 at bit j*x marks lane j from the least significant end, which is
+    group position count - 1 - j.
     ``SentinelSet(indices)`` and ``from_words`` keep the positions as HCT1
     carries them, big-endian 4-byte words, 4 bytes a position where a tuple
     of ints would take 36; so every position must lie in 0..2^32 - 1, and
@@ -131,7 +175,8 @@ class SentinelSet:
     access.  Two flag sets over the same lanes compare their flags; any
     other pair compares ``to_words()``, so both forms of one set are equal,
     and ``hash`` is always that of ``to_words()``.  Decrypt asks ``fits``,
-    then ``lanes``; neither builds a collection of ints.
+    then ``lanes``, or its bytes piece by piece on a long message; neither
+    builds a collection of ints.
 
     Parsed positions stay words because they grow with the sentinel count,
     which the envelope's bytes bound, while flags grow with the lane count:
@@ -170,8 +215,10 @@ class SentinelSet:
         return words
 
     @classmethod
-    def from_lanes(cls, flags: int, x: int, count: int) -> "SentinelSet":
-        """The set whose flags over ``count`` x-bit lanes are ``flags`` (see above)."""
+    def from_lanes(cls, flags: int | bytes, x: int, count: int) -> "SentinelSet":
+        """The set of ``flags`` over ``count`` x-bit lanes, an int or bytes (see above)."""
+        if isinstance(flags, int):
+            flags = flags.to_bytes(-(-count * x // 8), "big") if flags else b""
         lanes = object.__new__(cls)
         lanes._words, lanes._flags, lanes._x, lanes._count = None, flags, x, count
         return lanes
@@ -180,11 +227,8 @@ class SentinelSet:
         """The ascending positions as an ``array('I')``; OverflowError past 2^32 - 1."""
         if self._words is not None:
             return _unpack(self._words)
-        x, count = self._x, self._count
+        x, count, data = self._x, self._count, self._flags
         out = array("I")
-        if not self._flags:
-            return out
-        data = self._flags.to_bytes(-(-count * x // 8), "big")
         for first, lanes, cut in lane_slices(x, count):
             flags = int.from_bytes(data[cut], "big")
             if not flags:
@@ -209,18 +253,22 @@ class SentinelSet:
     def fits(self, count: int) -> bool:
         """Whether every position lies below ``count``."""
         words = self._words
-        if words is None:  # the highest position is the lowest flagged lane's
-            flags = self._flags
+        if words is None:  # all lie below _count; the highest is the lowest flagged lane's
+            flags = int.from_bytes(self._flags, "big") if count < self._count else 0
             return not flags or self._count - 1 - (flags & -flags).bit_length() // self._x < count
         return not words or int.from_bytes(words[-4:], "big") < count
 
     def lanes(self, x: int, count: int) -> int:
         """Flags over ``count`` x-bit lanes; every position must lie below ``count``."""
+        return int.from_bytes(self._lane_bytes(x, count), "big")
+
+    def _lane_bytes(self, x: int, count: int) -> bytes:
+        """``lanes`` as its ``ceil(count * x / 8)`` big-endian bytes, or b"" for none."""
         if self._words is None and x == self._x and count == self._count:
             return self._flags
         indices = self._view()
         if not indices:
-            return 0
+            return b""
         flags = bytearray(-(-count * x // 8))
         low = 0
         for first, lanes, cut in lane_slices(x, count):
@@ -240,10 +288,12 @@ class SentinelSet:
             shift = (first + lanes - 1 - end) * x
             flags[cut] = (int(marks, 2) << shift).to_bytes(cut.stop - cut.start, "big")
             low = high
-        return int.from_bytes(flags, "big")
+        return flags
 
     def __len__(self) -> int:
-        return self._flags.bit_count() if self._words is None else len(self._words) // 4
+        if self._words is None:
+            return int.from_bytes(self._flags, "big").bit_count()
+        return len(self._words) // 4
 
     def __iter__(self):
         return iter(self._view())

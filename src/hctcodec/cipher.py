@@ -10,13 +10,12 @@ exact for every input including lengths the exponents do not divide.
 Decrypt checks every level record against the key first; one tolerant
 pass then counts payload anomalies, and ``decrypt`` raises the first.
 
-Each level runs on the whole message as one Python int, one x-bit lane
-per group (``hadamard.apply_lanes``, slice by slice above
-``bitcodec.SLICE_BITS`` bits): padding is a shift, sentinels are the
-all-ones lanes, restoring them is one OR and truncation one shift.  The
-level loops on ints (``_forward``, ``_inverse``) are wrapped by encrypt and
-decrypt and called directly, with no envelope, by the digest and the
-avalanche experiment.  Each level's
+Each level runs on a message of at most ``bitcodec.SLICE_BITS`` bits as
+one Python int, one x-bit lane per group (``hadamard.apply_lanes``):
+padding is a shift, sentinels are the all-ones lanes, restoring them is
+one OR and truncation one shift.  The level loops on ints (``_forward``,
+``_inverse``) are wrapped by encrypt and decrypt and called directly, with
+no envelope, by the digest and the avalanche experiment.  Each level's
 sentinels stay the lane flags that the forward transform reports
 (``SentinelSet.from_lanes``), and decrypt checks recorded lanes by their
 flags.  Sentinel positions exist only at the HCT1 boundary, and there as
@@ -29,11 +28,12 @@ per-group ``bitcodec`` helpers and the per-block ``hadamard`` kernels
 describe the same steps one value at a time; tests use them as the oracle.
 
 Every level maps each S-bit superblock onto itself and pads only the
-ragged tail, so a key of two or more levels runs a message longer than
-SLICE_BITS bits chunk by chunk (``_head``): its whole superblocks are cut
-into bytes once, and each chunk, then the tail, is one call to the same
-level loop.  Decrypt keeps each level's first anomaly in message order.
-One level, or one slice, is cut once either way.
+ragged tail, so any key runs a longer message piece by piece
+(``_pieces``): each chunk of whole superblocks, then the tail, is one call
+to the same level loop on a byte range of the message.  The message, the
+payload and each level's flags stay bytes (``BitSeq.to_bytes``,
+``SentinelSet.from_lanes``), and only one piece at a time is an int.
+Decrypt keeps each level's first anomaly in message order.
 
 The envelope is the self-contained ciphertext container: without the
 per-level bit lengths and sentinel sets the payload alone is not
@@ -235,17 +235,6 @@ def _forward(v: int, length: int, exponents: tuple[int, ...], n: int) -> tuple[i
     return v, bits, plan, marks
 
 
-def _head(length: int, key: KeySchedule, n: int) -> int:
-    """Bits of the message's whole superblocks when they run chunk by chunk, else 0.
-
-    A key of one level, or a message of at most SLICE_BITS bits, gains
-    nothing from chunks: the level loop cuts each level once anyway.
-    """
-    if length <= SLICE_BITS or len(key.elements) < 2:
-        return 0
-    return length - length % key.superblock_bits(n)
-
-
 def _chunks(size: int, key: KeySchedule, n: int) -> Iterator[tuple[slice, int]]:
     """Byte range and bit count of each chunk of a ``size``-byte head of whole superblocks.
 
@@ -258,6 +247,17 @@ def _chunks(size: int, key: KeySchedule, n: int) -> Iterator[tuple[slice, int]]:
         yield slice(start, end), 8 * (end - start)
 
 
+def _pieces(length: int, key: KeySchedule, n: int) -> list[tuple[slice, int]]:
+    """``_chunks`` of a ``length``-bit message's whole superblocks, then its tail's bytes and bits.
+
+    Every level maps each piece onto the same byte range of its input, of
+    its flags and, but for the tail, of its output; the tail's last byte
+    ends in the message's fill.
+    """
+    head = length - length % key.superblock_bits(n)
+    return [*_chunks(head // 8, key, n), (slice(head // 8, None), length - head)]
+
+
 def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> CipherEnvelope:
     """Run the full multi-level pipeline and wrap the result in an envelope.
 
@@ -266,31 +266,25 @@ def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> Cipher
     input is legal and produces an empty payload with one record per level.
     """
     check_order(block_order)
-    n, exponents, v, length = block_order, key._exponents, plaintext.value, plaintext.length
-    head = _head(length, key, n)
-    if head:
-        tail, buffers = length - head, [None] * len(exponents)
-        data = bytearray((v >> tail).to_bytes(head // 8, "big"))
-        for cut, bits in _chunks(head // 8, key, n):
-            chunk, _, _, marks = _forward(int.from_bytes(data[cut], "big"), bits, exponents, n)
-            for level, flags in enumerate(marks):
-                if flags:  # a level gets a flag buffer once a chunk has flags
-                    buffers[level] = buffers[level] or bytearray(head // 8)
-                    buffers[level][cut] = flags.to_bytes(bits // 8, "big")
-            data[cut] = chunk.to_bytes(bits // 8, "big")
-        v &= (1 << tail) - 1
-    v, bits, plan, marks = _forward(v, length - head, exponents, n)
-    if head:  # every tail level ends on a byte
-        for level, (x, _, count, _) in enumerate(plan):
-            if buffers[level]:
-                buffers[level] += marks[level].to_bytes(count * x // 8, "big")
-                marks[level], buffers[level] = int.from_bytes(buffers[level], "big"), None
-        data += v.to_bytes(bits // 8, "big")
+    n, exponents, length = block_order, key._exponents, plaintext.length
+    if length <= SLICE_BITS:
+        v, bits, plan, marks = _forward(plaintext.value, length, exponents, n)
+        payload = BitSeq.from_int(v, bits)
+    else:  # the chunks of whole superblocks, then the tail, byte range by byte range
         plan, bits = _plan(exponents, n, length)
-        v = int.from_bytes(data, "big")
+        data, pieces, marks = memoryview(plaintext.to_bytes()), [], [b""] * len(plan)
+        for cut, size in _pieces(length, key, n):
+            v, out, part, flags = _forward(int.from_bytes(data[cut], "big") >> -size % 8,
+                                           size, exponents, n)
+            pieces.append(v.to_bytes(out // 8, "big"))
+            for level, ((x, _, count, _), f) in enumerate(zip(part, flags)):
+                if f:  # a level gets a flag buffer once a piece has flags
+                    marks[level] = marks[level] or bytearray(plan[level][2] * x // 8)
+                    marks[level][cut] = f.to_bytes(count * x // 8, "big")
+        payload = BitSeq.from_bytes(b"".join(pieces))
     levels = tuple(LevelRecord(x, bits_in, SentinelSet.from_lanes(flags, x, count))
                    for (x, bits_in, count, _), flags in zip(plan, marks))
-    return CipherEnvelope(ENVELOPE_VERSION, n, levels, BitSeq.from_int(v, bits))
+    return CipherEnvelope(ENVELOPE_VERSION, n, levels, payload)
 
 
 @dataclass
@@ -369,36 +363,33 @@ def _decrypt_levels(
     """Check the records, then undo the levels in reverse, counting payload anomalies.
 
     Returns the bits, the counts and each level's first anomaly, as
-    ``_inverse`` does; the level is that of HCT1 record k.  A head of whole
-    superblocks runs chunk by chunk, each chunk cut at the same byte range
-    of every level's flags, and the anomalies of earlier chunks come first.
+    ``_inverse`` does; the level is that of HCT1 record k.  A message longer
+    than SLICE_BITS runs piece by piece, each cut at the same byte range of
+    the payload and of every level's flags, and the anomalies of earlier
+    pieces come first.
     """
     plan = _check_records(envelope, key)
     n, length = envelope.block_order, envelope.levels[0].orig_bit_len
-    marks = [record.sentinels.lanes(x, count)
-             for record, (x, _, count, _) in zip(envelope.levels, plan)]
-    head = _head(length, key, n)
-    if not head:
+    if length <= SLICE_BITS:
+        marks = [record.sentinels.lanes(x, count)
+                 for record, (x, _, count, _) in zip(envelope.levels, plan)]
         v, conflicts, violations, found = _inverse(envelope.payload.value, plan, marks, n)
         return BitSeq.from_int(v, length), DecryptAnomalies(conflicts, violations), found
-    tail, exponents = length - head, key._exponents
-    views = [flags and memoryview(flags.to_bytes(count * x // 8, "big"))
-             for flags, (x, _, count, _) in zip(marks, plan)]  # every level ends on a byte
-    marks = [view and int.from_bytes(view[head // 8:], "big") for view in views]
-    data, conflicts, found = bytearray(envelope.payload.to_bytes()), 0, [None] * len(plan)
-    for cut, bits in _chunks(head // 8, key, n):
-        chunk, held, _, part = _inverse(
-            int.from_bytes(data[cut], "big"), _plan(exponents, n, bits)[0],
-            [view and int.from_bytes(view[cut], "big") for view in views], n, 8 * cut.start)
-        data[cut] = chunk.to_bytes(bits // 8, "big")
-        conflicts += held
+    views = [memoryview(record.sentinels._lane_bytes(x, count))
+             for record, (x, _, count, _) in zip(envelope.levels, plan)]
+    data, pieces, found = memoryview(envelope.payload.to_bytes()), [], [None] * len(plan)
+    conflicts = violations = 0
+    for cut, size in _pieces(length, key, n):
+        v, held, bad, part = _inverse(int.from_bytes(data[cut], "big"),
+                                      _plan(key._exponents, n, size)[0],
+                                      [int.from_bytes(view[cut], "big") for view in views],
+                                      n, 8 * cut.start)
+        pieces.append((v << -size % 8).to_bytes(-(-size // 8), "big"))
+        conflicts, violations = conflicts + held, violations + bad
         found = [a or b for a, b in zip(found, part)]
-    del views  # before the tail runs: the head's flags of every level
-    v, held, violations, last = _inverse(int.from_bytes(memoryview(data)[head // 8:], "big"),
-                                         _plan(exponents, n, tail)[0], marks, n, head)
-    v |= int.from_bytes(memoryview(data)[:head // 8], "big") << tail
-    found = [a or b for a, b in zip(found, last)]
-    return BitSeq.from_int(v, length), DecryptAnomalies(conflicts + held, violations), found
+    del views, data  # before the join: the parsed flags of every level
+    return (BitSeq._packed(b"".join(pieces), length),
+            DecryptAnomalies(conflicts, violations), found)
 
 
 def decrypt(envelope: CipherEnvelope, key: KeySchedule) -> BitSeq:

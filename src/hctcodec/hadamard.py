@@ -8,7 +8,7 @@ path reduces each row's product sum(v) + (p - 2) * (odd-parity sum) mod p and
 serves as the independent oracle for the butterfly kernel.
 
 The cipher itself runs ``apply_lanes``, which transforms every block of a
-whole message with a few operations on one Python int; the per-block kernels
+message, or of a piece of one, with a few operations on one Python int; the per-block kernels
 above it are kept as the reference that tests compare it with.  Its lanes
 sit in 2x-bit slots, and splitting the even lanes from the odd ones runs
 the first butterfly stage.  Slots are reduced lazily: a stage lets each

@@ -94,9 +94,14 @@ MUTANTS = [
            "head // x + count - 1 - lane",
            "count - 1 - lane",
            ("tests/test_cipher.py::test_chunk_path_matches_the_per_level_path",)),
-    Mutant("tail anomaly merged before the head's", "cipher.py",
-           "[a or b for a, b in zip(found, last)]",
-           "[b or a for a, b in zip(found, last)]",
+    Mutant("a later piece's anomaly merged before an earlier one's", "cipher.py",
+           "[a or b for a, b in zip(found, part)]",
+           "[b or a for a, b in zip(found, part)]",
+           ("tests/test_cipher.py::test_chunk_path_matches_the_per_level_path",)),
+    # A long message crosses the cipher as bytes; its tail's last byte ends in fill.
+    Mutant("encrypt reads the tail without shifting out its fill", "cipher.py",
+           'int.from_bytes(data[cut], "big") >> -size % 8',
+           'int.from_bytes(data[cut], "big")',
            ("tests/test_cipher.py::test_chunk_path_matches_the_per_level_path",)),
 ]
 

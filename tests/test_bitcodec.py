@@ -1,5 +1,7 @@
 """Bit plumbing: BitSeq conversions, grouping, sentinels, truncation."""
 
+import copy
+import pickle
 import random
 import struct
 from itertools import islice
@@ -141,6 +143,51 @@ def test_bytes_round_trip(bits):
 @given(st.binary(max_size=64))
 def test_bytes_round_trip_other_direction(data):
     assert BitSeq.from_bytes(data).to_bytes() == data
+
+
+@given(st.text(alphabet="01", max_size=300), st.data())
+def test_byte_int_and_text_forms_agree(bits, data):
+    # from_bytes keeps bytes, from_int an int; the cipher's byte form
+    # (_packed) may end in zero fill, as to_bytes writes it.  Every form of
+    # one sequence reads and compares alike, and a different sequence
+    # differs in each.
+    text = BitSeq(bits)
+    packed = text.to_bytes()
+    forms = [text, BitSeq.from_int(text.value, len(bits)), BitSeq._packed(packed, len(bits))]
+    if len(bits) % 8 == 0:
+        forms += [BitSeq.from_bytes(packed), BitSeq.from_bytes(bytearray(packed))]
+    others = [BitSeq(bits + "0")]
+    if len(bits) % 8:
+        others.append(BitSeq.from_bytes(packed))  # the same bytes, their fill read as bits
+    if bits:
+        i = data.draw(st.integers(0, len(bits) - 1))
+        others.append(text.flip(i))
+    for seq in forms:
+        assert (seq.bits, seq.value, len(seq)) == (bits, text.value, len(bits))
+        assert seq.to_bytes() == packed and repr(seq) == repr(text)
+        assert all(seq == other and hash(seq) == hash(other) for other in forms)
+        assert all(seq != other and other != seq for other in others)
+        if bits:
+            assert seq.flip(i) == text.flip(i) and seq.flip(i).bits == text.flip(i).bits
+
+
+def test_from_bytes_keeps_bytes_and_copies_a_mutable_buffer():
+    data = b"\xa5\x0f"
+    assert BitSeq.from_bytes(data).to_bytes() is data
+    for buffer in (bytearray(data), memoryview(bytearray(data))):
+        seq = BitSeq.from_bytes(buffer)
+        buffer[0] = 0
+        assert seq.to_bytes() == data and seq == BitSeq("1010010100001111")
+    with pytest.raises(TypeError):
+        BitSeq.from_bytes(5)
+    with pytest.raises(AttributeError):
+        BitSeq.from_bytes(data).length = 3
+
+
+def test_bitseq_copies_and_pickles_in_its_form():
+    for seq in (BitSeq("101"), BitSeq.from_bytes(b"\xa5\x0f"), BitSeq._packed(b"\xa0", 3)):
+        for twin in (copy.copy(seq), copy.deepcopy(seq), pickle.loads(pickle.dumps(seq))):
+            assert twin == seq and type(twin) is type(seq)
 
 
 def test_grouping_worked_example():

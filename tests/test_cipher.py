@@ -584,8 +584,7 @@ def test_each_level_is_one_kernel_pass_each_way(monkeypatch):
     # of whole superblocks is cut into chunks once each way, each chunk
     # passes every level once (in reverse to decrypt) and is never cut into
     # slices, and the ragged tail then passes every level once.  Decrypt
-    # checks the records once, the tail's with the rest.  A one-level key
-    # walks each level's slices once each way.
+    # checks the records once, the tail's with the rest.
     bits = BitSeq.from_int(random.Random(5).getrandbits(100_000), 100_000)
     calls, cuts, walks, checks = [], [], [], []
     kernel, chunks, check = cipher.apply_lanes, cipher._chunks, cipher._check_records
@@ -631,16 +630,22 @@ def test_each_level_is_one_kernel_pass_each_way(monkeypatch):
         assert calls == [(x, s // x, True) for s in sizes for x in (2, 3, 5)] + [
             (x, count, True) for x, count in tails[::-1]]
 
-    cuts.clear()
-    key = KeySchedule.from_exponents([5])
+    # So does a one-level key, whose whole level would span several slices.
+    calls.clear(), cuts.clear()
+    key, n = KeySchedule.from_exponents([5]), 128
+    head = len(bits) - len(bits) % key.superblock_bits(n)
+    sizes = [bits for _, bits in chunks(head // 8, key, n)]
     env = encrypt(bits, key, n)
-    shapes = [(5, env.levels[0].padded_group_count(n))]
-    assert 5 * shapes[0][1] > 2 * SLICE_BITS and walks == shapes
+    count = env.levels[0].padded_group_count(n)
+    assert len(sizes) == 4 and 0 < len(bits) - head and 5 * count > 2 * SLICE_BITS
+    assert cuts == [(head // 8, key, n)] and walks == []
+    assert calls == [(5, s // 5, False) for s in sizes] + [(5, count - head // 5, False)]
     for envelope in (env, CipherEnvelope.from_bytes(env.to_bytes())):
-        walks.clear()
+        calls.clear(), cuts.clear(), checks.clear()
         assert decrypt(envelope, key) == bits
-        assert walks == shapes
-    assert cuts == []
+        assert cuts == [(head // 8, key, n)] and walks == []
+        assert len(checks) == 1 and checks[0] is envelope
+        assert calls == [(5, s // 5, True) for s in sizes] + [(5, count - head // 5, True)]
 
 
 def chunk_size(key, n):
@@ -670,6 +675,8 @@ def forged(env, level, positions):
     ((3, 5, 31), 128, (2, 0, 777)),  # S = 59520 > SLICE_BITS: a chunk is a superblock
     ((3, 3), 32, (2, 5, 95)),
     ((5, 3, 2), 16, (2, 7, 402)),  # every level carries sentinels
+    ((13,), 128, (2, 3, 504)),  # one level, by chunks too
+    ((5,), 16, (3, 1, 77)),  # one level, S = 80, and a length not a whole number of bytes
 ])
 def test_chunk_path_matches_the_per_level_path(monkeypatch, exponents, n, shape):
     # Envelopes, bytes, strict errors and tolerant counts of the chunk path
@@ -756,7 +763,7 @@ def test_chunk_path_matches_the_per_level_path(monkeypatch, exponents, n, shape)
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.sampled_from(SUPPORTED_EXPONENTS), min_size=2, max_size=3),
+    st.lists(st.sampled_from(SUPPORTED_EXPONENTS), min_size=1, max_size=3),
     st.sampled_from([8, 16, 32]),
     st.integers(0, 4000),
     st.randoms(use_true_random=False),
@@ -1081,9 +1088,9 @@ def round_trip_peak_per_byte(data: bytes, key: KeySchedule, n: int) -> float:
     return peak / len(data)
 
 
-@pytest.mark.parametrize("exponents, n, ceiling", [((13,), 128, 11), ((3, 5, 31), 8, 16)])
+@pytest.mark.parametrize("exponents, n, ceiling", [((13,), 128, 6), ((3, 5, 31), 8, 16)])
 def test_round_trip_peak_memory_does_not_grow_with_size(exponents, n, ceiling):
-    # Each level runs slice by slice, so the peak per byte at 1 MiB is no
+    # A long message runs chunk by chunk, so the peak per byte at 1 MiB is no
     # more than at 64 KiB, and below a fixed ceiling.  One untraced round
     # trip per size first fills the mask caches, which are bounded apart.
     key, rng = KeySchedule.from_exponents(exponents), random.Random(1 << 20)
@@ -1094,6 +1101,33 @@ def test_round_trip_peak_memory_does_not_grow_with_size(exponents, n, ceiling):
         peaks[size] = round_trip_peak_per_byte(data, key, n)
     assert peaks[1 << 20] <= peaks[1 << 16] * 1.02, peaks
     assert max(peaks.values()) <= ceiling, peaks
+
+
+@pytest.mark.parametrize("exponents, n", [((13,), 128), ((3, 5, 31), 8)])
+def test_bulk_round_trip_never_forms_a_whole_message_int(monkeypatch, exponents, n):
+    # A byte-aligned message longer than SLICE_BITS stays bytes from
+    # from_bytes to to_bytes both ways, and so do its levels' sentinel flags:
+    # only a chunk or the tail is ever an int.
+    key, data = KeySchedule.from_exponents(exponents), random.Random(29).randbytes(1 << 16)
+    asked = []
+
+    def spied(self, name):
+        if name == "value" and object.__getattribute__(self, "length") > SLICE_BITS:
+            asked.append(type(self))
+        return object.__getattribute__(self, name)
+
+    def no_flag_int(self, x, count):
+        raise AssertionError("a level's flags were joined into one int")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BitSeq, "__getattribute__", spied)
+        patch.setattr(SentinelSet, "lanes", no_flag_int)
+        env = encrypt(BitSeq.from_bytes(data), key, n)
+        blob = env.to_bytes()
+        recovered = decrypt(CipherEnvelope.from_bytes(blob), key).to_bytes()
+        assert decrypt(env, key).to_bytes() == recovered
+    assert asked == [] and recovered == data
+    assert len(env.levels[0].sentinels)
 
 
 def test_parsed_envelope_holds_its_sentinels_as_packed_words():
