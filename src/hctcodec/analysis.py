@@ -85,7 +85,7 @@ def avalanche_experiment(
     size = key.superblock_bits(block_order)
     start = flip_index // size * size
     end = min(start + size, length)
-    chunk = plaintext.value >> length - end & (1 << end - start) - 1
+    chunk = plaintext._int(start, end)
     v, out, plan, marks = _forward(chunk, end - start, key._exponents, block_order)
     v, conflicts, _, _ = _inverse(v ^ 1 << out - 1 - (flip_index - start), plan, marks, block_order)
     diff = (v ^ chunk) << length - end  # the recovered message is plaintext ^ diff

@@ -10,11 +10,12 @@ the pre-padding bit length and the positions holding the group maximum
 bit count, so the cipher's packed level loop, the envelope and the byte
 packing never format it as text, and a file stays bytes through the
 cipher.  ``SentinelSet`` likewise holds one form: the lane flags the
-cipher finds, as bytes, or the big-endian 4-byte words the envelope
-carries, never an int per position; it converts between them only when
-asked, one slice at a time (``lane_slices``) and only over each slice's
-span of positions, so no text grows with the lane count and an empty
-slice costs none.  The per-group helpers below (``pad_and_group``,
+cipher finds, one int per piece of the level that has any, or the
+big-endian 4-byte words the envelope carries, never an int per position;
+it converts between them only when asked, one piece at a time and only
+over the span of the piece's positions, so no text grows past a piece, a
+piece without sentinels costs none, and no form holds a buffer the size
+of the level.  The per-group helpers below (``pad_and_group``,
 ``ungroup``, ``truncate``, ...) work on the '0'/'1' text form one value at
 a time; the tests use them as the oracle for the packed path.
 """
@@ -137,6 +138,13 @@ class BitSeq:
         _set(seq, "_data", data)
         return seq
 
+    def _int(self, start: int, end: int) -> int:
+        """Bits ``start`` to ``end - 1`` as an MSB-first int; a byte form reads only their bytes."""
+        if self._data is None:
+            return self._value >> self.length - end & (1 << end - start) - 1
+        return int.from_bytes(self._data[start // 8:-(-end // 8)], "big") >> -end % 8 & (
+            1 << end - start) - 1
+
     def to_bytes(self) -> bytes:
         """Pack MSB-first, zero-filling the final partial byte."""
         if self._data is not None:
@@ -160,42 +168,44 @@ class GroupedSeq:
 class SentinelSet:
     """Group positions that held the maximum value 2^x - 1.
 
-    A set is held in one of two forms.  ``from_lanes`` keeps the lane flags
-    ``encrypt`` finds, the ``ceil(count * x / 8)`` big-endian bytes (as
-    given, or b"" for none) of an int in which, for ``count`` x-bit lanes,
-    a 1 at bit j*x marks lane j from the least significant end, which is
-    group position count - 1 - j.
+    A set is held in one of two forms.  The flag form keeps what
+    ``encrypt`` finds: the lane width x, the lane count, and one
+    ``(first lane, lane count, flags)`` entry per piece of the level that
+    has a flag, in order, where a 1 at bit j*x of the piece's flags int
+    marks its lane j from the least significant end, which is group
+    position first + lane count - 1 - j.  A piece without a flag has no
+    entry, so a level costs flag bits only in the pieces that hold a
+    sentinel.  ``from_lanes`` makes the one-piece form.
     ``SentinelSet(indices)`` and ``from_words`` keep the positions as HCT1
     carries them, big-endian 4-byte words, 4 bytes a position where a tuple
     of ints would take 36; so every position must lie in 0..2^32 - 1, and
     both constructors check that the words ascend with a few whole-int
     operations (``_ascending``).  ``to_words`` writes the words as they
-    are, ``fits`` reads only the last one, and ``lanes`` bisects an
-    ``array('I')`` view of them.  ``indices`` formats the int tuple on each
-    access.  Two flag sets over the same lanes compare their flags; any
-    other pair compares ``to_words()``, so both forms of one set are equal,
-    and ``hash`` is always that of ``to_words()``.  Decrypt asks ``fits``,
-    then ``lanes``, or its bytes piece by piece on a long message; neither
-    builds a collection of ints.
+    are, ``fits`` reads only the last one, and ``indices`` formats the int
+    tuple on each access.  Two flag sets with the same x and the same
+    flagged pieces compare their entries; any other pair compares
+    ``to_words()``, so a set is equal to every set with the same positions,
+    whatever its form or piece cuts, and ``hash`` is always that of
+    ``to_words()``.  Decrypt asks ``fits``, then the flags of each piece it
+    runs (``_piece_lanes``), or of the whole level (``lanes``); neither
+    builds a collection of ints or a buffer the size of the level.
 
     Parsed positions stay words because they grow with the sentinel count,
     which the envelope's bytes bound, while flags grow with the lane count:
-    one 4-byte index can name lane 2^32 - 1.  Decrypt builds flags only
-    once ``fits`` has held the positions below the level's lane count.
-    Flags over more than 2^32 lanes can hold a position HCT1 cannot carry;
-    ``to_words``, ``indices``, ``hash`` and any ``==`` that compares words
-    raise OverflowError on it.
+    one 4-byte index can name lane 2^32 - 1.  Decrypt builds a piece's
+    flags only once ``fits`` has held the positions below the level's lane
+    count.  Flags over more than 2^32 lanes can hold a position HCT1 cannot
+    carry; ``to_words``, ``indices``, ``hash`` and any ``==`` that compares
+    words raise OverflowError on it.
 
-    Both conversions walk ``lane_slices``, the cuts of the lane kernels, and
-    in each slice handle only the span from its first position to its last:
-    flags are formatted from the highest flagged lane down to the lowest
-    (``f & -f``, ``bit_length``) and skipped where all zero, and ``lanes``
-    builds its text from the first to the last position that ``bisect``
-    finds in the slice, then shifts it into place.  So a sparse set costs
-    text only around its positions, and a dense one what a whole slice does.
+    Both conversions handle only the span from a piece's first position to
+    its last: an entry's flags are formatted from the highest flagged lane
+    down to the lowest (``f & -f``, ``bit_length``), and a piece's flags
+    are built from the positions that two bisections of the words find in
+    it, so a sparse set costs text only around its positions.
     """
 
-    __slots__ = ("_words", "_flags", "_x", "_count")
+    __slots__ = ("_words", "_entries", "_x", "_count")
 
     def __init__(self, indices: Iterable[int] = ()):
         try:  # iter: array would read bytes as machine words, not one int each
@@ -215,31 +225,22 @@ class SentinelSet:
         return words
 
     @classmethod
-    def from_lanes(cls, flags: int | bytes, x: int, count: int) -> "SentinelSet":
-        """The set of ``flags`` over ``count`` x-bit lanes, an int or bytes (see above)."""
-        if isinstance(flags, int):
-            flags = flags.to_bytes(-(-count * x // 8), "big") if flags else b""
+    def from_lanes(cls, flags: int, x: int, count: int) -> "SentinelSet":
+        """The set of the flags int ``flags`` over ``count`` x-bit lanes, as one piece."""
+        return cls._from_pieces(((0, count, flags),) if flags else (), x, count)
+
+    @classmethod
+    def _from_pieces(cls, entries: tuple, x: int, count: int) -> "SentinelSet":
+        """The set of ascending, disjoint ``(first lane, lane count, flags)`` entries, none 0."""
         lanes = object.__new__(cls)
-        lanes._words, lanes._flags, lanes._x, lanes._count = None, flags, x, count
+        lanes._words, lanes._entries, lanes._x, lanes._count = None, entries, x, count
         return lanes
 
     def _view(self) -> array:
         """The ascending positions as an ``array('I')``; OverflowError past 2^32 - 1."""
         if self._words is not None:
             return _unpack(self._words)
-        x, count, data = self._x, self._count, self._flags
-        out = array("I")
-        for first, lanes, cut in lane_slices(x, count):
-            flags = int.from_bytes(data[cut], "big")
-            if not flags:
-                continue
-            # Only the lanes from the highest flagged one down to the lowest:
-            # the text then starts and ends on a mark, one every x characters.
-            marks = format(flags >> (flags & -flags).bit_length() - 1, "b")[::x]
-            top = first + lanes - 1 - (flags.bit_length() - 1) // x  # the first mark's position
-            runs = marks.replace("1", "1,").split(",")  # every run but the last ends on a mark
-            out.extend(islice(accumulate(map(len, runs), initial=top - 1), 1, len(runs)))
-        return out
+        return _positions(self._entries, self._x)
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -253,46 +254,62 @@ class SentinelSet:
     def fits(self, count: int) -> bool:
         """Whether every position lies below ``count``."""
         words = self._words
-        if words is None:  # all lie below _count; the highest is the lowest flagged lane's
-            flags = int.from_bytes(self._flags, "big") if count < self._count else 0
-            return not flags or self._count - 1 - (flags & -flags).bit_length() // self._x < count
+        if words is None:  # all lie below _count; the highest is the last entry's lowest flag
+            if count >= self._count or not self._entries:
+                return True
+            first, lanes, flags = self._entries[-1]
+            return first + lanes - 1 - (flags & -flags).bit_length() // self._x < count
         return not words or int.from_bytes(words[-4:], "big") < count
 
     def lanes(self, x: int, count: int) -> int:
         """Flags over ``count`` x-bit lanes; every position must lie below ``count``."""
-        return int.from_bytes(self._lane_bytes(x, count), "big")
+        return self._piece_lanes(x, 0, count)
 
-    def _lane_bytes(self, x: int, count: int) -> bytes:
-        """``lanes`` as its ``ceil(count * x / 8)`` big-endian bytes, or b"" for none."""
-        if self._words is None and x == self._x and count == self._count:
-            return self._flags
-        indices = self._view()
-        if not indices:
-            return b""
-        flags = bytearray(-(-count * x // 8))
-        low = 0
-        for first, lanes, cut in lane_slices(x, count):
-            high = bisect_left(indices, first + lanes, low)
+    def _piece_lanes(self, x: int, first: int, count: int) -> int:
+        """Flags of this set's positions in the ``count`` x-bit lanes from position ``first``.
+
+        Lane j from the least significant end is position first + count - 1 - j.
+        A flag set gives its entry for exactly that piece, or 0 where no entry
+        meets it; other cuts or another x go through the positions of the
+        entries that meet it.  A words set bisects its words for the piece
+        and unpacks only those.
+        """
+        end = first + count
+        words = self._words
+        if words is None:
+            entries = self._entries
+            i = bisect_left(entries, (first,))
+            if i < len(entries) and entries[i][:2] == (first, count) and x == self._x:
+                return entries[i][2]
+            low = i - (i > 0 and sum(entries[i - 1][:2]) > first)
+            high = bisect_left(entries, (end,), i)
             if low == high:
-                continue
-            # Text only from the slice's first position to its last, a mark
-            # every x characters; the shift puts the last mark at its lane's
-            # lowest bit.  No name holds the int: it would stay alive beside
-            # the next slice's.
-            start, end = indices[low], indices[high - 1]
-            lane_marks = bytearray(b"0") * (end - start + 1)
-            for i in indices[low:high]:
-                lane_marks[i - start] = 49  # ord("1")
-            marks = bytearray(b"0") * ((end - start) * x + 1)
-            marks[::x] = lane_marks
-            shift = (first + lanes - 1 - end) * x
-            flags[cut] = (int(marks, 2) << shift).to_bytes(cut.stop - cut.start, "big")
-            low = high
-        return flags
+                return 0
+            positions = _positions(entries[low:high], self._x)
+            positions = positions[bisect_left(positions, first):bisect_left(positions, end)]
+        else:
+            span = range(len(words) // 4)
+
+            def word(i):
+                return int.from_bytes(words[4 * i:4 * i + 4], "big")
+
+            low = bisect_left(span, first, key=word)
+            positions = _unpack(words[4 * low:4 * bisect_left(span, end, low, key=word)])
+        if not positions:
+            return 0
+        # Text only from the piece's first position to its last, a mark every
+        # x characters; the shift puts the last mark at its lane's lowest bit.
+        start, stop = positions[0], positions[-1]
+        lane_marks = bytearray(b"0") * (stop - start + 1)
+        for i in positions:
+            lane_marks[i - start] = 49  # ord("1")
+        marks = bytearray(b"0") * ((stop - start) * x + 1)
+        marks[::x] = lane_marks
+        return int(marks, 2) << (end - 1 - stop) * x
 
     def __len__(self) -> int:
         if self._words is None:
-            return int.from_bytes(self._flags, "big").bit_count()
+            return sum(flags.bit_count() for _, _, flags in self._entries)
         return len(self._words) // 4
 
     def __iter__(self):
@@ -301,9 +318,10 @@ class SentinelSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SentinelSet):
             return NotImplemented
-        if self._words is None and other._words is None:
-            if (self._x, self._count) == (other._x, other._count):  # no words to format
-                return self._flags == other._flags
+        if self._words is None and other._words is None and self._x == other._x:
+            mine, theirs = self._entries, other._entries
+            if [e[:2] for e in mine] == [e[:2] for e in theirs]:  # no words to format
+                return mine == theirs
         return self.to_words() == other.to_words()
 
     def __hash__(self) -> int:
@@ -311,6 +329,19 @@ class SentinelSet:
 
     def __repr__(self) -> str:
         return f"SentinelSet({self.indices!r})"
+
+
+def _positions(entries: Iterable[tuple[int, int, int]], x: int) -> array:
+    """The ascending positions that the ``(first lane, lane count, flags)`` entries flag."""
+    out = array("I")
+    for first, lanes, flags in entries:
+        # Only the lanes from the highest flagged one down to the lowest:
+        # the text then starts and ends on a mark, one every x characters.
+        marks = format(flags >> (flags & -flags).bit_length() - 1, "b")[::x]
+        top = first + lanes - 1 - (flags.bit_length() - 1) // x  # the first mark's position
+        runs = marks.replace("1", "1,").split(",")  # every run but the last ends on a mark
+        out.extend(islice(accumulate(map(len, runs), initial=top - 1), 1, len(runs)))
+    return out
 
 
 def _pack(words: array) -> bytes:

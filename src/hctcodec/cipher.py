@@ -15,25 +15,32 @@ one Python int, one x-bit lane per group (``hadamard.apply_lanes``):
 padding is a shift, sentinels are the all-ones lanes, restoring them is
 one OR and truncation one shift.  The level loops on ints (``_forward``,
 ``_inverse``) are wrapped by encrypt and decrypt and called directly, with
-no envelope, by the digest and the avalanche experiment.  Each level's
-sentinels stay the lane flags that the forward transform reports
+no envelope, by the digest and the avalanche experiment.  The forward
+transform reports the lanes that hold p on the levels that can carry
+sentinels (``_plan``); each level's sentinels stay those lane flags
 (``SentinelSet.from_lanes``), and decrypt checks recorded lanes by their
 flags.  Sentinel positions exist only at the HCT1 boundary, and there as
 the 4-byte words HCT1 stores, never as an int per position: ``to_bytes``
-formats flags into words slice by slice and writes parsed words as they
-are, ``from_bytes`` keeps the words it reads, and decrypt turns parsed
-words into flags once per level.  So the digest, the avalanche
-experiment and an in-memory round trip never form an index.  The
-per-group ``bitcodec`` helpers and the per-block ``hadamard`` kernels
-describe the same steps one value at a time; tests use them as the oracle.
+formats flags into words piece by piece and writes parsed words as they
+are, ``from_bytes`` keeps the words it reads, and decrypt turns the
+parsed words of each piece it runs into that piece's flags.  So the
+digest, the avalanche experiment and an in-memory round trip never form
+an index.  The per-group ``bitcodec`` helpers and the per-block
+``hadamard`` kernels describe the same steps one value at a time; tests
+use them as the oracle.
 
 Every level maps each S-bit superblock onto itself and pads only the
 ragged tail, so any key runs a longer message piece by piece
 (``_pieces``): each chunk of whole superblocks, then the tail, is one call
-to the same level loop on a byte range of the message.  The message, the
-payload and each level's flags stay bytes (``BitSeq.to_bytes``,
-``SentinelSet.from_lanes``), and only one piece at a time is an int.
-Decrypt keeps each level's first anomaly in message order.
+to the same level loop on a byte range of the message.  The message and
+the payload stay bytes (``BitSeq.to_bytes``), and only one piece at a
+time is an int.  A level keeps the flags of each piece that has any as
+that piece's int and nothing for the others (``SentinelSet``), and
+decrypt asks each level for one piece's flags at a time, so no level's
+flags ever fill a buffer the size of the level.  Decrypt keeps each
+level's first anomaly in message order.  The digest and the avalanche
+experiment read only the bytes of the prefix or the superblock they
+encrypt (``BitSeq._int``).
 
 The envelope is the self-contained ciphertext container: without the
 per-level bit lengths and sentinel sets the payload alone is not
@@ -228,9 +235,9 @@ def _forward(v: int, length: int, exponents: tuple[int, ...], n: int) -> tuple[i
     """The payload int and bit count of the ``length``-bit int ``v``, the plan, each level's flags."""
     plan, bits = _plan(exponents, n, length)
     marks = []
-    for x, length, count, _ in plan:
+    for x, length, count, carry in plan:
         pad = count * x - length
-        v, flags = apply_lanes(v << pad if pad else v, x, n, count, False)
+        v, flags = apply_lanes(v << pad if pad else v, x, n, count, False, carry)
         marks.append(flags)
     return v, bits, plan, marks
 
@@ -250,9 +257,10 @@ def _chunks(size: int, key: KeySchedule, n: int) -> Iterator[tuple[slice, int]]:
 def _pieces(length: int, key: KeySchedule, n: int) -> list[tuple[slice, int]]:
     """``_chunks`` of a ``length``-bit message's whole superblocks, then its tail's bytes and bits.
 
-    Every level maps each piece onto the same byte range of its input, of
-    its flags and, but for the tail, of its output; the tail's last byte
-    ends in the message's fill.
+    Every level maps each piece onto the same byte range of its input and,
+    but for the tail, of its output, so the piece starts at lane
+    ``8 * start // x`` of every level; the tail's last byte ends in the
+    message's fill.
     """
     head = length - length % key.superblock_bits(n)
     return [*_chunks(head // 8, key, n), (slice(head // 8, None), length - head)]
@@ -268,22 +276,22 @@ def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> Cipher
     check_order(block_order)
     n, exponents, length = block_order, key._exponents, plaintext.length
     if length <= SLICE_BITS:
-        v, bits, plan, marks = _forward(plaintext.value, length, exponents, n)
+        v, bits, plan, flags = _forward(plaintext.value, length, exponents, n)
         payload = BitSeq.from_int(v, bits)
+        marks = [[(0, count, f)] if f else [] for (_, _, count, _), f in zip(plan, flags)]
     else:  # the chunks of whole superblocks, then the tail, byte range by byte range
         plan, bits = _plan(exponents, n, length)
-        data, pieces, marks = memoryview(plaintext.to_bytes()), [], [b""] * len(plan)
+        data, pieces, marks = memoryview(plaintext.to_bytes()), [], [[] for _ in plan]
         for cut, size in _pieces(length, key, n):
             v, out, part, flags = _forward(int.from_bytes(data[cut], "big") >> -size % 8,
                                            size, exponents, n)
             pieces.append(v.to_bytes(out // 8, "big"))
-            for level, ((x, _, count, _), f) in enumerate(zip(part, flags)):
-                if f:  # a level gets a flag buffer once a piece has flags
-                    marks[level] = marks[level] or bytearray(plan[level][2] * x // 8)
-                    marks[level][cut] = f.to_bytes(count * x // 8, "big")
+            for entries, (x, _, count, _), f in zip(marks, part, flags):
+                if f:  # a level keeps flags only for the pieces that have any
+                    entries.append((8 * cut.start // x, count, f))
         payload = BitSeq.from_bytes(b"".join(pieces))
-    levels = tuple(LevelRecord(x, bits_in, SentinelSet.from_lanes(flags, x, count))
-                   for (x, bits_in, count, _), flags in zip(plan, marks))
+    levels = tuple(LevelRecord(x, bits_in, SentinelSet._from_pieces(tuple(entries), x, count))
+                   for (x, bits_in, count, _), entries in zip(plan, marks))
     return CipherEnvelope(ENVELOPE_VERSION, n, levels, payload)
 
 
@@ -365,8 +373,9 @@ def _decrypt_levels(
     Returns the bits, the counts and each level's first anomaly, as
     ``_inverse`` does; the level is that of HCT1 record k.  A message longer
     than SLICE_BITS runs piece by piece, each cut at the same byte range of
-    the payload and of every level's flags, and the anomalies of earlier
-    pieces come first.
+    the payload, with each level's flags for that piece alone
+    (``SentinelSet._piece_lanes``), and the anomalies of earlier pieces
+    come first.
     """
     plan = _check_records(envelope, key)
     n, length = envelope.block_order, envelope.levels[0].orig_bit_len
@@ -375,19 +384,17 @@ def _decrypt_levels(
                  for record, (x, _, count, _) in zip(envelope.levels, plan)]
         v, conflicts, violations, found = _inverse(envelope.payload.value, plan, marks, n)
         return BitSeq.from_int(v, length), DecryptAnomalies(conflicts, violations), found
-    views = [memoryview(record.sentinels._lane_bytes(x, count))
-             for record, (x, _, count, _) in zip(envelope.levels, plan)]
     data, pieces, found = memoryview(envelope.payload.to_bytes()), [], [None] * len(plan)
     conflicts = violations = 0
     for cut, size in _pieces(length, key, n):
-        v, held, bad, part = _inverse(int.from_bytes(data[cut], "big"),
-                                      _plan(key._exponents, n, size)[0],
-                                      [int.from_bytes(view[cut], "big") for view in views],
+        levels = _plan(key._exponents, n, size)[0]
+        marks = [record.sentinels._piece_lanes(x, 8 * cut.start // x, count)
+                 for record, (x, _, count, _) in zip(envelope.levels, levels)]
+        v, held, bad, part = _inverse(int.from_bytes(data[cut], "big"), levels, marks,
                                       n, 8 * cut.start)
         pieces.append((v << -size % 8).to_bytes(-(-size // 8), "big"))
         conflicts, violations = conflicts + held, violations + bad
         found = [a or b for a, b in zip(found, part)]
-    del views, data  # before the join: the parsed flags of every level
     return (BitSeq._packed(b"".join(pieces), length),
             DecryptAnomalies(conflicts, violations), found)
 
@@ -437,9 +444,8 @@ def hash_digest(
     check_order(block_order)
     size = key.superblock_bits(block_order)
     prefix = -(-digest_bits // size) * size
-    v, length = data.value, data.length
-    if length > prefix:  # whole superblocks: no level pads, the payload prefix is the same
-        v, length = v >> length - prefix, prefix
-    v, bits, _, _ = _forward(v, length, key._exponents, block_order)
+    # Past the prefix, whole superblocks: no level pads, the payload prefix is the same.
+    length = min(data.length, prefix)
+    v, bits, _, _ = _forward(data._int(0, length), length, key._exponents, block_order)
     spare = bits - digest_bits
     return BitSeq.from_int(v >> spare if spare >= 0 else v << -spare, digest_bits)

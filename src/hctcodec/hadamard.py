@@ -148,7 +148,7 @@ def _repeat(pattern: int, width: int, count: int) -> int:
     return out & ((1 << total) - 1)
 
 
-def _sliced(v: int, x: int, n: int, count: int, inverse: bool) -> tuple[int, int]:
+def _sliced(v: int, x: int, n: int, count: int, inverse: bool, find: bool) -> tuple[int, int]:
     """``apply_lanes`` over each slice of ``lane_slices(x, count)`` of ``v``, joined.
 
     Each result overwrites its slice's bytes: no level-sized int is shifted,
@@ -157,7 +157,7 @@ def _sliced(v: int, x: int, n: int, count: int, inverse: bool) -> tuple[int, int
     data = bytearray(v.to_bytes(-(-count * x // 8), "big"))
     marks = None
     for _, lanes, cut in lane_slices(x, count):
-        out, flags = apply_lanes(int.from_bytes(data[cut], "big"), x, n, lanes, inverse)
+        out, flags = apply_lanes(int.from_bytes(data[cut], "big"), x, n, lanes, inverse, find)
         data[cut] = out.to_bytes(cut.stop - cut.start, "big")
         if flags:
             if marks is None:
@@ -205,7 +205,9 @@ def _lane_masks(
     return unit, low, low | low << half, unit | unit << half, tuple(stages)
 
 
-def apply_lanes(v: int, x: int, n: int, count: int, inverse: bool) -> tuple[int, int]:
+def apply_lanes(
+    v: int, x: int, n: int, count: int, inverse: bool, find: bool = True
+) -> tuple[int, int]:
     """Transform all blocks of ``count`` x-bit lanes packed MSB-first in ``v``.
 
     Equal, block by block, to ``apply_fast`` (or ``apply_inverse``) with
@@ -241,15 +243,16 @@ def apply_lanes(v: int, x: int, n: int, count: int, inverse: bool) -> tuple[int,
     never mix, so temporaries and masks stay the size of one slice.
     Returns the result and flags (``SentinelSet.from_lanes``): the lanes of
     ``v`` holding p, found from e + 1 and o + 1 on the half-width lanes,
-    or 0 for the inverse.
+    or 0 for the inverse and where ``find`` is false, as on a cipher level
+    that cannot carry sentinels (``cipher._plan``).
     """
     half = count * x
     if half > SLICE_BITS:
-        return _sliced(v, x, n, count, inverse)
+        return _sliced(v, x, n, count, inverse, find)
     unit, low, pm, ones, stages = _lane_masks(x, n, count)
     e = v & low
     o = v >> x & low
-    full = 0 if inverse else (e + unit >> x & unit) | (o + unit >> x & unit) << x
+    full = (e + unit >> x & unit) | (o + unit >> x & unit) << x if find and not inverse else 0
     w = (e + o << half) | o + (low ^ e)
     for sel, add, shift, fold in stages:
         if fold:

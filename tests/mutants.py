@@ -98,6 +98,15 @@ MUTANTS = [
            "[a or b for a, b in zip(found, part)]",
            "[b or a for a, b in zip(found, part)]",
            ("tests/test_cipher.py::test_chunk_path_matches_the_per_level_path",)),
+    # Decrypt asks each level's sentinels for one piece's flags at a time.
+    Mutant("piece lookup returns the previous piece's flags", "bitcodec.py",
+           "return entries[i][2]",
+           "return entries[i - 1][2]",
+           ("tests/test_bitcodec.py::test_piece_flags_match_the_text_path",)),
+    Mutant("words bisect stops one lane short of a piece's end", "bitcodec.py",
+           "bisect_left(span, end, low, key=word)",
+           "bisect_left(span, end - 1, low, key=word)",
+           ("tests/test_bitcodec.py::test_piece_flags_match_the_text_path",)),
     # A long message crosses the cipher as bytes; its tail's last byte ends in fill.
     Mutant("encrypt reads the tail without shifting out its fill", "cipher.py",
            'int.from_bytes(data[cut], "big") >> -size % 8',

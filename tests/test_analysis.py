@@ -220,6 +220,42 @@ def test_payload_length_without_encrypting(exponents, n):
             (record.x, record.orig_bit_len, record.padded_group_count(n)) for record in env.levels]
 
 
+@pytest.mark.parametrize("exponents, n", [((3, 5, 31), 8), ((13,), 128), ((2, 7), 16)])
+def test_digest_and_avalanche_read_only_the_bytes_they_need(monkeypatch, exponents, n):
+    # A message longer than SLICE_BITS held as bytes, whole or ending in fill:
+    # the digest cuts its prefix and the experiment the flipped superblock
+    # from the bytes, never forming the whole message's int (``value``), and
+    # both give what they give on the int form of the same message.
+    key = KeySchedule.from_exponents(exponents)
+    size = key.superblock_bits(n)
+    data = random.Random(size).randbytes(3 * SLICE_BITS // 8 + 5)
+    whole = BitSeq.from_bytes(data)
+    ragged = BitSeq._packed(data[:-1] + bytes([data[-1] & 0xE0]), 8 * len(data) - 5)
+    asked = []
+
+    def spied(self, name):
+        if name == "value" and object.__getattribute__(self, "length") > SLICE_BITS:
+            asked.append(name)
+        return object.__getattribute__(self, name)
+
+    for message in (whole, ragged):
+        payload_bits = _plan(exponents, n, len(message))[1]
+        widths = (1, 128, size + 1, len(message) + 1)
+        flips = (0, size - 1, size, payload_bits // 2, payload_bits - 1)
+
+        def calls(bits):
+            return ([hash_digest(bits, key, n, width) for width in widths]
+                    + [avalanche_experiment(bits, key, n, flip) for flip in flips])
+
+        want = calls(BitSeq.from_int(int.from_bytes(data, "big") >> 8 * len(data) - len(message),
+                                     len(message)))
+        with monkeypatch.context() as patch:
+            patch.setattr(BitSeq, "__getattribute__", spied)
+            got = calls(message)
+        assert asked == []
+        assert got == want
+
+
 def test_short_call_peak_memory_per_byte():
     # hash_digest plus one avalanche, as a short-message op runs them, on
     # 1000-1100-bit messages under 2,7 at n = 16.  Each message runs once

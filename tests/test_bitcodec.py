@@ -4,7 +4,7 @@ import copy
 import pickle
 import random
 import struct
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import given
@@ -345,6 +345,41 @@ def test_sparse_and_dense_conversions_match_the_text_path():
                 assert SentinelSet.from_lanes(flags, x, count).indices == indices, (
                     x, count, len(indices),
                 )
+
+
+def test_piece_flags_match_the_text_path():
+    # Decrypt asks a set for the flags of one piece of a level at a time.  A
+    # words set bisects its words for the piece, a flag set of the same cuts
+    # gives its entry or 0, and a flag set of other cuts (one piece for the
+    # level), or asked for another x, goes through its positions.  All equal
+    # the text reference, with positions on both sides of every cut, for the
+    # pieces, for ranges across cuts and for the whole level.
+    rng = random.Random(30)
+    sizes = (128, 384, 128, 256, 40)
+    firsts = tuple(accumulate(sizes, initial=0))
+    count, cuts = firsts[-1], firsts[1:-1]
+    ranges = [*zip(firsts, sizes), (100, 300), (500, 20), (0, count)]
+    for x in SUPPORTED_EXPONENTS:
+        positions = sorted(p for p in {0, count - 1, *cuts, *(c - 1 for c in cuts),
+                                       *rng.sample(range(count), 30)}
+                           if not firsts[2] <= p < firsts[3])  # the third piece has none
+
+        def flags(first, lanes, width=x):
+            return text_lanes([p - first for p in positions if first <= p < first + lanes],
+                              width, lanes)
+
+        entries = tuple((first, lanes, flags(first, lanes))
+                        for first, lanes in zip(firsts, sizes) if flags(first, lanes))
+        assert len(entries) == len(sizes) - 1
+        sets = (SentinelSet(positions), SentinelSet._from_pieces(entries, x, count),
+                SentinelSet.from_lanes(flags(0, count), x, count))
+        other = 3 if x != 3 else 5
+        for s in sets:
+            assert s == sets[0] and s.indices == tuple(positions) and len(s) == len(positions)
+            for first, lanes in ranges:
+                assert s._piece_lanes(x, first, lanes) == flags(first, lanes), (x, first, lanes)
+                assert s._piece_lanes(other, first, lanes) == flags(first, lanes, other)
+            assert s.lanes(x, count) == flags(0, count)
 
 
 def test_flag_sets_compare_by_their_flags():
