@@ -9,15 +9,16 @@ the pre-padding bit length and the positions holding the group maximum
 ``BitSeq`` holds a sequence once, as an MSB-first int or as bytes, and a
 bit count, so the cipher's packed level loop, the envelope and the byte
 packing never format it as text, and a file stays bytes through the
-cipher.  ``SentinelSet`` likewise holds one form: the lane flags the
-cipher finds, one int per piece of the level that has any, or the
-big-endian 4-byte words the envelope carries, never an int per position;
-it converts between them only when asked, one piece at a time and only
-over the span of the piece's positions, so no text grows past a piece, a
-piece without sentinels costs none, and no form holds a buffer the size
-of the level.  The per-group helpers below (``pad_and_group``,
-``ungroup``, ``truncate``, ...) work on the '0'/'1' text form one value at
-a time; the tests use them as the oracle for the packed path.
+cipher.  ``SentinelSet`` likewise holds one form, the big-endian 4-byte
+words the envelope carries, never an int per position.  The cipher's lane
+flags become words once, in ``encrypt``, one piece of a level at a time
+(``_positions``), and decrypt turns the words back into one piece's flags
+at a time (``SentinelSet._piece_lanes``), each only over the span of the
+piece's positions, so no text grows past a piece, a piece without
+sentinels costs none, and no step holds a buffer the size of the level.
+The per-group helpers below (``pad_and_group``, ``ungroup``, ``truncate``,
+...) work on the '0'/'1' text form one value at a time; the tests use them
+as the oracle for the packed path.
 """
 
 import sys
@@ -168,50 +169,31 @@ class GroupedSeq:
 class SentinelSet:
     """Group positions that held the maximum value 2^x - 1.
 
-    A set is held in one of two forms.  The flag form keeps what
-    ``encrypt`` finds: the lane width x, the lane count, and one
-    ``(first lane, lane count, flags)`` entry per piece of the level that
-    has a flag, in order, where a 1 at bit j*x of the piece's flags int
-    marks its lane j from the least significant end, which is group
-    position first + lane count - 1 - j.  A piece without a flag has no
-    entry, so a level costs flag bits only in the pieces that hold a
-    sentinel.  ``from_lanes`` makes the one-piece form.
-    ``SentinelSet(indices)`` and ``from_words`` keep the positions as HCT1
-    carries them, big-endian 4-byte words, 4 bytes a position where a tuple
-    of ints would take 36; so every position must lie in 0..2^32 - 1, and
-    both constructors check that the words ascend with a few whole-int
-    operations (``_ascending``).  ``to_words`` writes the words as they
-    are, ``fits`` reads only the last one, and ``indices`` formats the int
-    tuple on each access.  Two flag sets with the same x and the same
-    flagged pieces compare their entries; any other pair compares
-    ``to_words()``, so a set is equal to every set with the same positions,
-    whatever its form or piece cuts, and ``hash`` is always that of
-    ``to_words()``.  Decrypt asks ``fits``, then the flags of each piece it
-    runs (``_piece_lanes``), or of the whole level (``lanes``); neither
-    builds a collection of ints or a buffer the size of the level.
+    A set holds its positions in one form, the one HCT1 carries: strictly
+    ascending big-endian 4-byte words, 4 bytes a position where a tuple of
+    ints would take 36, so every position lies in 0..2^32 - 1.
+    ``SentinelSet(indices)`` packs ints, ``from_words`` keeps the words it
+    is given, and ``from_lanes`` formats a flags int into words once
+    (``_positions``), as ``encrypt`` does for each piece of a level that
+    has a flag.  Each constructor refuses a position past 2^32 - 1 and
+    checks that the words ascend with a few whole-int operations
+    (``_ascending``), raising ValueError.  ``to_words`` writes the words
+    as they are, ``==`` and ``hash`` read them, ``fits`` reads only the
+    last one, and ``indices`` formats the int tuple on each access.
 
-    Parsed positions stay words because they grow with the sentinel count,
-    which the envelope's bytes bound, while flags grow with the lane count:
-    one 4-byte index can name lane 2^32 - 1.  Decrypt builds a piece's
-    flags only once ``fits`` has held the positions below the level's lane
-    count.  Flags over more than 2^32 lanes can hold a position HCT1 cannot
-    carry; ``to_words``, ``indices``, ``hash`` and any ``==`` that compares
-    words raise OverflowError on it.
-
-    Both conversions handle only the span from a piece's first position to
-    its last: an entry's flags are formatted from the highest flagged lane
-    down to the lowest (``f & -f``, ``bit_length``), and a piece's flags
-    are built from the positions that two bisections of the words find in
-    it, so a sparse set costs text only around its positions.
+    Decrypt asks ``fits``, then the flags of each piece it runs
+    (``_piece_lanes``), or of the whole level (``lanes``): two bisections
+    of the words find the piece's positions, and its flags are formatted
+    only over the span from the first to the last, so a sparse set costs
+    text only around its positions and no step builds a collection of ints
+    or a buffer the size of the level.  Words grow with the sentinel count,
+    which the envelope's bytes bound, where flags grow with the lane count.
     """
 
-    __slots__ = ("_words", "_entries", "_x", "_count")
+    __slots__ = ("_words",)
 
     def __init__(self, indices: Iterable[int] = ()):
-        try:  # iter: array would read bytes as machine words, not one int each
-            self._words = _pack(array("I", iter(indices)))
-        except OverflowError:
-            raise ValueError("sentinel indices must lie in 0..2^32 - 1") from None
+        self._words = _pack(_array(indices))
         if not _ascending(self._words):
             raise ValueError("sentinel indices must be strictly ascending")
 
@@ -226,39 +208,21 @@ class SentinelSet:
 
     @classmethod
     def from_lanes(cls, flags: int, x: int, count: int) -> "SentinelSet":
-        """The set of the flags int ``flags`` over ``count`` x-bit lanes, as one piece."""
-        return cls._from_pieces(((0, count, flags),) if flags else (), x, count)
-
-    @classmethod
-    def _from_pieces(cls, entries: tuple, x: int, count: int) -> "SentinelSet":
-        """The set of ascending, disjoint ``(first lane, lane count, flags)`` entries, none 0."""
-        lanes = object.__new__(cls)
-        lanes._words, lanes._entries, lanes._x, lanes._count = None, entries, x, count
-        return lanes
-
-    def _view(self) -> array:
-        """The ascending positions as an ``array('I')``; OverflowError past 2^32 - 1."""
-        if self._words is not None:
-            return _unpack(self._words)
-        return _positions(self._entries, self._x)
+        """The set of the flags int ``flags`` over ``count`` x-bit lanes."""
+        return cls.from_words(_pack(_positions(0, count, flags, x)))
 
     @property
     def indices(self) -> tuple[int, ...]:
         """The ascending index tuple, formatted on each access."""
-        return tuple(self._view())
+        return tuple(_unpack(self._words))
 
     def to_words(self) -> bytes:
-        """The positions as big-endian 4-byte words; OverflowError past 2^32 - 1."""
-        return self._words if self._words is not None else _pack(self._view())
+        """The positions as big-endian 4-byte words, as held."""
+        return self._words
 
     def fits(self, count: int) -> bool:
         """Whether every position lies below ``count``."""
         words = self._words
-        if words is None:  # all lie below _count; the highest is the last entry's lowest flag
-            if count >= self._count or not self._entries:
-                return True
-            first, lanes, flags = self._entries[-1]
-            return first + lanes - 1 - (flags & -flags).bit_length() // self._x < count
         return not words or int.from_bytes(words[-4:], "big") < count
 
     def lanes(self, x: int, count: int) -> int:
@@ -269,32 +233,18 @@ class SentinelSet:
         """Flags of this set's positions in the ``count`` x-bit lanes from position ``first``.
 
         Lane j from the least significant end is position first + count - 1 - j.
-        A flag set gives its entry for exactly that piece, or 0 where no entry
-        meets it; other cuts or another x go through the positions of the
-        entries that meet it.  A words set bisects its words for the piece
-        and unpacks only those.
+        Two bisections of the words find the piece's positions, and only
+        those are unpacked.
         """
         end = first + count
         words = self._words
-        if words is None:
-            entries = self._entries
-            i = bisect_left(entries, (first,))
-            if i < len(entries) and entries[i][:2] == (first, count) and x == self._x:
-                return entries[i][2]
-            low = i - (i > 0 and sum(entries[i - 1][:2]) > first)
-            high = bisect_left(entries, (end,), i)
-            if low == high:
-                return 0
-            positions = _positions(entries[low:high], self._x)
-            positions = positions[bisect_left(positions, first):bisect_left(positions, end)]
-        else:
-            span = range(len(words) // 4)
+        span = range(len(words) // 4)
 
-            def word(i):
-                return int.from_bytes(words[4 * i:4 * i + 4], "big")
+        def word(i):
+            return int.from_bytes(words[4 * i:4 * i + 4], "big")
 
-            low = bisect_left(span, first, key=word)
-            positions = _unpack(words[4 * low:4 * bisect_left(span, end, low, key=word)])
+        low = bisect_left(span, first, key=word)
+        positions = _unpack(words[4 * low:4 * bisect_left(span, end, low, key=word)])
         if not positions:
             return 0
         # Text only from the piece's first position to its last, a mark every
@@ -308,40 +258,45 @@ class SentinelSet:
         return int(marks, 2) << (end - 1 - stop) * x
 
     def __len__(self) -> int:
-        if self._words is None:
-            return sum(flags.bit_count() for _, _, flags in self._entries)
         return len(self._words) // 4
 
     def __iter__(self):
-        return iter(self._view())
+        return iter(_unpack(self._words))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SentinelSet):
             return NotImplemented
-        if self._words is None and other._words is None and self._x == other._x:
-            mine, theirs = self._entries, other._entries
-            if [e[:2] for e in mine] == [e[:2] for e in theirs]:  # no words to format
-                return mine == theirs
-        return self.to_words() == other.to_words()
+        return self._words == other._words
 
     def __hash__(self) -> int:
-        return hash(self.to_words())
+        return hash(self._words)
 
     def __repr__(self) -> str:
         return f"SentinelSet({self.indices!r})"
 
 
-def _positions(entries: Iterable[tuple[int, int, int]], x: int) -> array:
-    """The ascending positions that the ``(first lane, lane count, flags)`` entries flag."""
-    out = array("I")
-    for first, lanes, flags in entries:
-        # Only the lanes from the highest flagged one down to the lowest:
-        # the text then starts and ends on a mark, one every x characters.
-        marks = format(flags >> (flags & -flags).bit_length() - 1, "b")[::x]
-        top = first + lanes - 1 - (flags.bit_length() - 1) // x  # the first mark's position
-        runs = marks.replace("1", "1,").split(",")  # every run but the last ends on a mark
-        out.extend(islice(accumulate(map(len, runs), initial=top - 1), 1, len(runs)))
-    return out
+def _positions(first: int, lanes: int, flags: int, x: int) -> array:
+    """The ascending positions that ``flags`` marks over ``lanes`` x-bit lanes from ``first``.
+
+    A 1 at bit j*x marks lane j from the least significant end, which is
+    position first + lanes - 1 - j.  Only the lanes from the highest marked
+    one down to the lowest are formatted: the text then starts and ends on a
+    mark, one every x characters.  ValueError past 2^32 - 1.
+    """
+    if not flags:
+        return array("I")
+    marks = format(flags >> (flags & -flags).bit_length() - 1, "b")[::x]
+    top = first + lanes - 1 - (flags.bit_length() - 1) // x  # the first mark's position
+    runs = marks.replace("1", "1,").split(",")  # every run but the last ends on a mark
+    return _array(islice(accumulate(map(len, runs), initial=top - 1), 1, len(runs)))
+
+
+def _array(indices: Iterable[int]) -> array:
+    """``indices`` as an ``array('I')``; ValueError for one outside 0..2^32 - 1."""
+    try:  # iter: array would read bytes as machine words, not one int each
+        return array("I", iter(indices))
+    except OverflowError:
+        raise ValueError("sentinel indices must lie in 0..2^32 - 1") from None
 
 
 def _pack(words: array) -> bytes:

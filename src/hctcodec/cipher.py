@@ -17,30 +17,28 @@ one OR and truncation one shift.  The level loops on ints (``_forward``,
 ``_inverse``) are wrapped by encrypt and decrypt and called directly, with
 no envelope, by the digest and the avalanche experiment.  The forward
 transform reports the lanes that hold p on the levels that can carry
-sentinels (``_plan``); each level's sentinels stay those lane flags
-(``SentinelSet.from_lanes``), and decrypt checks recorded lanes by their
-flags.  Sentinel positions exist only at the HCT1 boundary, and there as
-the 4-byte words HCT1 stores, never as an int per position: ``to_bytes``
-formats flags into words piece by piece and writes parsed words as they
-are, ``from_bytes`` keeps the words it reads, and decrypt turns the
-parsed words of each piece it runs into that piece's flags.  So the
-digest, the avalanche experiment and an in-memory round trip never form
-an index.  The per-group ``bitcodec`` helpers and the per-block
-``hadamard`` kernels describe the same steps one value at a time; tests
-use them as the oracle.
+sentinels (``_plan``).  A level's ``SentinelSet`` holds one form, the
+4-byte words HCT1 stores, never an int per position, so the conversion
+cost sits at the two ends of the cipher and nowhere else: ``encrypt``
+formats each piece's flags into words once, ``to_bytes`` writes the words
+as they are and ``from_bytes`` keeps the words it reads, and decrypt turns
+the words of each piece it runs back into that piece's flags, for an
+in-memory and a parsed envelope alike.  The digest and the avalanche
+experiment call the level loops with no envelope and form no position.
+The per-group ``bitcodec`` helpers and the per-block ``hadamard`` kernels
+describe the same steps one value at a time; tests use them as the oracle.
 
 Every level maps each S-bit superblock onto itself and pads only the
 ragged tail, so any key runs a longer message piece by piece
 (``_pieces``): each chunk of whole superblocks, then the tail, is one call
 to the same level loop on a byte range of the message.  The message and
 the payload stay bytes (``BitSeq.to_bytes``), and only one piece at a
-time is an int.  A level keeps the flags of each piece that has any as
-that piece's int and nothing for the others (``SentinelSet``), and
-decrypt asks each level for one piece's flags at a time, so no level's
-flags ever fill a buffer the size of the level.  Decrypt keeps each
-level's first anomaly in message order.  The digest and the avalanche
-experiment read only the bytes of the prefix or the superblock they
-encrypt (``BitSeq._int``).
+time is an int.  A level's words grow by each piece's positions as the
+piece finishes, and decrypt asks each level for one piece's flags at a
+time, so no level's flags ever fill a buffer the size of the level.
+Decrypt keeps each level's first anomaly in message order.  The digest
+and the avalanche experiment read only the bytes of the prefix or the
+superblock they encrypt (``BitSeq._int``).
 
 The envelope is the self-contained ciphertext container: without the
 per-level bit lengths and sentinel sets the payload alone is not
@@ -54,10 +52,11 @@ reads alike on every path, its message starting ``level k:``.
 
 import math
 import struct
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .bitcodec import SLICE_BITS, BitSeq, SentinelSet, padded_group_count
+from .bitcodec import SLICE_BITS, BitSeq, SentinelSet, _pack, _positions, padded_group_count
 from .errors import (
     InvalidKeyElement,
     MalformedEnvelope,
@@ -86,7 +85,9 @@ class KeySchedule:
             raise InvalidKeyElement("key must contain at least one exponent")
         for params in self.elements:
             validate_key_element(params.x)
-        object.__setattr__(self, "_exponents", tuple(params.x for params in self.elements))  # for _plan
+        exponents = tuple(params.x for params in self.elements)
+        object.__setattr__(self, "_exponents", exponents)  # for _plan
+        object.__setattr__(self, "_lcm", math.lcm(*exponents))  # for superblock_bits
 
     @classmethod
     def from_exponents(cls, exponents: Iterable[int]) -> "KeySchedule":
@@ -97,7 +98,7 @@ class KeySchedule:
 
     def superblock_bits(self, block_order: int) -> int:
         """S = block_order * lcm(x_1..x_k): every level maps each S-aligned range onto itself."""
-        return block_order * math.lcm(*(params.x for params in self.elements))
+        return block_order * self._lcm
 
 
 @dataclass(frozen=True)
@@ -128,12 +129,12 @@ class CipherEnvelope:
         parts = [_HEADER.pack(ENVELOPE_MAGIC, self.version, self.block_order, len(self.levels))]
         for index, rec in enumerate(self.levels):
             _check_level(index, rec, self.block_order)
+            words = rec.sentinels.to_words()
             try:
-                words = rec.sentinels.to_words()
                 parts.append(_LEVEL.pack(rec.x, rec.orig_bit_len, len(words) // 4))
-                parts.append(words)
-            except (struct.error, OverflowError) as exc:
+            except struct.error as exc:
                 raise MalformedEnvelope(f"level {index}: does not fit the format: {exc}") from None
+            parts.append(words)
         _check_level(index, rec, self.block_order, len(self.payload))
         parts.append(_PAYLOAD_LEN.pack(len(self.payload)))
         parts.append(self.payload.to_bytes())
@@ -278,20 +279,19 @@ def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> Cipher
     if length <= SLICE_BITS:
         v, bits, plan, flags = _forward(plaintext.value, length, exponents, n)
         payload = BitSeq.from_int(v, bits)
-        marks = [[(0, count, f)] if f else [] for (_, _, count, _), f in zip(plan, flags)]
+        found = [_positions(0, count, f, x) for (x, _, count, _), f in zip(plan, flags)]
     else:  # the chunks of whole superblocks, then the tail, byte range by byte range
         plan, bits = _plan(exponents, n, length)
-        data, pieces, marks = memoryview(plaintext.to_bytes()), [], [[] for _ in plan]
+        data, pieces, found = memoryview(plaintext.to_bytes()), [], [array("I") for _ in plan]
         for cut, size in _pieces(length, key, n):
             v, out, part, flags = _forward(int.from_bytes(data[cut], "big") >> -size % 8,
                                            size, exponents, n)
             pieces.append(v.to_bytes(out // 8, "big"))
-            for entries, (x, _, count, _), f in zip(marks, part, flags):
-                if f:  # a level keeps flags only for the pieces that have any
-                    entries.append((8 * cut.start // x, count, f))
+            for positions, (x, _, count, _), f in zip(found, part, flags):
+                positions.extend(_positions(8 * cut.start // x, count, f, x))
         payload = BitSeq.from_bytes(b"".join(pieces))
-    levels = tuple(LevelRecord(x, bits_in, SentinelSet._from_pieces(tuple(entries), x, count))
-                   for (x, bits_in, count, _), entries in zip(plan, marks))
+    levels = tuple(LevelRecord(x, bits_in, SentinelSet.from_words(_pack(positions)))
+                   for (x, bits_in, _, _), positions in zip(plan, found))
     return CipherEnvelope(ENVELOPE_VERSION, n, levels, payload)
 
 

@@ -74,10 +74,10 @@ MUTANTS = [
            'array("I", iter(indices))',
            'array("I", indices)',
            ("tests/test_bitcodec.py::test_parsed_words_must_strictly_ascend",)),
-    Mutant("to_bytes lets OverflowError out", "cipher.py",
-           "except (struct.error, OverflowError) as exc:",
-           "except struct.error as exc:",
-           ("tests/test_envelope.py::test_to_bytes_rejects_unencodable_level_record",)),
+    Mutant("flags over more than 2^32 lanes skip the 4-byte check", "bitcodec.py",
+           "return _array(islice(",
+           'return array("I", islice(',
+           ("tests/test_bitcodec.py::test_sentinel_set_past_four_bytes",)),
     # The digest and the avalanche experiment run on the cipher's level cores.
     Mutant("avalanche flips the bit after the chosen one", "analysis.py",
            "v ^ 1 << out - 1 - (flip_index - start)",
@@ -98,11 +98,12 @@ MUTANTS = [
            "[a or b for a, b in zip(found, part)]",
            "[b or a for a, b in zip(found, part)]",
            ("tests/test_cipher.py::test_chunk_path_matches_the_per_level_path",)),
-    # Decrypt asks each level's sentinels for one piece's flags at a time.
-    Mutant("piece lookup returns the previous piece's flags", "bitcodec.py",
-           "return entries[i][2]",
-           "return entries[i - 1][2]",
-           ("tests/test_bitcodec.py::test_piece_flags_match_the_text_path",)),
+    # Encrypt formats each piece's flags into its level's words once, and
+    # decrypt bisects the words for one piece's flags at a time.
+    Mutant("encrypt counts a piece's positions from lane 0", "cipher.py",
+           "_positions(8 * cut.start // x, count, f, x)",
+           "_positions(0, count, f, x)",
+           ("tests/test_cipher.py::test_flag_sets_of_the_chunk_path_and_the_level_loop_are_equal",)),
     Mutant("words bisect stops one lane short of a piece's end", "bitcodec.py",
            "bisect_left(span, end, low, key=word)",
            "bisect_left(span, end - 1, low, key=word)",

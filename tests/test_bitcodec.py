@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 import struct
+from array import array
 from itertools import accumulate, islice
 
 import pytest
@@ -15,6 +16,8 @@ from hctcodec.bitcodec import (
     BitSeq,
     GroupedSeq,
     SentinelSet,
+    _pack,
+    _positions,
     detect_sentinels,
     lane_slices,
     pad_and_group,
@@ -298,10 +301,18 @@ def test_parsed_words_ascend_across_slice_cuts():
 
 def test_sentinel_set_past_four_bytes():
     # HCT1 carries a position as a 4-byte word; one it cannot carry makes
-    # no set, as a negative one makes none.  The highest word round-trips.
+    # no set, as a negative one makes none, whether given as an int or
+    # flagged over more than 2^32 lanes, as one piece or as encrypt's piece
+    # of a level.  The highest word round-trips.
+    past = r"^sentinel indices must lie in 0\.\.2\^32 - 1$"
     for indices in ((1, 2**33 + 3), (2**32,), (-1,)):
-        with pytest.raises(ValueError, match=r"^sentinel indices must lie in 0\.\.2\^32 - 1$"):
+        with pytest.raises(ValueError, match=past):
             SentinelSet(indices)
+    with pytest.raises(ValueError, match=past):
+        SentinelSet.from_lanes(1, 3, 2**32 + 1)
+    with pytest.raises(ValueError, match=past):
+        _positions(2**32, 1, 1, 3)
+    assert SentinelSet.from_lanes(1, 3, 2**32) == SentinelSet((2**32 - 1,))
     top = SentinelSet((2**32 - 1,))
     assert top.to_words() == b"\xff\xff\xff\xff"
     back = SentinelSet.from_words(top.to_words())
@@ -348,12 +359,12 @@ def test_sparse_and_dense_conversions_match_the_text_path():
 
 
 def test_piece_flags_match_the_text_path():
-    # Decrypt asks a set for the flags of one piece of a level at a time.  A
-    # words set bisects its words for the piece, a flag set of the same cuts
-    # gives its entry or 0, and a flag set of other cuts (one piece for the
-    # level), or asked for another x, goes through its positions.  All equal
-    # the text reference, with positions on both sides of every cut, for the
-    # pieces, for ranges across cuts and for the whole level.
+    # Encrypt formats each piece's flags into positions, and decrypt asks a
+    # set for the flags of one piece of a level at a time, bisecting its
+    # words for the piece.  The words of ints, of encrypt's pieces and of
+    # one piece for the level are one set, and its flags equal the text
+    # reference, with positions on both sides of every cut, for the pieces,
+    # for ranges across cuts, for the whole level and for another x.
     rng = random.Random(30)
     sizes = (128, 384, 128, 256, 40)
     firsts = tuple(accumulate(sizes, initial=0))
@@ -368,10 +379,10 @@ def test_piece_flags_match_the_text_path():
             return text_lanes([p - first for p in positions if first <= p < first + lanes],
                               width, lanes)
 
-        entries = tuple((first, lanes, flags(first, lanes))
-                        for first, lanes in zip(firsts, sizes) if flags(first, lanes))
-        assert len(entries) == len(sizes) - 1
-        sets = (SentinelSet(positions), SentinelSet._from_pieces(entries, x, count),
+        pieces = [_positions(first, lanes, flags(first, lanes), x)
+                  for first, lanes in zip(firsts, sizes)]
+        assert [len(piece) > 0 for piece in pieces] == [True, True, False, True, True]
+        sets = (SentinelSet(positions), SentinelSet.from_words(_pack(sum(pieces, array("I")))),
                 SentinelSet.from_lanes(flags(0, count), x, count))
         other = 3 if x != 3 else 5
         for s in sets:
@@ -383,9 +394,9 @@ def test_piece_flags_match_the_text_path():
 
 
 def test_flag_sets_compare_by_their_flags():
-    # Two flag sets over the same lanes compare their flags; against the
-    # words parsed from the same positions, a flag set is equal and hashes
-    # the same.  One lane more or less makes a different set.
+    # Two sets made from the same flags are equal; so are a set made from
+    # flags and the words parsed from the same positions, which hash the
+    # same.  One lane more or less makes a different set.
     rng = random.Random(23)
     for x in (2, 13, 31):
         _, (_, step, _) = islice(lane_slices(x, 128 * SLICE_BITS), 2)

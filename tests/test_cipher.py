@@ -1128,43 +1128,45 @@ def test_retained_envelope_peak_memory_does_not_grow_with_size(exponents, n, cei
     assert max(peaks.values()) <= ceiling, peaks
 
 
-def test_a_long_envelope_keeps_flags_only_for_its_flagged_pieces():
+def test_a_long_envelope_holds_four_bytes_per_sentinel():
     # A 64 KiB 13/128 message has a handful of sentinels in 18 pieces; its
-    # level keeps one entry per piece that has one, each the flags that
-    # encrypting the piece alone finds, and a piece without one costs nothing.
+    # level holds the positions that encrypting each piece alone finds,
+    # offset by the piece's first lane, as one 4-byte word each, and a piece
+    # without a sentinel adds nothing.
     key, n = KeySchedule.from_exponents([13]), 128
     data = random.Random(7).randbytes(1 << 16)
     pieces = cipher._pieces(8 * len(data), key, n)
-    flagged = []
+    expected, flagged = [], 0
     for cut, _ in pieces:
-        alone = encrypt(BitSeq.from_bytes(data[cut]), key, n).levels[0]
-        if len(alone.sentinels):
-            flagged.append((8 * cut.start // 13, alone.padded_group_count(n), alone.sentinels))
-    entries = encrypt(BitSeq.from_bytes(data), key, n).levels[0].sentinels._entries
-    assert 0 < len(entries) == len(flagged) < len(pieces) == 18
-    assert [entry[:2] for entry in entries] == [piece[:2] for piece in flagged]
-    for (_, lanes, flags), (_, _, alone) in zip(entries, flagged):
-        assert SentinelSet.from_lanes(flags, 13, lanes) == alone
-    assert sum(map(sys.getsizeof, (flags for _, _, flags in entries))) < 4100 * len(entries)
+        alone = encrypt(BitSeq.from_bytes(data[cut]), key, n).levels[0].sentinels
+        expected += [8 * cut.start // 13 + i for i in alone]
+        flagged += len(alone) > 0
+    assert 0 < flagged < len(pieces) == 18
+    sentinels = encrypt(BitSeq.from_bytes(data), key, n).levels[0].sentinels
+    assert sentinels.indices == tuple(expected)
+    assert SentinelSet.__slots__ == ("_words",)
+    assert sys.getsizeof(sentinels.to_words()) - sys.getsizeof(b"") == 4 * len(expected)
 
 
 @pytest.mark.parametrize("exponents, n", [((13,), 128), ((3, 5, 31), 8), ((5, 3, 2), 16)])
 def test_flag_sets_of_the_chunk_path_and_the_level_loop_are_equal(monkeypatch, exponents, n):
-    # The chunk path keeps flags per piece, the level loop (SLICE_BITS past
-    # any length) one piece per level: the sets compare and hash equal to
-    # each other and to the words they write, and they decrypt alike.
+    # The chunk path formats each piece's flags into its level's words, the
+    # level loop (SLICE_BITS past any length) one piece per level: the
+    # envelopes, their hashes and their bytes are equal, and equal those
+    # parsed back, with positions in more than one piece; they decrypt alike.
     key, data = KeySchedule.from_exponents(exponents), random.Random(30).randbytes(1 << 16)
     chunked = encrypt(BitSeq.from_bytes(data), key, n)
     with monkeypatch.context() as patch:
         patch.setattr(cipher, "SLICE_BITS", 1 << 62)
         looped = encrypt(BitSeq.from_bytes(data), key, n)
         assert decrypt(chunked, key).to_bytes() == data
-    assert len(chunked.levels[0].sentinels._entries) > 1
-    for a, b in zip(chunked.levels, looped.levels):
-        words = SentinelSet.from_words(a.sentinels.to_words())
-        assert len(b.sentinels._entries) == (len(b.sentinels) > 0)
-        assert a.sentinels == b.sentinels == words and b.sentinels == a.sentinels
-        assert hash(a.sentinels) == hash(b.sentinels) == hash(words)
+    blob = chunked.to_bytes()
+    parsed = CipherEnvelope.from_bytes(blob)
+    assert looped == chunked == parsed and hash(looped) == hash(chunked) == hash(parsed)
+    assert looped.to_bytes() == blob == parsed.to_bytes()
+    indices, x = chunked.levels[0].sentinels.indices, exponents[0]
+    assert any(indices[0] < 8 * cut.start // x <= indices[-1]
+               for cut, _ in cipher._pieces(8 * len(data), key, n))
     assert decrypt(looped, key).to_bytes() == data
 
 

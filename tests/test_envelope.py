@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hctcodec import bitcodec, cipher
 from hctcodec.bitcodec import BitSeq, SentinelSet
 from hctcodec.cipher import (
     ENVELOPE_MAGIC,
@@ -255,27 +256,28 @@ def test_to_bytes_rejects_unencodable_level_count():
         env.to_bytes()
 
 
-class PastFourBytes(SentinelSet):
-    """Stands in for flags over more than 2^32 lanes with a position HCT1
-    cannot carry, on which to_words raises OverflowError; a real one needs
-    over 1 GiB of plaintext."""
-
-    def to_words(self):
-        raise OverflowError("unsigned int is greater than maximum")
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        LevelRecord(3, 0, PastFourBytes(())),
-        LevelRecord(3, 2**64, SentinelSet(())),
-    ],
-)
-def test_to_bytes_rejects_unencodable_level_record(bad):
-    good = LevelRecord(3, 0, SentinelSet(()))
+def test_to_bytes_rejects_unencodable_level_record():
+    good, bad = LevelRecord(3, 0, SentinelSet(())), LevelRecord(3, 2**64, SentinelSet(()))
     env = CipherEnvelope(ENVELOPE_VERSION, 8, (good, bad), BitSeq(""))
     with pytest.raises(MalformedEnvelope, match="^level 1: does not fit the format: "):
         env.to_bytes()
+
+
+def test_to_bytes_formats_no_sentinel_words(monkeypatch):
+    # Encrypt formats each level's flags into words once; to_bytes writes
+    # the words its sets hold, and formats nothing.
+    key = KeySchedule.from_exponents([3, 5, 31])
+    env = encrypt(BitSeq.from_bytes(random.Random(5).randbytes(1 << 16)), key, 8)
+    assert len(env.levels[0].sentinels) > 1
+    expected = env.to_bytes()
+
+    def refuse(*args):
+        raise AssertionError("to_bytes formatted sentinel flags")
+
+    monkeypatch.setattr(bitcodec, "_positions", refuse)
+    monkeypatch.setattr(cipher, "_positions", refuse)
+    assert env.to_bytes() == expected
+    assert CipherEnvelope.from_bytes(expected) == env
 
 
 def test_to_bytes_rejects_a_negative_recorded_length():
@@ -287,8 +289,8 @@ def test_to_bytes_rejects_a_negative_recorded_length():
 
 def test_to_bytes_writes_flag_sentinels_carried_onto_another_record():
     # Level 0 holds 33 sentinels in 48 groups, the highest at position 32.
-    # Carried onto a record of 56 or 40 groups, the flag form that encrypt
-    # made writes what its index form writes; 32 or 24 groups refuse both.
+    # Carried onto a record of 56 or 40 groups, the set that encrypt made
+    # writes what the same ints write; 32 or 24 groups refuse both.
     env = encrypt(BitSeq("1" * 100 + "0110" * 10), KEY35)
     flags, level1 = env.levels[0].sentinels, env.levels[1]
     assert (len(flags), max(flags), env.levels[0].padded_group_count(8)) == (33, 32, 48)
@@ -413,7 +415,7 @@ def test_hostile_sentinel_count_is_refused_before_reading():
 
 @pytest.mark.parametrize("exponents, n", [((3, 5, 31), 8), ((13,), 128), ((2, 7), 16)])
 def test_every_form_of_a_sentinel_set_agrees(exponents, n):
-    # The flags encrypt records, the same positions given as ints, flags
+    # The set encrypt records, the same positions given as ints, flags
     # rebuilt from those ints, and the words parsed back from HCT1 are one
     # set; and a parsed envelope writes the bytes it was read from.
     key = KeySchedule.from_exponents(exponents)
