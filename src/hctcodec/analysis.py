@@ -75,18 +75,20 @@ def avalanche_experiment(
     superblock is encrypted and decrypted; the rest of the message comes
     back unchanged.  That superblock runs through the cipher's level loops
     as one int, inverted with the plan and flags its encryption made, so
-    no envelope is built and no record is checked.
+    no envelope is built and no record is checked; its forward pass also
+    checks ``flip_index``, and only an error plans the whole message.
     """
     check_order(block_order)
     length = plaintext.length
-    _, payload_bits = _plan(key._exponents, block_order, length)
-    if not 0 <= flip_index < payload_bits:
-        raise ValueError(f"flip index {flip_index} outside payload of {payload_bits} bits")
     size = key.superblock_bits(block_order)
-    start = flip_index // size * size
+    # Past either end of the message, a start that fails the check below.
+    start = min(max(flip_index, 0) // size * size, length)
     end = min(start + size, length)
     chunk = plaintext._int(start, end)
     v, out, plan, marks = _forward(chunk, end - start, key._exponents, block_order)
+    if not 0 <= flip_index - start < out:
+        _, payload_bits = _plan(key._exponents, block_order, length)
+        raise ValueError(f"flip index {flip_index} outside payload of {payload_bits} bits")
     v, conflicts, _, _ = _inverse(v ^ 1 << out - 1 - (flip_index - start), plan, marks, block_order)
     diff = (v ^ chunk) << length - end  # the recovered message is plaintext ^ diff
     return DiffReport(length, length, diff.bit_count(), 0, BitSeq.from_int(diff, length), conflicts)

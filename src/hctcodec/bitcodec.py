@@ -9,12 +9,13 @@ the pre-padding bit length and the positions holding the group maximum
 ``BitSeq`` holds a sequence once, as an MSB-first int or as bytes, and a
 bit count, so the cipher's packed level loop, the envelope and the byte
 packing never format it as text, and a file stays bytes through the
-cipher.  ``SentinelSet`` likewise holds one form, the big-endian 4-byte
-words the envelope carries, never an int per position.  The cipher's lane
-flags become words once, in ``encrypt``, one piece of a level at a time
-(``_positions``), and decrypt turns the words back into one piece's flags
-at a time (``SentinelSet._piece_lanes``), each only over the span of the
-piece's positions, so no text grows past a piece, a piece without
+cipher.  ``SentinelSet`` likewise holds one form, a native ``array('I')``
+of its ascending positions, never an int per position; HCT1's big-endian
+words appear only in ``to_words`` and ``from_words``.  The cipher's lane
+flags become positions once, in ``encrypt``, one piece of a level at a
+time (``_positions``), and decrypt turns the positions back into one
+piece's flags at a time (``SentinelSet.lanes``), each only over the span
+of the piece's positions, so no text grows past a piece, a piece without
 sentinels costs none, and no step holds a buffer the size of the level.
 The per-group helpers below (``pad_and_group``, ``ungroup``, ``truncate``,
 ...) work on the '0'/'1' text form one value at a time; the tests use them
@@ -169,82 +170,80 @@ class GroupedSeq:
 class SentinelSet:
     """Group positions that held the maximum value 2^x - 1.
 
-    A set holds its positions in one form, the one HCT1 carries: strictly
-    ascending big-endian 4-byte words, 4 bytes a position where a tuple of
-    ints would take 36, so every position lies in 0..2^32 - 1.
-    ``SentinelSet(indices)`` packs ints, ``from_words`` keeps the words it
-    is given, and ``from_lanes`` formats a flags int into words once
-    (``_positions``), as ``encrypt`` does for each piece of a level that
-    has a flag.  Each constructor refuses a position past 2^32 - 1 and
-    checks that the words ascend with a few whole-int operations
-    (``_ascending``), raising ValueError.  ``to_words`` writes the words
-    as they are, ``==`` and ``hash`` read them, ``fits`` reads only the
-    last one, and ``indices`` formats the int tuple on each access.
-
-    Decrypt asks ``fits``, then the flags of each piece it runs
-    (``_piece_lanes``), or of the whole level (``lanes``): two bisections
-    of the words find the piece's positions, and its flags are formatted
-    only over the span from the first to the last, so a sparse set costs
-    text only around its positions and no step builds a collection of ints
-    or a buffer the size of the level.  Words grow with the sentinel count,
-    which the envelope's bytes bound, where flags grow with the lane count.
+    A set holds its strictly ascending positions in one form, a native
+    ``array('I')``, 4 bytes a position where a tuple of ints would take 36,
+    so every position lies in 0..2^32 - 1.  ``SentinelSet(indices)`` takes
+    ints and ``from_lanes`` one flags int (``_positions``); each raises
+    ValueError for a position past 2^32 - 1, and the first for one out of
+    order.  HCT1 carries the positions as big-endian 4-byte words:
+    ``from_words`` checks that they are whole words and ascend
+    (``_ascending``) and copies them into an array once, and ``to_words``
+    writes a byte-swapped copy.  ``fits``, ``len``, ``indices``, ``==`` and
+    ``hash`` read the array.  Decrypt asks ``fits``, then the flags of each
+    piece it runs (``lanes``): two bisections of the array find the piece's
+    positions, and its flags are formatted only over the span from the
+    first to the last, so a sparse set costs text only around its positions
+    and no step builds a buffer the size of the level.
     """
 
     __slots__ = ("_words",)
 
     def __init__(self, indices: Iterable[int] = ()):
-        self._words = _pack(_array(indices))
-        if not _ascending(self._words):
+        self._words = _array(indices)
+        if not _ascending(self.to_words()):
             raise ValueError("sentinel indices must be strictly ascending")
+
+    @classmethod
+    def _of(cls, words: array) -> "SentinelSet":
+        """The set holding ``words``, strictly ascending positions, as they are: no check, no copy."""
+        held = object.__new__(cls)
+        held._words = words
+        return held
 
     @classmethod
     def from_words(cls, data: bytes) -> "SentinelSet":
         """The set HCT1 carries as ``data``: strictly ascending big-endian 4-byte words."""
+        if len(data) % 4:
+            raise ValueError("sentinel words must be whole 4-byte words")
         if not _ascending(data):
             raise ValueError("sentinel indices must be strictly ascending")
-        words = object.__new__(cls)
-        words._words = bytes(data)
-        return words
+        words = array("I", [0]) * (len(data) // 4)  # exact size, where frombytes leaves spare room
+        memoryview(words).cast("B")[:] = data
+        if sys.byteorder == "little":
+            words.byteswap()
+        return cls._of(words)
 
     @classmethod
     def from_lanes(cls, flags: int, x: int, count: int) -> "SentinelSet":
         """The set of the flags int ``flags`` over ``count`` x-bit lanes."""
-        return cls.from_words(_pack(_positions(0, count, flags, x)))
+        return cls._of(_positions(0, count, flags, x))
 
     @property
     def indices(self) -> tuple[int, ...]:
         """The ascending index tuple, formatted on each access."""
-        return tuple(_unpack(self._words))
+        return tuple(self._words)
 
     def to_words(self) -> bytes:
-        """The positions as big-endian 4-byte words, as held."""
-        return self._words
+        """The positions as HCT1's big-endian 4-byte words, formed on each call."""
+        words = self._words[:]
+        if sys.byteorder == "little":
+            words.byteswap()
+        return words.tobytes()
 
     def fits(self, count: int) -> bool:
         """Whether every position lies below ``count``."""
-        words = self._words
-        return not words or int.from_bytes(words[-4:], "big") < count
+        return not self._words or self._words[-1] < count
 
-    def lanes(self, x: int, count: int) -> int:
-        """Flags over ``count`` x-bit lanes; every position must lie below ``count``."""
-        return self._piece_lanes(x, 0, count)
-
-    def _piece_lanes(self, x: int, first: int, count: int) -> int:
+    def lanes(self, x: int, count: int, first: int = 0) -> int:
         """Flags of this set's positions in the ``count`` x-bit lanes from position ``first``.
 
         Lane j from the least significant end is position first + count - 1 - j.
-        Two bisections of the words find the piece's positions, and only
-        those are unpacked.
+        Two bisections of the array find the piece's positions.
         """
         end = first + count
         words = self._words
-        span = range(len(words) // 4)
-
-        def word(i):
-            return int.from_bytes(words[4 * i:4 * i + 4], "big")
-
-        low = bisect_left(span, first, key=word)
-        positions = _unpack(words[4 * low:4 * bisect_left(span, end, low, key=word)])
+        low = bisect_left(words, first)
+        positions = words[low:bisect_left(words, end, low)]
         if not positions:
             return 0
         # Text only from the piece's first position to its last, a mark every
@@ -258,10 +257,10 @@ class SentinelSet:
         return int(marks, 2) << (end - 1 - stop) * x
 
     def __len__(self) -> int:
-        return len(self._words) // 4
+        return len(self._words)
 
     def __iter__(self):
-        return iter(_unpack(self._words))
+        return iter(self._words)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SentinelSet):
@@ -269,7 +268,7 @@ class SentinelSet:
         return self._words == other._words
 
     def __hash__(self) -> int:
-        return hash(self._words)
+        return hash(self._words.tobytes())
 
     def __repr__(self) -> str:
         return f"SentinelSet({self.indices!r})"
@@ -297,21 +296,6 @@ def _array(indices: Iterable[int]) -> array:
         return array("I", iter(indices))
     except OverflowError:
         raise ValueError("sentinel indices must lie in 0..2^32 - 1") from None
-
-
-def _pack(words: array) -> bytes:
-    """Big-endian bytes of ``words``; byteswaps ``words`` in place on little-endian hosts."""
-    if sys.byteorder == "little":
-        words.byteswap()
-    return words.tobytes()
-
-
-def _unpack(data: bytes) -> array:
-    """The values of big-endian 4-byte words, as a native ``array('I')``."""
-    words = array("I", data)
-    if sys.byteorder == "little":
-        words.byteswap()
-    return words
 
 
 def _ascending(data: bytes) -> bool:

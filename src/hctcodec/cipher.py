@@ -17,13 +17,12 @@ one OR and truncation one shift.  The level loops on ints (``_forward``,
 ``_inverse``) are wrapped by encrypt and decrypt and called directly, with
 no envelope, by the digest and the avalanche experiment.  The forward
 transform reports the lanes that hold p on the levels that can carry
-sentinels (``_plan``).  A level's ``SentinelSet`` holds one form, the
-4-byte words HCT1 stores, never an int per position, so the conversion
-cost sits at the two ends of the cipher and nowhere else: ``encrypt``
-formats each piece's flags into words once, ``to_bytes`` writes the words
-as they are and ``from_bytes`` keeps the words it reads, and decrypt turns
-the words of each piece it runs back into that piece's flags, for an
-in-memory and a parsed envelope alike.  The digest and the avalanche
+sentinels (``_plan``).  A level's ``SentinelSet`` holds one form, a
+native ``array('I')`` of its positions, never an int per position:
+``encrypt`` formats each piece's flags into positions once, decrypt turns
+the positions of each piece it runs back into that piece's flags, for an
+in-memory and a parsed envelope alike, and only ``to_bytes`` and
+``from_bytes`` meet HCT1's big-endian words.  The digest and the avalanche
 experiment call the level loops with no envelope and form no position.
 The per-group ``bitcodec`` helpers and the per-block ``hadamard`` kernels
 describe the same steps one value at a time; tests use them as the oracle.
@@ -33,9 +32,9 @@ ragged tail, so any key runs a longer message piece by piece
 (``_pieces``): each chunk of whole superblocks, then the tail, is one call
 to the same level loop on a byte range of the message.  The message and
 the payload stay bytes (``BitSeq.to_bytes``), and only one piece at a
-time is an int.  A level's words grow by each piece's positions as the
-piece finishes, and decrypt asks each level for one piece's flags at a
-time, so no level's flags ever fill a buffer the size of the level.
+time is an int.  A level's positions grow by each piece's as the piece
+finishes, and decrypt asks each level for one piece's flags at a time,
+so no level's flags ever fill a buffer the size of the level.
 Decrypt keeps each level's first anomaly in message order.  The digest
 and the avalanche experiment read only the bytes of the prefix or the
 superblock they encrypt (``BitSeq._int``).
@@ -54,9 +53,9 @@ import math
 import struct
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .bitcodec import SLICE_BITS, BitSeq, SentinelSet, _pack, _positions, padded_group_count
+from .bitcodec import SLICE_BITS, BitSeq, SentinelSet, _positions, padded_group_count
 from .errors import (
     InvalidKeyElement,
     MalformedEnvelope,
@@ -129,12 +128,11 @@ class CipherEnvelope:
         parts = [_HEADER.pack(ENVELOPE_MAGIC, self.version, self.block_order, len(self.levels))]
         for index, rec in enumerate(self.levels):
             _check_level(index, rec, self.block_order)
-            words = rec.sentinels.to_words()
             try:
-                parts.append(_LEVEL.pack(rec.x, rec.orig_bit_len, len(words) // 4))
+                parts.append(_LEVEL.pack(rec.x, rec.orig_bit_len, len(rec.sentinels)))
             except struct.error as exc:
                 raise MalformedEnvelope(f"level {index}: does not fit the format: {exc}") from None
-            parts.append(words)
+            parts.append(rec.sentinels.to_words())
         _check_level(index, rec, self.block_order, len(self.payload))
         parts.append(_PAYLOAD_LEN.pack(len(self.payload)))
         parts.append(self.payload.to_bytes())
@@ -243,28 +241,20 @@ def _forward(v: int, length: int, exponents: tuple[int, ...], n: int) -> tuple[i
     return v, bits, plan, marks
 
 
-def _chunks(size: int, key: KeySchedule, n: int) -> Iterator[tuple[slice, int]]:
-    """Byte range and bit count of each chunk of a ``size``-byte head of whole superblocks.
+def _pieces(length: int, key: KeySchedule, n: int) -> list[tuple[slice, int]]:
+    """Byte range and bit count of each piece of a ``length``-bit message: chunks, then the tail.
 
-    A chunk is the most superblocks within SLICE_BITS bits, or one.
+    A chunk is the most whole superblocks within SLICE_BITS bits, or one;
+    the tail holds the bits past the last whole superblock, and its last
+    byte ends in the message's fill.  Every level maps each piece onto the
+    same byte range of its input and, but for the tail, of its output, so
+    the piece starts at lane ``8 * start // x`` of every level.
     """
     superblock = key.superblock_bits(n)
-    step = max(SLICE_BITS // superblock, 1) * superblock // 8
-    for start in range(0, size, step):
-        end = min(start + step, size)
-        yield slice(start, end), 8 * (end - start)
-
-
-def _pieces(length: int, key: KeySchedule, n: int) -> list[tuple[slice, int]]:
-    """``_chunks`` of a ``length``-bit message's whole superblocks, then its tail's bytes and bits.
-
-    Every level maps each piece onto the same byte range of its input and,
-    but for the tail, of its output, so the piece starts at lane
-    ``8 * start // x`` of every level; the tail's last byte ends in the
-    message's fill.
-    """
-    head = length - length % key.superblock_bits(n)
-    return [*_chunks(head // 8, key, n), (slice(head // 8, None), length - head)]
+    head = (length - length % superblock) // 8
+    cuts = [*range(0, head, max(SLICE_BITS // superblock, 1) * superblock // 8), head]
+    return [(slice(start, end), 8 * (end - start)) for start, end in zip(cuts, cuts[1:])] + [
+        (slice(head, None), length - 8 * head)]
 
 
 def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> CipherEnvelope:
@@ -290,7 +280,8 @@ def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> Cipher
             for positions, (x, _, count, _), f in zip(found, part, flags):
                 positions.extend(_positions(8 * cut.start // x, count, f, x))
         payload = BitSeq.from_bytes(b"".join(pieces))
-    levels = tuple(LevelRecord(x, bits_in, SentinelSet.from_words(_pack(positions)))
+    # Each piece's positions ascend and follow the last piece's; the copy drops spare room.
+    levels = tuple(LevelRecord(x, bits_in, SentinelSet._of(positions[:]))
                    for (x, bits_in, _, _), positions in zip(plan, found))
     return CipherEnvelope(ENVELOPE_VERSION, n, levels, payload)
 
@@ -374,7 +365,7 @@ def _decrypt_levels(
     ``_inverse`` does; the level is that of HCT1 record k.  A message longer
     than SLICE_BITS runs piece by piece, each cut at the same byte range of
     the payload, with each level's flags for that piece alone
-    (``SentinelSet._piece_lanes``), and the anomalies of earlier pieces
+    (``SentinelSet.lanes``), and the anomalies of earlier pieces
     come first.
     """
     plan = _check_records(envelope, key)
@@ -388,7 +379,7 @@ def _decrypt_levels(
     conflicts = violations = 0
     for cut, size in _pieces(length, key, n):
         levels = _plan(key._exponents, n, size)[0]
-        marks = [record.sentinels._piece_lanes(x, 8 * cut.start // x, count)
+        marks = [record.sentinels.lanes(x, count, 8 * cut.start // x)
                  for record, (x, _, count, _) in zip(envelope.levels, levels)]
         v, held, bad, part = _inverse(int.from_bytes(data[cut], "big"), levels, marks,
                                       n, 8 * cut.start)

@@ -65,9 +65,10 @@ MUTANTS = [
            "w += w >> x & ones",
            (HADAMARD + "test_one_add_makes_a_folded_lane_canonical",
             HADAMARD + "test_lane_engine_matches_block_kernels")),
-    # SentinelSet holds positions as the 4-byte words HCT1 carries.
+    # SentinelSet holds native positions; HCT1's words only cross from_words
+    # and to_words.
     Mutant("constructor accepts unordered positions", "bitcodec.py",
-           "        if not _ascending(self._words):\n",
+           "        if not _ascending(self.to_words()):\n",
            "        if False:\n",
            ("tests/test_bitcodec.py::test_sentinel_set_validation",)),
     Mutant("positions read from bytes as machine words", "bitcodec.py",
@@ -78,6 +79,10 @@ MUTANTS = [
            "return _array(islice(",
            'return array("I", islice(',
            ("tests/test_bitcodec.py::test_sentinel_set_past_four_bytes",)),
+    Mutant("parsed bytes need not be whole words", "bitcodec.py",
+           "        if len(data) % 4:\n",
+           "        if False:\n",
+           ("tests/test_bitcodec.py::test_sentinel_set_validation",)),
     # The digest and the avalanche experiment run on the cipher's level cores.
     Mutant("avalanche flips the bit after the chosen one", "analysis.py",
            "v ^ 1 << out - 1 - (flip_index - start)",
@@ -98,15 +103,19 @@ MUTANTS = [
            "[a or b for a, b in zip(found, part)]",
            "[b or a for a, b in zip(found, part)]",
            ("tests/test_cipher.py::test_chunk_path_matches_the_per_level_path",)),
-    # Encrypt formats each piece's flags into its level's words once, and
-    # decrypt bisects the words for one piece's flags at a time.
+    # Encrypt formats each piece's flags into its level's positions once, and
+    # decrypt bisects the positions for one piece's flags at a time.
     Mutant("encrypt counts a piece's positions from lane 0", "cipher.py",
            "_positions(8 * cut.start // x, count, f, x)",
            "_positions(0, count, f, x)",
            ("tests/test_cipher.py::test_flag_sets_of_the_chunk_path_and_the_level_loop_are_equal",)),
+    Mutant("encrypt hands its grown array over untrimmed", "cipher.py",
+           "SentinelSet._of(positions[:])",
+           "SentinelSet._of(positions)",
+           ("tests/test_cipher.py::test_a_long_envelope_holds_four_bytes_per_sentinel",)),
     Mutant("words bisect stops one lane short of a piece's end", "bitcodec.py",
-           "bisect_left(span, end, low, key=word)",
-           "bisect_left(span, end - 1, low, key=word)",
+           "bisect_left(words, end, low)",
+           "bisect_left(words, end - 1, low)",
            ("tests/test_bitcodec.py::test_piece_flags_match_the_text_path",)),
     # A long message crosses the cipher as bytes; its tail's last byte ends in fill.
     Mutant("encrypt reads the tail without shifting out its fill", "cipher.py",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hctcodec import analysis, cipher
 from hctcodec.analysis import (
     DiffReport,
     avalanche_experiment,
@@ -123,6 +124,31 @@ def test_avalanche_flip_range_checked():
         avalanche_experiment(BitSeq(PLAIN_BITS), KEY35, 8, 40)
     with pytest.raises(ValueError):
         avalanche_experiment(BitSeq(PLAIN_BITS), KEY35, 8, -1)
+
+
+def test_a_valid_flip_plans_only_its_superblock(monkeypatch):
+    # The forward pass of the flipped bit's superblock checks the flip; the
+    # whole message is planned only to word the error, past either end.
+    key, n = KeySchedule.from_exponents([2, 7]), 16
+    size = key.superblock_bits(n)
+    message = BitSeq.from_int(random.Random(3).getrandbits(2 * size + 5), 2 * size + 5)
+    payload_bits = _plan(key._exponents, n, len(message))[1]
+    planned, plan = [], cipher._plan
+
+    def counted(*args):
+        planned.append(args)
+        return plan(*args)
+
+    monkeypatch.setattr(cipher, "_plan", counted)
+    monkeypatch.setattr(analysis, "_plan", counted)
+    for flip in (0, size, 2 * size, payload_bits - 1):
+        planned.clear()
+        avalanche_experiment(message, key, n, flip)
+        assert len(planned) == 1, flip
+    for flip in (-1, -size - 1, payload_bits, payload_bits + size, 10 * size):
+        with pytest.raises(ValueError, match=f"^flip index {flip} outside payload of "
+                                             f"{payload_bits} bits$"):
+            avalanche_experiment(message, key, n, flip)
 
 
 def test_avalanche_reports_every_flip_position():

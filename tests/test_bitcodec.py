@@ -16,7 +16,6 @@ from hctcodec.bitcodec import (
     BitSeq,
     GroupedSeq,
     SentinelSet,
-    _pack,
     _positions,
     detect_sentinels,
     lane_slices,
@@ -242,6 +241,9 @@ def test_sentinel_set_validation():
         SentinelSet((-1,))
     with pytest.raises(ValueError):
         SentinelSet.from_words(struct.pack(">3I", 1, 5, 5))
+    for ragged in (b"\x05", struct.pack(">2I", 1, 4)[:-1], struct.pack(">2I", 1, 4) + b"\0"):
+        with pytest.raises(ValueError, match="whole 4-byte words"):
+            SentinelSet.from_words(ragged)
     assert SentinelSet(sorted({4, 1, 4})).indices == (1, 4)
     s = SentinelSet((1, 4))
     assert len(s) == 2
@@ -361,7 +363,7 @@ def test_sparse_and_dense_conversions_match_the_text_path():
 def test_piece_flags_match_the_text_path():
     # Encrypt formats each piece's flags into positions, and decrypt asks a
     # set for the flags of one piece of a level at a time, bisecting its
-    # words for the piece.  The words of ints, of encrypt's pieces and of
+    # positions for the piece.  The sets of ints, of encrypt's pieces and of
     # one piece for the level are one set, and its flags equal the text
     # reference, with positions on both sides of every cut, for the pieces,
     # for ranges across cuts, for the whole level and for another x.
@@ -382,14 +384,14 @@ def test_piece_flags_match_the_text_path():
         pieces = [_positions(first, lanes, flags(first, lanes), x)
                   for first, lanes in zip(firsts, sizes)]
         assert [len(piece) > 0 for piece in pieces] == [True, True, False, True, True]
-        sets = (SentinelSet(positions), SentinelSet.from_words(_pack(sum(pieces, array("I")))),
+        sets = (SentinelSet(positions), SentinelSet._of(sum(pieces, array("I"))),
                 SentinelSet.from_lanes(flags(0, count), x, count))
         other = 3 if x != 3 else 5
         for s in sets:
             assert s == sets[0] and s.indices == tuple(positions) and len(s) == len(positions)
             for first, lanes in ranges:
-                assert s._piece_lanes(x, first, lanes) == flags(first, lanes), (x, first, lanes)
-                assert s._piece_lanes(other, first, lanes) == flags(first, lanes, other)
+                assert s.lanes(x, lanes, first) == flags(first, lanes), (x, first, lanes)
+                assert s.lanes(other, lanes, first) == flags(first, lanes, other)
             assert s.lanes(x, count) == flags(0, count)
 
 

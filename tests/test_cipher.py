@@ -3,6 +3,7 @@
 import random
 import sys
 import tracemalloc
+from array import array
 from itertools import islice, product
 from math import lcm
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hctcodec import cipher, hadamard
+from hctcodec import bitcodec, cipher, hadamard
 from hctcodec.analysis import avalanche_experiment
 from hctcodec.bitcodec import (
     SLICE_BITS,
@@ -581,22 +582,22 @@ def test_decrypt_checks_sentinel_lanes_at_the_edges_of_their_values():
 
 
 def test_each_level_is_one_kernel_pass_each_way(monkeypatch):
-    # A key of several levels runs a long message chunk by chunk: the head
-    # of whole superblocks is cut into chunks once each way, each chunk
+    # A key of several levels runs a long message chunk by chunk: the
+    # message is cut into chunks and the tail once each way, each chunk
     # passes every level once (in reverse to decrypt) and is never cut into
     # slices, and the ragged tail then passes every level once.  Decrypt
     # checks the records once, the tail's with the rest.
     bits = BitSeq.from_int(random.Random(5).getrandbits(100_000), 100_000)
     calls, cuts, walks, checks = [], [], [], []
-    kernel, chunks, check = cipher.apply_lanes, cipher._chunks, cipher._check_records
+    kernel, pieces, check = cipher.apply_lanes, cipher._pieces, cipher._check_records
 
     def counted_kernel(v, x, n, count, inverse, *find):
         calls.append((x, count, inverse))
         return kernel(v, x, n, count, inverse, *find)
 
-    def counted_chunks(*args):
+    def counted_pieces(*args):
         cuts.append(args)
-        return chunks(*args)
+        return pieces(*args)
 
     def counted(x, count):
         walks.append((x, count))
@@ -608,25 +609,25 @@ def test_each_level_is_one_kernel_pass_each_way(monkeypatch):
 
     monkeypatch.setattr(cipher, "apply_lanes", counted_kernel)
     monkeypatch.setattr(cipher, "_check_records", counted_check)
-    monkeypatch.setattr(cipher, "_chunks", counted_chunks)
+    monkeypatch.setattr(cipher, "_pieces", counted_pieces)
     monkeypatch.setattr(hadamard, "lane_slices", counted)
     key, n = KeySchedule.from_exponents([5, 3, 2]), 16
     size = key.superblock_bits(n)
     head = len(bits) - len(bits) % size
-    sizes = [bits for _, bits in chunks(head // 8, key, n)]
+    sizes = [bits for _, bits in pieces(len(bits), key, n)][:-1]
     assert len(sizes) == 4 and len(set(sizes)) == 2 and all(s <= SLICE_BITS for s in sizes)
     wide = KeySchedule.from_exponents([3, 5, 31])  # S = 59520 > SLICE_BITS
-    assert [bits for _, bits in chunks(2 * 59520 // 8, wide, 128)] == [59520, 59520]
+    assert [bits for _, bits in pieces(2 * 59520, wide, 128)] == [59520, 59520, 0]
     env = encrypt(bits, key, n)
     tails = [(record.x, record.padded_group_count(n) - head // record.x) for record in env.levels]
     assert all(len(record.sentinels) for record in env.levels)
-    assert cuts == [(head // 8, key, n)] and walks == []
+    assert cuts == [(len(bits), key, n)] and walks == []
     assert calls == [(x, s // x, False) for s in sizes for x in (5, 3, 2)] + [
         (x, count, False) for x, count in tails]
     for envelope in (env, CipherEnvelope.from_bytes(env.to_bytes())):
         calls.clear(), cuts.clear(), checks.clear()
         assert decrypt(envelope, key) == bits
-        assert cuts == [(head // 8, key, n)] and walks == []
+        assert cuts == [(len(bits), key, n)] and walks == []
         assert len(checks) == 1 and checks[0] is envelope
         assert calls == [(x, s // x, True) for s in sizes for x in (2, 3, 5)] + [
             (x, count, True) for x, count in tails[::-1]]
@@ -635,16 +636,16 @@ def test_each_level_is_one_kernel_pass_each_way(monkeypatch):
     calls.clear(), cuts.clear()
     key, n = KeySchedule.from_exponents([5]), 128
     head = len(bits) - len(bits) % key.superblock_bits(n)
-    sizes = [bits for _, bits in chunks(head // 8, key, n)]
+    sizes = [bits for _, bits in pieces(len(bits), key, n)][:-1]
     env = encrypt(bits, key, n)
     count = env.levels[0].padded_group_count(n)
     assert len(sizes) == 4 and 0 < len(bits) - head and 5 * count > 2 * SLICE_BITS
-    assert cuts == [(head // 8, key, n)] and walks == []
+    assert cuts == [(len(bits), key, n)] and walks == []
     assert calls == [(5, s // 5, False) for s in sizes] + [(5, count - head // 5, False)]
     for envelope in (env, CipherEnvelope.from_bytes(env.to_bytes())):
         calls.clear(), cuts.clear(), checks.clear()
         assert decrypt(envelope, key) == bits
-        assert cuts == [(head // 8, key, n)] and walks == []
+        assert cuts == [(len(bits), key, n)] and walks == []
         assert len(checks) == 1 and checks[0] is envelope
         assert calls == [(5, s // 5, True) for s in sizes] + [(5, count - head // 5, True)]
 
@@ -1131,8 +1132,9 @@ def test_retained_envelope_peak_memory_does_not_grow_with_size(exponents, n, cei
 def test_a_long_envelope_holds_four_bytes_per_sentinel():
     # A 64 KiB 13/128 message has a handful of sentinels in 18 pieces; its
     # level holds the positions that encrypting each piece alone finds,
-    # offset by the piece's first lane, as one 4-byte word each, and a piece
-    # without a sentinel adds nothing.
+    # offset by the piece's first lane, and a piece without a sentinel adds
+    # nothing.  Under 13/128 and 3,5,31/8, in memory and parsed, a level
+    # holds one native array of 4 bytes a position, with no spare room.
     key, n = KeySchedule.from_exponents([13]), 128
     data = random.Random(7).randbytes(1 << 16)
     pieces = cipher._pieces(8 * len(data), key, n)
@@ -1142,10 +1144,35 @@ def test_a_long_envelope_holds_four_bytes_per_sentinel():
         expected += [8 * cut.start // 13 + i for i in alone]
         flagged += len(alone) > 0
     assert 0 < flagged < len(pieces) == 18
-    sentinels = encrypt(BitSeq.from_bytes(data), key, n).levels[0].sentinels
-    assert sentinels.indices == tuple(expected)
+    env = encrypt(BitSeq.from_bytes(data), key, n)
+    assert env.levels[0].sentinels.indices == tuple(expected)
     assert SentinelSet.__slots__ == ("_words",)
-    assert sys.getsizeof(sentinels.to_words()) - sys.getsizeof(b"") == 4 * len(expected)
+    wide = encrypt(BitSeq.from_bytes(data), KeySchedule.from_exponents([3, 5, 31]), 8)
+    for held in (env, wide):
+        for sentinels in (held.levels[0].sentinels,
+                          CipherEnvelope.from_bytes(held.to_bytes()).levels[0].sentinels):
+            words = sentinels._words
+            assert type(words) is array and words.typecode == "I" and len(words) == len(sentinels)
+            assert sys.getsizeof(words) - sys.getsizeof(array("I")) == 4 * len(words)
+    assert len(wide.levels[0].sentinels) > 20_000
+
+
+@pytest.mark.parametrize("exponents, n", [((13,), 128), ((3, 5, 31), 8)])
+def test_only_parsed_words_are_checked_for_order(monkeypatch, exponents, n):
+    # Encrypt's positions ascend as it forms them, so it checks none; parsing
+    # checks each level's words once, as HCT1 carries them.
+    key, data = KeySchedule.from_exponents(exponents), random.Random(8).randbytes(1 << 16)
+    checked, check = [], bitcodec._ascending
+
+    def spied(data):
+        checked.append(bytes(data))
+        return check(data)
+
+    monkeypatch.setattr(bitcodec, "_ascending", spied)
+    env = encrypt(BitSeq.from_bytes(data), key, n)
+    assert checked == [] and len(env.levels[0].sentinels)
+    assert CipherEnvelope.from_bytes(env.to_bytes()) == env
+    assert checked == [record.sentinels.to_words() for record in env.levels]
 
 
 @pytest.mark.parametrize("exponents, n", [((13,), 128), ((3, 5, 31), 8), ((5, 3, 2), 16)])
@@ -1173,8 +1200,8 @@ def test_flag_sets_of_the_chunk_path_and_the_level_loop_are_equal(monkeypatch, e
 @pytest.mark.parametrize("exponents, n", [((13,), 128), ((3, 5, 31), 8)])
 def test_bulk_round_trip_never_forms_a_whole_message_int(monkeypatch, exponents, n):
     # A byte-aligned message longer than SLICE_BITS stays bytes from
-    # from_bytes to to_bytes both ways, and so do its levels' sentinel flags:
-    # only a chunk or the tail is ever an int.
+    # from_bytes to to_bytes both ways, and a level's sentinel flags are
+    # formed one piece at a time: only a chunk or the tail is ever an int.
     key, data = KeySchedule.from_exponents(exponents), random.Random(29).randbytes(1 << 16)
     asked = []
 
@@ -1183,8 +1210,12 @@ def test_bulk_round_trip_never_forms_a_whole_message_int(monkeypatch, exponents,
             asked.append(type(self))
         return object.__getattribute__(self, name)
 
-    def no_flag_int(self, x, count):
-        raise AssertionError("a level's flags were joined into one int")
+    lanes = SentinelSet.lanes
+
+    def no_flag_int(self, x, count, first=0):
+        if count * x > SLICE_BITS:
+            raise AssertionError("a level's flags were joined into one int")
+        return lanes(self, x, count, first)
 
     with monkeypatch.context() as patch:
         patch.setattr(BitSeq, "__getattribute__", spied)
