@@ -9,9 +9,13 @@ the pre-padding bit length and the positions holding the group maximum
 ``BitSeq`` holds a sequence once, as an MSB-first int or as bytes, and a
 bit count, so the cipher's packed level loop, the envelope and the byte
 packing never format it as text, and a file stays bytes through the
-cipher.  ``SentinelSet`` likewise holds one form, a native ``array('I')``
-of its ascending positions, never an int per position; HCT1's big-endian
-words appear only in ``to_words`` and ``from_words``.  The cipher's lane
+cipher.  The bytes may be a read-only ``memoryview`` of a larger
+``bytes``: a parsed envelope's payload views the blob it was read from
+(``CipherEnvelope.from_bytes``), and the cipher, ``==`` and ``hash`` read
+that view without copying it.  ``SentinelSet`` likewise holds one form,
+a native ``array('I')`` of its ascending positions, never an int per
+position; HCT1's big-endian words appear only in ``to_words`` and
+``from_words``.  The cipher's lane
 flags become positions once, in ``encrypt``, one piece of a level at a
 time (``_positions``), and decrypt turns the positions back into one
 piece's flags at a time (``SentinelSet.lanes``), each only over the span
@@ -57,9 +61,12 @@ class BitSeq:
 
     ``BitSeq("0101")`` parses text and ``from_int`` keeps an int;
     ``from_bytes`` keeps bytes, whose last byte may end in zero fill as
-    ``to_bytes`` writes it.  The other forms (``value``, ``bits``,
-    ``to_bytes``) are formed on each access.  ``==`` and ``hash`` read the
-    length and ``to_bytes()``, or compare two ints, so all forms agree.
+    ``to_bytes`` writes it.  The cipher's byte form (``_packed``) may hold a
+    read-only ``memoryview`` of bytes instead, which ``to_bytes`` copies
+    into ``bytes`` and copy and pickle rebuild as bytes.  The other forms
+    (``value``, ``bits``, ``to_bytes``) are formed on each access.  ``==``
+    and ``hash`` read the length and the held buffer (``_buffer``), or
+    compare two ints, so all forms agree.
     """
 
     __slots__ = ("_value", "length", "_data")
@@ -79,7 +86,7 @@ class BitSeq:
     def __reduce__(self):  # copy and pickle rebuild the form through its constructor
         if self._data is None:
             return BitSeq.from_int, (self._value, self.length)
-        return BitSeq._packed, (self._data, self.length)
+        return BitSeq._packed, (self.to_bytes(), self.length)
 
     def __repr__(self) -> str:
         return f"BitSeq({self.bits!r})"
@@ -104,10 +111,10 @@ class BitSeq:
             return NotImplemented
         if self._data is None and other._data is None:
             return self._value == other._value and self.length == other.length
-        return self.length == other.length and self.to_bytes() == other.to_bytes()
+        return self.length == other.length and self._buffer() == other._buffer()
 
     def __hash__(self) -> int:
-        return hash((self.length, self.to_bytes()))
+        return hash((self.length, self._buffer()))
 
     def flip(self, index: int) -> "BitSeq":
         """Return a copy with the bit at ``index`` inverted."""
@@ -133,8 +140,11 @@ class BitSeq:
         return cls._packed(data, 8 * len(data))
 
     @classmethod
-    def _packed(cls, data: bytes, length: int) -> "BitSeq":
-        """The first ``length`` bits of ``data``; its ``-length % 8`` fill bits must be 0."""
+    def _packed(cls, data: bytes | memoryview, length: int) -> "BitSeq":
+        """The first ``length`` bits of ``data``, bytes or a read-only view of bytes, as they are.
+
+        Its ``-length % 8`` fill bits must be 0.
+        """
         seq = object.__new__(cls)
         _set(seq, "length", length)
         _set(seq, "_data", data)
@@ -147,12 +157,17 @@ class BitSeq:
         return int.from_bytes(self._data[start // 8:-(-end // 8)], "big") >> -end % 8 & (
             1 << end - start) - 1
 
-    def to_bytes(self) -> bytes:
-        """Pack MSB-first, zero-filling the final partial byte."""
+    def _buffer(self) -> bytes | memoryview:
+        """The bytes or view held, as they are, or the int form packed as ``to_bytes`` packs it."""
         if self._data is not None:
             return self._data
         fill = -self.length % 8
         return (self._value << fill).to_bytes((self.length + fill) // 8, "big")
+
+    def to_bytes(self) -> bytes:
+        """Pack MSB-first, zero-filling the final partial byte; a held view is copied."""
+        data = self._buffer()
+        return data if type(data) is bytes else bytes(data)
 
 
 _set = object.__setattr__  # BitSeq's constructors; its own __setattr__ refuses

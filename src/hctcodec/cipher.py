@@ -31,10 +31,14 @@ Every level maps each S-bit superblock onto itself and pads only the
 ragged tail, so any key runs a longer message piece by piece
 (``_pieces``): each chunk of whole superblocks, then the tail, is one call
 to the same level loop on a byte range of the message.  The message and
-the payload stay bytes (``BitSeq.to_bytes``), and only one piece at a
-time is an int.  A level's positions grow by each piece's as the piece
-finishes, and decrypt asks each level for one piece's flags at a time,
-so no level's flags ever fill a buffer the size of the level.
+the payload stay bytes, and only one piece at a time is an int: each
+direction writes its pieces into one ``io.BytesIO``, whose trimmed buffer
+becomes the result, and a parsed payload is a read-only view of the blob
+(``CipherEnvelope.from_bytes``) that decrypt and ``to_bytes`` read as it
+is (``BitSeq._buffer``), so a round trip holds each byte once.  A
+level's positions grow by each piece's as the piece finishes, and
+decrypt asks each level for one piece's flags at a time, so no level's
+flags ever fill a buffer the size of the level.
 Decrypt keeps each level's first anomaly in message order.  The digest
 and the avalanche experiment read only the bytes of the prefix or the
 superblock they encrypt (``BitSeq._int``).
@@ -49,6 +53,7 @@ decrypt checks each record with the same ``_check_level``, so a bad record
 reads alike on every path, its message starting ``level k:``.
 """
 
+import io
 import math
 import struct
 from array import array
@@ -135,7 +140,7 @@ class CipherEnvelope:
             parts.append(rec.sentinels.to_words())
         _check_level(index, rec, self.block_order, len(self.payload))
         parts.append(_PAYLOAD_LEN.pack(len(self.payload)))
-        parts.append(self.payload.to_bytes())
+        parts.append(self.payload._buffer())
         return b"".join(parts)
 
     @classmethod
@@ -143,11 +148,17 @@ class CipherEnvelope:
         """Parse and fully validate an HCT1 envelope; raises MalformedEnvelope.
 
         The block order and each x must be supported, as ``encrypt`` checks,
-        so n >= 8 and the payload always fills whole bytes.
+        so n >= 8 and the payload always fills whole bytes.  The payload of a
+        ``bytes`` blob is a read-only view of the blob, not a copy, so the
+        blob stays alive as long as the envelope does; any other buffer, a
+        mutable one included, is copied into ``bytes`` once first.  Each
+        level's sentinel words are read through a view too and copied once,
+        into the level's array.
         """
+        view = memoryview(data if type(data) is bytes else bytes(memoryview(data)))
         what = "header"
         try:
-            magic, version, block_order, level_count = _HEADER.unpack_from(data)
+            magic, version, block_order, level_count = _HEADER.unpack_from(view)
             if magic != ENVELOPE_MAGIC:
                 raise MalformedEnvelope(f"bad magic {magic!r}, expected {ENVELOPE_MAGIC!r}")
             _check_header(version, block_order, level_count)
@@ -155,9 +166,9 @@ class CipherEnvelope:
             levels = []
             for index in range(level_count):
                 what = f"level {index} record"
-                x, orig_bit_len, sentinel_count = _LEVEL.unpack_from(data, offset)
+                x, orig_bit_len, sentinel_count = _LEVEL.unpack_from(view, offset)
                 what = f"level {index} sentinel indices"
-                (words,) = struct.unpack_from(f"{4 * sentinel_count}s", data, offset + _LEVEL.size)
+                words = _cut(view, offset + _LEVEL.size, 4 * sentinel_count)
                 offset += _LEVEL.size + len(words)
                 try:
                     record = LevelRecord(x, orig_bit_len, SentinelSet.from_words(words))
@@ -168,17 +179,24 @@ class CipherEnvelope:
                 _check_level(index, record, block_order)
                 levels.append(record)
             what = "payload length"
-            (payload_bit_len,) = _PAYLOAD_LEN.unpack_from(data, offset)
+            (payload_bit_len,) = _PAYLOAD_LEN.unpack_from(view, offset)
             offset += _PAYLOAD_LEN.size
             _check_level(index, record, block_order, payload_bit_len)
             what = "payload"
-            (payload,) = struct.unpack_from(f"{payload_bit_len // 8}s", data, offset)
+            payload = _cut(view, offset, payload_bit_len // 8)
         except struct.error:
             raise MalformedEnvelope(f"truncated envelope while reading {what}") from None
-        trailing = len(data) - offset - len(payload)
+        trailing = len(view) - offset - len(payload)
         if trailing:
             raise MalformedEnvelope(f"{trailing} trailing bytes after payload")
-        return cls(version, block_order, tuple(levels), BitSeq.from_bytes(payload))
+        return cls(version, block_order, tuple(levels), BitSeq._packed(payload, payload_bit_len))
+
+
+def _cut(view: memoryview, start: int, size: int) -> memoryview:
+    """``view[start:start + size]``; struct.error, as ``unpack_from`` raises, past its end."""
+    if start + size > len(view):
+        raise struct.error(f"{size} bytes at offset {start} lie past {len(view)}")
+    return view[start:start + size]
 
 
 # The rules HCT1 places on its fields.  Parse and serialize call both;
@@ -272,14 +290,15 @@ def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> Cipher
         found = [_positions(0, count, f, x) for (x, _, count, _), f in zip(plan, flags)]
     else:  # the chunks of whole superblocks, then the tail, byte range by byte range
         plan, bits = _plan(exponents, n, length)
-        data, pieces, found = memoryview(plaintext.to_bytes()), [], [array("I") for _ in plan]
+        data, pieces = memoryview(plaintext._buffer()), io.BytesIO()
+        found = [array("I") for _ in plan]
         for cut, size in _pieces(length, key, n):
             v, out, part, flags = _forward(int.from_bytes(data[cut], "big") >> -size % 8,
                                            size, exponents, n)
-            pieces.append(v.to_bytes(out // 8, "big"))
+            pieces.write(v.to_bytes(out // 8, "big"))
             for positions, (x, _, count, _), f in zip(found, part, flags):
                 positions.extend(_positions(8 * cut.start // x, count, f, x))
-        payload = BitSeq.from_bytes(b"".join(pieces))
+        payload = BitSeq.from_bytes(pieces.getvalue())  # the buffer itself, trimmed
     # Each piece's positions ascend and follow the last piece's; the copy drops spare room.
     levels = tuple(LevelRecord(x, bits_in, SentinelSet._of(positions[:]))
                    for (x, bits_in, _, _), positions in zip(plan, found))
@@ -375,7 +394,7 @@ def _decrypt_levels(
                  for record, (x, _, count, _) in zip(envelope.levels, plan)]
         v, conflicts, violations, found = _inverse(envelope.payload.value, plan, marks, n)
         return BitSeq.from_int(v, length), DecryptAnomalies(conflicts, violations), found
-    data, pieces, found = memoryview(envelope.payload.to_bytes()), [], [None] * len(plan)
+    data, pieces, found = memoryview(envelope.payload._buffer()), io.BytesIO(), [None] * len(plan)
     conflicts = violations = 0
     for cut, size in _pieces(length, key, n):
         levels = _plan(key._exponents, n, size)[0]
@@ -383,10 +402,10 @@ def _decrypt_levels(
                  for record, (x, _, count, _) in zip(envelope.levels, levels)]
         v, held, bad, part = _inverse(int.from_bytes(data[cut], "big"), levels, marks,
                                       n, 8 * cut.start)
-        pieces.append((v << -size % 8).to_bytes(-(-size // 8), "big"))
+        pieces.write((v << -size % 8).to_bytes(-(-size // 8), "big"))
         conflicts, violations = conflicts + held, violations + bad
         found = [a or b for a, b in zip(found, part)]
-    return (BitSeq._packed(b"".join(pieces), length),
+    return (BitSeq._packed(pieces.getvalue(), length),
             DecryptAnomalies(conflicts, violations), found)
 
 

@@ -240,7 +240,9 @@ def apply_lanes(
     The masks and the fold plan depend only on (x, n, count) and are
     cached (``_lane_masks``).  Above SLICE_BITS bits each slice of
     ``lane_slices`` (whole 128-lane blocks) runs on its own, as blocks
-    never mix, so temporaries and masks stay the size of one slice.
+    never mix, so temporaries and masks stay the size of one slice.  e and
+    o are dropped once w is formed, and each stage rebinds w to hi, so a
+    call's transient, its result included, is about 11 times the piece.
     Returns the result and flags (``SentinelSet.from_lanes``): the lanes of
     ``v`` holding p, found from e + 1 and o + 1 on the half-width lanes,
     or 0 for the inverse and where ``find`` is false, as on a cipher level
@@ -254,12 +256,13 @@ def apply_lanes(
     o = v >> x & low
     full = (e + unit >> x & unit) | (o + unit >> x & unit) << x if find and not inverse else 0
     w = (e + o << half) | o + (low ^ e)
+    del e, o
     for sel, add, shift, fold in stages:
         if fold:
             w = (w & pm) + (w >> x & pm)
         lo = w & sel
-        hi = w ^ lo
-        w = (lo << shift | hi >> shift) + (hi | add) - lo
+        w ^= lo  # the rest, hi; the old w is no longer held
+        w = (lo << shift | w >> shift) + (w | add) - lo
     w = (w & pm) + (w >> x & pm)  # each slot at most 2p - 1
     if inverse:
         r = -(n.bit_length() - 1) % x

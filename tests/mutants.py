@@ -65,6 +65,11 @@ MUTANTS = [
            "w += w >> x & ones",
            (HADAMARD + "test_one_add_makes_a_folded_lane_canonical",
             HADAMARD + "test_lane_engine_matches_block_kernels")),
+    # A call drops its temporaries once they are dead.
+    Mutant("lane kernel keeps e and o alive", "hadamard.py",
+           "    del e, o\n",
+           "",
+           (HADAMARD + "test_one_kernel_call_holds_at_most_twelve_times_its_piece",)),
     # SentinelSet holds native positions; HCT1's words only cross from_words
     # and to_words.
     Mutant("constructor accepts unordered positions", "bitcodec.py",
@@ -83,6 +88,16 @@ MUTANTS = [
            "        if len(data) % 4:\n",
            "        if False:\n",
            ("tests/test_bitcodec.py::test_sentinel_set_validation",)),
+    # A parsed envelope views a bytes blob and copies any other buffer once.
+    Mutant("from_bytes views a mutable buffer", "cipher.py",
+           "view = memoryview(data if type(data) is bytes else bytes(memoryview(data)))",
+           "view = memoryview(data)",
+           ("tests/test_envelope.py::"
+            "test_a_mutable_blob_is_copied_so_later_writes_leave_the_envelope",)),
+    Mutant("payload slice skips its truncation check", "cipher.py",
+           "payload = _cut(view, offset, payload_bit_len // 8)",
+           "payload = view[offset:offset + payload_bit_len // 8]",
+           ("tests/test_envelope.py::test_rejects_truncation_everywhere",)),
     # The digest and the avalanche experiment run on the cipher's level cores.
     Mutant("avalanche flips the bit after the chosen one", "analysis.py",
            "v ^ 1 << out - 1 - (flip_index - start)",

@@ -150,12 +150,16 @@ def test_bytes_round_trip_other_direction(data):
 @given(st.text(alphabet="01", max_size=300), st.data())
 def test_byte_int_and_text_forms_agree(bits, data):
     # from_bytes keeps bytes, from_int an int; the cipher's byte form
-    # (_packed) may end in zero fill, as to_bytes writes it.  Every form of
-    # one sequence reads and compares alike, and a different sequence
-    # differs in each.
+    # (_packed) may end in zero fill, as to_bytes writes it, and may be a
+    # read-only view of bytes, as a parsed payload is, here also one cut
+    # from inside a larger blob.  Every form of one sequence reads and
+    # compares alike, to_bytes gives bytes, and a different sequence differs
+    # in each.
     text = BitSeq(bits)
     packed = text.to_bytes()
-    forms = [text, BitSeq.from_int(text.value, len(bits)), BitSeq._packed(packed, len(bits))]
+    framed = memoryview(b"\xff" + packed + b"\xff")[1:-1]
+    forms = [text, BitSeq.from_int(text.value, len(bits)), BitSeq._packed(packed, len(bits)),
+             BitSeq._packed(memoryview(packed), len(bits)), BitSeq._packed(framed, len(bits))]
     if len(bits) % 8 == 0:
         forms += [BitSeq.from_bytes(packed), BitSeq.from_bytes(bytearray(packed))]
     others = [BitSeq(bits + "0")]
@@ -166,7 +170,8 @@ def test_byte_int_and_text_forms_agree(bits, data):
         others.append(text.flip(i))
     for seq in forms:
         assert (seq.bits, seq.value, len(seq)) == (bits, text.value, len(bits))
-        assert seq.to_bytes() == packed and repr(seq) == repr(text)
+        assert seq.to_bytes() == packed and type(seq.to_bytes()) is bytes
+        assert repr(seq) == repr(text)
         assert all(seq == other and hash(seq) == hash(other) for other in forms)
         assert all(seq != other and other != seq for other in others)
         if bits:
@@ -187,9 +192,12 @@ def test_from_bytes_keeps_bytes_and_copies_a_mutable_buffer():
 
 
 def test_bitseq_copies_and_pickles_in_its_form():
-    for seq in (BitSeq("101"), BitSeq.from_bytes(b"\xa5\x0f"), BitSeq._packed(b"\xa0", 3)):
+    # A view is rebuilt as bytes: a memoryview cannot be pickled.
+    view = BitSeq._packed(memoryview(b"\x00\xa5\x0f")[1:], 16)
+    for seq in (BitSeq("101"), BitSeq.from_bytes(b"\xa5\x0f"), BitSeq._packed(b"\xa0", 3), view):
         for twin in (copy.copy(seq), copy.deepcopy(seq), pickle.loads(pickle.dumps(seq))):
             assert twin == seq and type(twin) is type(seq)
+            assert twin._data is None or type(twin._data) is bytes
 
 
 def test_grouping_worked_example():

@@ -1,6 +1,8 @@
 """HCT1 container: byte layout, parsing, and rejection of malformed input."""
 
+import copy
 import hashlib
+import pickle
 import random
 import re
 import struct
@@ -207,9 +209,17 @@ def test_rejects_inconsistent_payload_length():
 
 
 def test_rejects_truncation_everywhere():
-    for cut in range(len(GOLD)):
-        with pytest.raises(MalformedEnvelope):
-            CipherEnvelope.from_bytes(GOLD[:cut])
+    # Each cut names the field it ends inside; level 1 records no sentinels.
+    fields = [("header", 7), ("level 0 record", 13), ("level 0 sentinel indices", 4),
+              ("level 1 record", 13), ("payload length", 8), ("payload", 5)]
+    start = 0
+    for what, size in fields:
+        for cut in range(start, start + size):
+            with pytest.raises(MalformedEnvelope,
+                               match=f"^truncated envelope while reading {what}$"):
+                CipherEnvelope.from_bytes(GOLD[:cut])
+        start += size
+    assert start == len(GOLD)
 
 
 def test_rejects_trailing_bytes():
@@ -411,6 +421,48 @@ def test_hostile_sentinel_count_is_refused_before_reading():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def long_envelope() -> tuple[BitSeq, CipherEnvelope]:
+    """8 KiB of random bytes and their envelope under 3,5: two pieces past SLICE_BITS."""
+    plain = BitSeq.from_bytes(random.Random(35).randbytes(1 << 13))
+    return plain, encrypt(plain, KEY35)
+
+
+def test_a_parsed_payload_views_its_bytes_blob():
+    # The payload of a bytes blob is a read-only view of the blob, not a
+    # copy; to_bytes still gives bytes, and the parsed envelope equals,
+    # hashes, writes and decrypts alike, piece by piece from the view.
+    plain, env = long_envelope()
+    blob = env.to_bytes()
+    parsed = CipherEnvelope.from_bytes(blob)
+    held = parsed.payload._data
+    assert type(held) is memoryview and held.obj is blob and held.readonly
+    payload = parsed.payload.to_bytes()
+    assert type(payload) is bytes and payload == env.payload.to_bytes()
+    assert parsed == env and hash(parsed.payload) == hash(env.payload)
+    assert parsed.to_bytes() == blob
+    assert decrypt(parsed, KEY35) == plain
+
+
+def test_a_mutable_blob_is_copied_so_later_writes_leave_the_envelope():
+    plain, env = long_envelope()
+    blob = env.to_bytes()
+    for buffer in (bytearray(blob), memoryview(bytearray(blob))):
+        parsed = CipherEnvelope.from_bytes(buffer)
+        assert parsed.payload._data.obj is not buffer
+        buffer[:] = bytes(len(blob))
+        assert parsed == env and parsed.to_bytes() == blob
+        assert decrypt(parsed, KEY35) == plain
+
+
+def test_a_parsed_envelope_pickles_and_copies_as_bytes():
+    plain, env = long_envelope()
+    parsed = CipherEnvelope.from_bytes(env.to_bytes())
+    for twin in (pickle.loads(pickle.dumps(parsed)), copy.deepcopy(parsed)):
+        assert type(twin.payload._data) is bytes
+        assert twin == parsed == env and twin.to_bytes() == env.to_bytes()
+        assert decrypt(twin, KEY35) == plain
 
 
 @pytest.mark.parametrize("exponents, n", [((3, 5, 31), 8), ((13,), 128), ((2, 7), 16)])
