@@ -14,13 +14,15 @@ cipher.  The bytes may be a read-only ``memoryview`` of a larger
 (``CipherEnvelope.from_bytes``), and the cipher, ``==`` and ``hash`` read
 that view without copying it.  ``SentinelSet`` likewise holds one form,
 a native ``array('I')`` of its ascending positions, never an int per
-position; HCT1's big-endian words appear only in ``to_words`` and
-``from_words``.  The cipher's lane
-flags become positions once, in ``encrypt``, one piece of a level at a
-time (``_positions``), and decrypt turns the positions back into one
-piece's flags at a time (``SentinelSet.lanes``), each only over the span
-of the piece's positions, so no text grows past a piece, a piece without
-sentinels costs none, and no step holds a buffer the size of the level.
+position; HCT1's big-endian words appear only in ``to_words``,
+``_big_endian`` and ``from_words``.  The cipher's lane flags become
+positions once, in ``encrypt``, one piece of a level at a time
+(``_positions``), and decrypt turns the positions back into one piece's
+flags at a time (``SentinelSet.lanes``), each only over the span of the
+piece's positions and through byte tables, never text: ``translate``
+spreads flags to a byte per lane or gathers them back, and strided
+slices and whole-int masks do the rest.  So a piece without sentinels
+costs none, and no step holds a buffer the size of the level.
 The per-group helpers below (``pad_and_group``, ``ungroup``, ``truncate``,
 ...) work on the '0'/'1' text form one value at a time; the tests use them
 as the oracle for the packed path.
@@ -30,7 +32,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import LengthUnderflow, NonZeroPadding, SentinelConflict, ValueOverflow
@@ -65,8 +67,9 @@ class BitSeq:
     read-only ``memoryview`` of bytes instead, which ``to_bytes`` copies
     into ``bytes`` and copy and pickle rebuild as bytes.  The other forms
     (``value``, ``bits``, ``to_bytes``) are formed on each access.  ``==``
-    and ``hash`` read the length and the held buffer (``_buffer``), or
-    compare two ints, so all forms agree.
+    and ``hash`` read the length and the held buffer (``_buffer``), ``==``
+    a view as bytes in slices of SLICE_BITS // 8 bytes, or compare two
+    ints, so all forms agree.
     """
 
     __slots__ = ("_value", "length", "_data")
@@ -111,7 +114,15 @@ class BitSeq:
             return NotImplemented
         if self._data is None and other._data is None:
             return self._value == other._value and self.length == other.length
-        return self.length == other.length and self._buffer() == other._buffer()
+        if self.length != other.length:
+            return False
+        mine, theirs, step = self._buffer(), other._buffer(), SLICE_BITS // 8
+        if type(mine) is bytes and type(theirs) is bytes:
+            return mine == theirs
+        # A memoryview compares byte by byte, bytes at memcmp speed: compare
+        # bounded slices as bytes, so no copy grows with the sequence.
+        return all(bytes(mine[i:i + step]) == bytes(theirs[i:i + step])
+                   for i in range(0, len(mine), step))
 
     def __hash__(self) -> int:
         return hash((self.length, self._buffer()))
@@ -189,16 +200,18 @@ class SentinelSet:
     ``array('I')``, 4 bytes a position where a tuple of ints would take 36,
     so every position lies in 0..2^32 - 1.  ``SentinelSet(indices)`` takes
     ints and ``from_lanes`` one flags int (``_positions``); each raises
-    ValueError for a position past 2^32 - 1, and the first for one out of
-    order.  HCT1 carries the positions as big-endian 4-byte words:
+    ValueError for a position outside 0..2^32 - 1, and the first for one
+    out of order.  HCT1 carries the positions as big-endian 4-byte words:
     ``from_words`` checks that they are whole words and ascend
     (``_ascending``) and copies them into an array once, and ``to_words``
-    writes a byte-swapped copy.  ``fits``, ``len``, ``indices``, ``==`` and
-    ``hash`` read the array.  Decrypt asks ``fits``, then the flags of each
-    piece it runs (``lanes``): two bisections of the array find the piece's
-    positions, and its flags are formatted only over the span from the
-    first to the last, so a sparse set costs text only around its positions
-    and no step builds a buffer the size of the level.
+    joins byte-swapped copies of the array's slices (``_big_endian``).
+    ``fits``, ``len``, ``indices``, ``==`` and ``hash`` read the array.
+    Decrypt asks ``fits``, then the flags of each piece it runs
+    (``lanes``): two bisections of the array find the piece's positions,
+    which mark a byte per lane only over the span from the first to the
+    last, and the lane-slot table (``_slots``) gathers those bytes into
+    flag bits, so a sparse set costs work only around its positions and no
+    step builds a buffer the size of the level.
     """
 
     __slots__ = ("_words",)
@@ -240,10 +253,16 @@ class SentinelSet:
 
     def to_words(self) -> bytes:
         """The positions as HCT1's big-endian 4-byte words, formed on each call."""
-        words = self._words[:]
-        if sys.byteorder == "little":
-            words.byteswap()
-        return words.tobytes()
+        return b"".join(self._big_endian())
+
+    def _big_endian(self) -> Iterator[array]:
+        """HCT1's words in copies of at most SLICE_BITS // 32 positions, for a buffered writer."""
+        step = SLICE_BITS // 32
+        for start in range(0, len(self._words), step):
+            words = self._words[start:start + step]
+            if sys.byteorder == "little":
+                words.byteswap()
+            yield words
 
     def fits(self, count: int) -> bool:
         """Whether every position lies below ``count``."""
@@ -253,7 +272,8 @@ class SentinelSet:
         """Flags of this set's positions in the ``count`` x-bit lanes from position ``first``.
 
         Lane j from the least significant end is position first + count - 1 - j.
-        Two bisections of the array find the piece's positions.
+        Two bisections of the array find the piece's positions.  The inverse
+        of ``_positions`` (a bit scatter, Warren, *Hacker's Delight*, §7-5).
         """
         end = first + count
         words = self._words
@@ -261,15 +281,21 @@ class SentinelSet:
         positions = words[low:bisect_left(words, end, low)]
         if not positions:
             return 0
-        # Text only from the piece's first position to its last, a mark every
-        # x characters; the shift puts the last mark at its lane's lowest bit.
-        start, stop = positions[0], positions[-1]
-        lane_marks = bytearray(b"0") * (stop - start + 1)
+        # Marks from the piece's first position to its last, a byte per lane in
+        # groups of 8 that end on the last, then per lane slot one int shifted
+        # to its flag bit and written through its byte of every group.
+        stop = positions[-1]
+        groups = (stop - positions[0]) // 8 + 1
+        marks, base = bytearray(8 * groups), stop + 1 - 8 * groups
         for i in positions:
-            lane_marks[i - start] = 49  # ord("1")
-        marks = bytearray(b"0") * ((stop - start) * x + 1)
-        marks[::x] = lane_marks
-        return int(marks, 2) << (end - 1 - stop) * x
+            marks[i - base] = 1
+        planes = {}
+        for slot, (column, shift) in enumerate(_slots(x)):
+            planes[column] = planes.get(column, 0) | int.from_bytes(marks[slot::8], "big") << shift
+        out = bytearray(x * groups)
+        for column, plane in planes.items():
+            out[column::x] = plane.to_bytes(groups, "big")
+        return int.from_bytes(out, "big") << (end - 1 - stop) * x
 
     def __len__(self) -> int:
         return len(self._words)
@@ -294,15 +320,61 @@ def _positions(first: int, lanes: int, flags: int, x: int) -> array:
 
     A 1 at bit j*x marks lane j from the least significant end, which is
     position first + lanes - 1 - j.  Only the lanes from the highest marked
-    one down to the lowest are formatted: the text then starts and ends on a
-    mark, one every x characters.  ValueError past 2^32 - 1.
+    one down to the lowest are read, as whole groups of 8 lanes, x bytes
+    each, MSB first (a bit gather, Warren, *Hacker's Delight*, §7-4): per
+    window of 2^14 lanes, one ``translate`` table per lane slot spreads the
+    flags to a byte per lane, 0xFF if marked; ANDing in the lanes' local
+    indices, two 7-bit digits each with a 0x80 marker, leaves nonzero bytes
+    only for marked lanes, and deleting the zero bytes keeps their digits in
+    order.  Strided slices widen the digits to 4-byte words, and whole-int
+    masks decode them and add the window's first position, with no object
+    per position.  ValueError for a position outside 0..2^32 - 1, raised
+    before any word is packed: a word-wide add would carry silently into
+    the word before.
     """
     if not flags:
         return array("I")
-    marks = format(flags >> (flags & -flags).bit_length() - 1, "b")[::x]
-    top = first + lanes - 1 - (flags.bit_length() - 1) // x  # the first mark's position
-    runs = marks.replace("1", "1,").split(",")  # every run but the last ends on a mark
-    return _array(islice(accumulate(map(len, runs), initial=top - 1), 1, len(runs)))
+    low = ((flags & -flags).bit_length() - 1) // x  # the lanes below the lowest mark
+    span = (flags.bit_length() - 1) // x + 1 - low
+    top = first + lanes - low - span  # the highest marked lane's position
+    if top < 0 or top + span > 1 << 32:
+        raise ValueError(_PAST)
+    groups = -(-span // 8)  # padded at the least significant end, so lane k is position top + k
+    data = (flags >> low * x << (8 * groups - span) * x).to_bytes(groups * x, "big")
+    positions = array("I")
+    for lane in range(0, 8 * groups, _WINDOW):
+        chunk = data[lane * x // 8:(lane + _WINDOW) * x // 8]
+        count = 8 * len(chunk) // x
+        spread = bytearray(count)
+        for slot, (column, shift) in enumerate(_slots(x)):
+            spread[slot::8] = chunk[column::x].translate(_SPREAD[shift])
+        marked, cut = int.from_bytes(spread, "big"), 8 * (_WINDOW - count)
+        high = (marked & _HIGH >> cut).to_bytes(count, "big").translate(None, b"\0")
+        words = bytearray(4 * len(high))
+        words[2::4] = high
+        words[3::4] = (marked & _LOW >> cut).to_bytes(count, "big").translate(None, b"\0")
+        v, ones = int.from_bytes(words, "big"), int.from_bytes(b"\0\0\0\1" * len(high), "big")
+        v = (v >> 1 & 0x3F80 * ones | v & 0x7F * ones) + (top + lane) * ones
+        positions.frombytes(v.to_bytes(len(words), "big"))
+    if sys.byteorder == "little":
+        positions.byteswap()
+    return positions
+
+
+@cache
+def _slots(x: int) -> tuple[tuple[int, int], ...]:
+    """(byte, bit) of each of 8 x-bit lanes' lowest bit in their x bytes, MSB first."""
+    return tuple((bit // 8, 7 - bit % 8) for bit in range(x - 1, 8 * x, x))
+
+
+# Flags <-> positions: _SPREAD[s] maps a byte to 0xFF if its bit s is set,
+# else to 0; _HIGH and _LOW hold the high and low 7-bit digit of each local
+# lane index 0..2^14 - 1 of a window, a byte per lane, each with a 0x80 marker.
+_WINDOW = 1 << 14
+_SPREAD = [(b"\0" * (1 << s) + b"\xff" * (1 << s)) * (128 >> s) for s in range(8)]
+_HIGH = int.from_bytes(b"".join(bytes([digit]) * 128 for digit in range(128, 256)), "big")
+_LOW = int.from_bytes(bytes(range(128, 256)) * 128, "big")
+_PAST = "sentinel indices must lie in 0..2^32 - 1"
 
 
 def _array(indices: Iterable[int]) -> array:
@@ -310,7 +382,7 @@ def _array(indices: Iterable[int]) -> array:
     try:  # iter: array would read bytes as machine words, not one int each
         return array("I", iter(indices))
     except OverflowError:
-        raise ValueError("sentinel indices must lie in 0..2^32 - 1") from None
+        raise ValueError(_PAST) from None
 
 
 def _ascending(data: bytes) -> bool:
@@ -324,13 +396,14 @@ def _ascending(data: bytes) -> bool:
     a ^ b ^ (a - b).  The check runs over slices of SLICE_BITS bits, each
     with the next slice's first word, so no temporary grows with the input.
     """
-    step = SLICE_BITS // 8
+    step, ones = SLICE_BITS // 8, None
     for start in range(0, len(data), step):
         piece = data[start:start + step + 4]
+        if ones is None or len(piece) <= step:  # the first slice's serves every full one
+            ones = int.from_bytes(b"\0\0\0\1" * (len(piece) // 4 - 1), "big")
         v = int.from_bytes(piece, "big")
         prev = v >> 32
         diff = v - prev
-        ones = int.from_bytes(b"\0\0\0\1" * (len(piece) // 4 - 1), "big")
         if ((v ^ prev ^ diff) | (diff ^ ones ^ (diff - ones))) & ones << 32:
             return False
     return True

@@ -130,18 +130,19 @@ class CipherEnvelope:
     def to_bytes(self) -> bytes:
         """Serialize to HCT1 (big-endian); refuses what ``from_bytes`` refuses."""
         _check_header(self.version, self.block_order, len(self.levels))
-        parts = [_HEADER.pack(ENVELOPE_MAGIC, self.version, self.block_order, len(self.levels))]
+        out = io.BytesIO()  # its trimmed buffer is the result: no list of parts and their join
+        out.write(_HEADER.pack(ENVELOPE_MAGIC, self.version, self.block_order, len(self.levels)))
         for index, rec in enumerate(self.levels):
             _check_level(index, rec, self.block_order)
             try:
-                parts.append(_LEVEL.pack(rec.x, rec.orig_bit_len, len(rec.sentinels)))
+                out.write(_LEVEL.pack(rec.x, rec.orig_bit_len, len(rec.sentinels)))
             except struct.error as exc:
                 raise MalformedEnvelope(f"level {index}: does not fit the format: {exc}") from None
-            parts.append(rec.sentinels.to_words())
+            out.writelines(rec.sentinels._big_endian())
         _check_level(index, rec, self.block_order, len(self.payload))
-        parts.append(_PAYLOAD_LEN.pack(len(self.payload)))
-        parts.append(self.payload._buffer())
-        return b"".join(parts)
+        out.write(_PAYLOAD_LEN.pack(len(self.payload)))
+        out.write(self.payload._buffer())
+        return out.getvalue()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CipherEnvelope":

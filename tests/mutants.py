@@ -81,9 +81,10 @@ MUTANTS = [
            'array("I", indices)',
            ("tests/test_bitcodec.py::test_parsed_words_must_strictly_ascend",)),
     Mutant("flags over more than 2^32 lanes skip the 4-byte check", "bitcodec.py",
-           "return _array(islice(",
-           'return array("I", islice(',
-           ("tests/test_bitcodec.py::test_sentinel_set_past_four_bytes",)),
+           "if top < 0 or top + span > 1 << 32:",
+           "if top < 0:",
+           ("tests/test_bitcodec.py::test_table_conversions_at_their_edges",
+            "tests/test_bitcodec.py::test_sentinel_set_past_four_bytes")),
     Mutant("parsed bytes need not be whole words", "bitcodec.py",
            "        if len(data) % 4:\n",
            "        if False:\n",
@@ -128,6 +129,16 @@ MUTANTS = [
            "SentinelSet._of(positions[:])",
            "SentinelSet._of(positions)",
            ("tests/test_cipher.py::test_a_long_envelope_holds_four_bytes_per_sentinel",)),
+    # Flags and positions convert through byte tables, per lane slot and per
+    # window of local indices.
+    Mutant("a lane slot's table reads the wrong bit", "bitcodec.py",
+           "translate(_SPREAD[shift])",
+           "translate(_SPREAD[shift or 1])",
+           ("tests/test_bitcodec.py::test_table_conversions_at_their_edges",)),
+    Mutant("a later window's local index is off by one", "bitcodec.py",
+           "(top + lane) * ones",
+           "(top + lane - (lane > 0)) * ones",
+           ("tests/test_bitcodec.py::test_table_conversions_at_their_edges",)),
     Mutant("words bisect stops one lane short of a piece's end", "bitcodec.py",
            "bisect_left(words, end, low)",
            "bisect_left(words, end - 1, low)",

@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 import struct
+import tracemalloc
 from array import array
 from itertools import accumulate, islice
 
@@ -16,6 +17,7 @@ from hctcodec.bitcodec import (
     BitSeq,
     GroupedSeq,
     SentinelSet,
+    _WINDOW,
     _positions,
     detect_sentinels,
     lane_slices,
@@ -176,6 +178,37 @@ def test_byte_int_and_text_forms_agree(bits, data):
         assert all(seq != other and other != seq for other in others)
         if bits:
             assert seq.flip(i) == text.flip(i) and seq.flip(i).bits == text.flip(i).bits
+
+
+def test_long_byte_forms_compare_slice_by_slice():
+    # == reads a held view in slices of SLICE_BITS // 8 bytes, compared as
+    # bytes, so two views of a blob compare with no copy of their length; a
+    # change in any slice, or next to a cut, still shows, and the bytes, view
+    # and int forms of one sequence are equal and hash alike.
+    step = SLICE_BITS // 8
+    data = random.Random(35).randbytes(8 * step + 5)
+    length = 8 * len(data)
+
+    def view(payload):
+        return BitSeq._packed(memoryview(b"\xff" + payload + b"\xff")[1:-1], length)
+
+    forms = [BitSeq.from_bytes(data), view(data),
+             BitSeq.from_int(int.from_bytes(data, "big"), length)]
+    for seq in forms:
+        assert all(seq == other and hash(seq) == hash(other) for other in forms)
+    for byte in (0, step - 1, step, 4 * step + 7, len(data) - 1):
+        changed = bytearray(data)
+        changed[byte] ^= 8
+        for other in (BitSeq.from_bytes(bytes(changed)), view(bytes(changed))):
+            assert all(seq != other and other != seq for seq in forms), byte
+    twin = view(data)
+    tracemalloc.start()
+    try:
+        assert forms[1] == twin
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * step, peak
 
 
 def test_from_bytes_keeps_bytes_and_copies_a_mutable_buffer():
@@ -366,6 +399,38 @@ def test_sparse_and_dense_conversions_match_the_text_path():
                 assert SentinelSet.from_lanes(flags, x, count).indices == indices, (
                     x, count, len(indices),
                 )
+
+
+def test_table_conversions_at_their_edges():
+    # _positions spreads flags to a byte per lane in windows of _WINDOW lanes
+    # from the highest flagged one, and forms each position as its window's
+    # base plus a local index of two 7-bit digits; lanes gathers marks back
+    # per lane slot.  For every x both match the text reference: all lanes
+    # flagged, one lane, spans that end on either side of a window cut, and
+    # bases that carry into the high digit and across the bytes of a word.
+    past = r"^sentinel indices must lie in 0\.\.2\^32 - 1$"
+    t, w, wide = 3, _WINDOW, 2 * _WINDOW + 10
+    cases = [(count, tuple(range(count))) for count in (1, 7, 8, 9, 2 * w + 3)]
+    cases += [(count, (i,)) for count in (1, 8, 1001) for i in {0, count // 2, count - 1}]
+    cases += [(wide, (t, *rest)) for rest in ((t + w - 1,), (t + w,), (t + w - 1, t + w),
+                                              (t + w + 1, t + 2 * w), (t + 2 * w - 1,))]
+    cases += [(wide, tuple(sorted(random.Random(34).sample(range(wide), wide // 4))))]
+    for x in SUPPORTED_EXPONENTS:
+        for count, indices in cases:
+            flags = text_lanes(indices, x, count)
+            for first in (0, 1, 127, 128, 2**14 - 1, 2**14, 2**16 - 3, 2**24 - 1, 2**32 - count):
+                shifted = array("I", [first + i for i in indices])
+                assert _positions(first, count, flags, x) == shifted, (x, count, first)
+                assert SentinelSet._of(shifted).lanes(x, count, first) == flags, (x, count, first)
+            assert SentinelSet.from_lanes(flags, x, count).indices == indices
+            assert SentinelSet(indices).lanes(x, count) == flags
+        assert _positions(2**32 - 1, 1, 1, x) == array("I", [2**32 - 1])
+        # Past 2^32 - 1 alone, or after a position whose word a carry would
+        # reach, or a flag above the lanes given (a negative position).
+        for first, count, flags in ((2**32, 1, 1), (2**32 - 2, 3, text_lanes((0, 2), x, 3)),
+                                    (0, 1, 1 << x)):
+            with pytest.raises(ValueError, match=past):
+                _positions(first, count, flags, x)
 
 
 def test_piece_flags_match_the_text_path():
