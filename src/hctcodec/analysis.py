@@ -103,9 +103,10 @@ def degenerate_check(plaintext: BitSeq) -> str | None:
     """
     if not plaintext.length:
         return None
-    if plaintext.value == 0:
+    value = plaintext.value  # a byte form forms the whole int on each read
+    if value == 0:
         return "input is all zeros; payload will be all zeros"
-    if plaintext.value == (1 << plaintext.length) - 1:
+    if value.bit_count() == plaintext.length:
         return "input is all ones; payload will be all zeros (sentinels carry the data)"
     return None
 

@@ -41,23 +41,6 @@ from .errors import LengthUnderflow, NonZeroPadding, SentinelConflict, ValueOver
 SLICE_BITS = 1 << 15
 
 
-def lane_slices(x: int, count: int) -> Iterator[tuple[int, int, slice]]:
-    """(first lane, lane count, byte range) of each slice of ``count`` x-bit lanes, MSB first.
-
-    A slice is whole blocks of 128 lanes, at most SLICE_BITS bits; every
-    supported block order divides 128, so every whole-level pass cuts a level
-    at the same places.  The short slice comes first, so each byte range cuts
-    ``v.to_bytes(ceil(count * x / 8), "big")`` of the lanes' int ``v`` on
-    lane boundaries; the first range also holds the leading zero fill.
-    """
-    step = 128 * (SLICE_BITS // (128 * x))
-    fill = -count * x % 8
-    lane, end = 0, (count - 1) % step + 1
-    while lane < count:
-        yield lane, end - lane, slice((fill + lane * x) // 8, (fill + end * x) // 8)
-        lane, end = end, end + step
-
-
 class BitSeq:
     """An ordered bit sequence and its bit count, held as an MSB-first int or as bytes.
 
@@ -198,10 +181,10 @@ class SentinelSet:
 
     A set holds its strictly ascending positions in one form, a native
     ``array('I')``, 4 bytes a position where a tuple of ints would take 36,
-    so every position lies in 0..2^32 - 1.  ``SentinelSet(indices)`` takes
-    ints and ``from_lanes`` one flags int (``_positions``); each raises
-    ValueError for a position outside 0..2^32 - 1, and the first for one
-    out of order.  HCT1 carries the positions as big-endian 4-byte words:
+    so every position lies in 0..2^32 - 1.  ``SentinelSet(indices)`` and
+    encrypt's ``_positions``, whose array ``_of`` wraps, raise ValueError
+    for a position outside 0..2^32 - 1, and the first for one out of
+    order.  HCT1 carries the positions as big-endian 4-byte words:
     ``from_words`` checks that they are whole words and ascend
     (``_ascending``) and copies them into an array once, and ``to_words``
     joins byte-swapped copies of the array's slices (``_big_endian``).
@@ -240,11 +223,6 @@ class SentinelSet:
         if sys.byteorder == "little":
             words.byteswap()
         return cls._of(words)
-
-    @classmethod
-    def from_lanes(cls, flags: int, x: int, count: int) -> "SentinelSet":
-        """The set of the flags int ``flags`` over ``count`` x-bit lanes."""
-        return cls._of(_positions(0, count, flags, x))
 
     @property
     def indices(self) -> tuple[int, ...]:

@@ -26,9 +26,9 @@ a & b = 0, and p - e = p ^ e when e lies in p's bits (H. S. Warren,
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .bitcodec import SLICE_BITS, lane_slices
+from .bitcodec import SLICE_BITS
 from .errors import DimensionMismatch, UnsupportedBlockOrder
 from .modmath import mod_inverse
 
@@ -148,8 +148,25 @@ def _repeat(pattern: int, width: int, count: int) -> int:
     return out & ((1 << total) - 1)
 
 
+def lane_slices(x: int, count: int) -> Iterator[tuple[int, int, slice]]:
+    """(first lane, lane count, byte range) of each slice of ``count`` x-bit lanes, MSB first.
+
+    A slice is whole blocks of 128 lanes, at most SLICE_BITS bits; every
+    supported block order divides 128, so every whole-level pass cuts a level
+    at the same places.  The short slice comes first, so each byte range cuts
+    ``v.to_bytes(ceil(count * x / 8), "big")`` of the lanes' int ``v`` on
+    lane boundaries; the first range also holds the leading zero fill.
+    """
+    step = 128 * (SLICE_BITS // (128 * x))
+    fill = -count * x % 8
+    lane, end = 0, (count - 1) % step + 1
+    while lane < count:
+        yield lane, end - lane, slice((fill + lane * x) // 8, (fill + end * x) // 8)
+        lane, end = end, end + step
+
+
 def _sliced(v: int, x: int, n: int, count: int, inverse: bool, find: bool) -> tuple[int, int]:
-    """``apply_lanes`` over each slice of ``lane_slices(x, count)`` of ``v``, joined.
+    """``apply_lanes`` over each of this kernel's slices of ``v`` (``lane_slices``), joined.
 
     Each result overwrites its slice's bytes: no level-sized int is shifted,
     which per slice would be quadratic.  Flags get a buffer once a slice has one.
@@ -243,10 +260,10 @@ def apply_lanes(
     never mix, so temporaries and masks stay the size of one slice.  e and
     o are dropped once w is formed, and each stage rebinds w to hi, so a
     call's transient, its result included, is about 11 times the piece.
-    Returns the result and flags (``SentinelSet.from_lanes``): the lanes of
-    ``v`` holding p, found from e + 1 and o + 1 on the half-width lanes,
-    or 0 for the inverse and where ``find`` is false, as on a cipher level
-    that cannot carry sentinels (``cipher._plan``).
+    Returns the result and flags (``bitcodec._positions`` reads them as
+    positions): the lanes of ``v`` holding p, found from e + 1 and o + 1 on
+    the half-width lanes, or 0 for the inverse and where ``find`` is false,
+    as on a cipher level that cannot carry sentinels (``cipher._plan``).
     """
     half = count * x
     if half > SLICE_BITS:

@@ -19,14 +19,13 @@ SUPPORTED_EXPONENTS = (2, 3, 5, 7, 13, 17, 19, 31)
 
 @dataclass(frozen=True)
 class ModulusParams:
-    """A validated group width ``x`` and its Mersenne modulus ``p = 2^x - 1``."""
+    """A validated group width ``x``; its Mersenne modulus ``p = 2^x - 1`` is derived."""
 
     x: int
-    p: int
 
-    def __post_init__(self):
-        if self.p != (1 << self.x) - 1:
-            raise ValueError(f"p={self.p} is not 2^{self.x} - 1")
+    @property
+    def p(self) -> int:
+        return (1 << self.x) - 1
 
 
 def validate_key_element(x: int) -> ModulusParams:
@@ -40,7 +39,7 @@ def validate_key_element(x: int) -> ModulusParams:
         raise InvalidKeyElement(
             f"key element {x!r} is not one of the supported exponents {SUPPORTED_EXPONENTS}"
         )
-    return ModulusParams(x, (1 << x) - 1)
+    return ModulusParams(x)
 
 
 def mod_inverse(a: int, p: int) -> int:

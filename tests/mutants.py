@@ -143,6 +143,20 @@ MUTANTS = [
            "bisect_left(words, end, low)",
            "bisect_left(words, end - 1, low)",
            ("tests/test_bitcodec.py::test_piece_flags_match_the_text_path",)),
+    # The modulus is derived from x, and the kernel's slices start with the short one.
+    Mutant("modulus loses its - 1", "modmath.py",
+           "return (1 << self.x) - 1",
+           "return 1 << self.x",
+           ("tests/test_modmath.py::test_supported_exponents_all_validate",
+            "tests/test_cli.py::test_matrix_output_matches_reference")),
+    Mutant("all ones read as one bit fewer", "analysis.py",
+           "value.bit_count() == plaintext.length",
+           "value.bit_count() == plaintext.length - 1",
+           ("tests/test_analysis.py::test_degenerate_detection",)),
+    Mutant("slices start with a full slice", "hadamard.py",
+           "lane, end = 0, (count - 1) % step + 1",
+           "lane, end = 0, min(step, count)",
+           ("tests/test_cipher.py::test_chunk_path_matches_the_per_level_path",)),
     # A long message crosses the cipher as bytes; its tail's last byte ends in fill.
     Mutant("encrypt reads the tail without shifting out its fill", "cipher.py",
            'int.from_bytes(data[cut], "big") >> -size % 8',

@@ -324,6 +324,21 @@ def test_degenerate_detection():
     assert degenerate_check(BitSeq("")) is None
 
 
+def test_degenerate_check_forms_the_message_int_once(monkeypatch):
+    # A byte form forms the whole message int on each read of value, so the
+    # check reads it once, whatever its verdict and whichever form it gets.
+    reads = []
+    value = BitSeq.value
+    monkeypatch.setattr(BitSeq, "value", property(lambda seq: reads.append(seq) or value.fget(seq)))
+    for data, verdict in ((bytes(64), "zeros"), (b"\xff" * 64, "ones"),
+                          (random.Random(3).randbytes(64), None)):
+        for seq in (BitSeq.from_bytes(data), BitSeq.from_int(int.from_bytes(data, "big"), 512)):
+            reads.clear()
+            warning = degenerate_check(seq)
+            assert len(reads) == 1
+            assert warning is None if verdict is None else verdict in warning
+
+
 def test_csv_output_shape():
     stream = io.StringIO()
     report = difference_series(BitSeq("101"), BitSeq("100"))

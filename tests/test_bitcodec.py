@@ -20,7 +20,6 @@ from hctcodec.bitcodec import (
     _WINDOW,
     _positions,
     detect_sentinels,
-    lane_slices,
     pad_and_group,
     restore_sentinels,
     truncate,
@@ -32,6 +31,7 @@ from hctcodec.errors import (
     SentinelConflict,
     ValueOverflow,
 )
+from hctcodec.hadamard import lane_slices
 from hctcodec.modmath import SUPPORTED_EXPONENTS
 from vectors import (
     D1_BITS_PADDED,
@@ -352,10 +352,10 @@ def test_sentinel_set_past_four_bytes():
         with pytest.raises(ValueError, match=past):
             SentinelSet(indices)
     with pytest.raises(ValueError, match=past):
-        SentinelSet.from_lanes(1, 3, 2**32 + 1)
+        _positions(0, 2**32 + 1, 1, 3)
     with pytest.raises(ValueError, match=past):
         _positions(2**32, 1, 1, 3)
-    assert SentinelSet.from_lanes(1, 3, 2**32) == SentinelSet((2**32 - 1,))
+    assert SentinelSet._of(_positions(0, 2**32, 1, 3)) == SentinelSet((2**32 - 1,))
     top = SentinelSet((2**32 - 1,))
     assert top.to_words() == b"\xff\xff\xff\xff"
     back = SentinelSet.from_words(top.to_words())
@@ -396,7 +396,7 @@ def test_sparse_and_dense_conversions_match_the_text_path():
             ):
                 flags = text_lanes(indices, x, count)
                 assert SentinelSet(indices).lanes(x, count) == flags, (x, count, len(indices))
-                assert SentinelSet.from_lanes(flags, x, count).indices == indices, (
+                assert tuple(_positions(0, count, flags, x)) == indices, (
                     x, count, len(indices),
                 )
 
@@ -422,7 +422,7 @@ def test_table_conversions_at_their_edges():
                 shifted = array("I", [first + i for i in indices])
                 assert _positions(first, count, flags, x) == shifted, (x, count, first)
                 assert SentinelSet._of(shifted).lanes(x, count, first) == flags, (x, count, first)
-            assert SentinelSet.from_lanes(flags, x, count).indices == indices
+            assert tuple(_positions(0, count, flags, x)) == indices
             assert SentinelSet(indices).lanes(x, count) == flags
         assert _positions(2**32 - 1, 1, 1, x) == array("I", [2**32 - 1])
         # Past 2^32 - 1 alone, or after a position whose word a carry would
@@ -458,7 +458,7 @@ def test_piece_flags_match_the_text_path():
                   for first, lanes in zip(firsts, sizes)]
         assert [len(piece) > 0 for piece in pieces] == [True, True, False, True, True]
         sets = (SentinelSet(positions), SentinelSet._of(sum(pieces, array("I"))),
-                SentinelSet.from_lanes(flags(0, count), x, count))
+                SentinelSet._of(_positions(0, count, flags(0, count), x)))
         other = 3 if x != 3 else 5
         for s in sets:
             assert s == sets[0] and s.indices == tuple(positions) and len(s) == len(positions)
@@ -478,14 +478,15 @@ def test_flag_sets_compare_by_their_flags():
         count = 2 * step + 5
         indices = tuple(sorted(rng.sample(range(count), 40)))
         flags = text_lanes(indices, x, count)
-        lanes = SentinelSet.from_lanes(flags, x, count)
+        lanes = SentinelSet._of(_positions(0, count, flags, x))
         words = SentinelSet.from_words(lanes.to_words())
         assert words.indices == indices
         assert lanes == words and words == lanes and hash(lanes) == hash(words)
-        assert lanes == SentinelSet.from_lanes(flags, x, count)
+        assert lanes == SentinelSet._of(_positions(0, count, flags, x))
         spare = next(i for i in range(count) if i not in indices)
         for lane in (spare, indices[7]):  # one flag more, one flag fewer
-            changed = SentinelSet.from_lanes(flags ^ 1 << (count - 1 - lane) * x, x, count)
+            flipped = flags ^ 1 << (count - 1 - lane) * x
+            changed = SentinelSet._of(_positions(0, count, flipped, x))
             assert changed != lanes and lanes != changed
             assert changed != words and SentinelSet.from_words(changed.to_words()) == changed
 

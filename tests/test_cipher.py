@@ -17,8 +17,8 @@ from hctcodec.bitcodec import (
     SLICE_BITS,
     BitSeq,
     SentinelSet,
+    _positions,
     detect_sentinels,
-    lane_slices,
     pad_and_group,
     restore_sentinels,
     truncate,
@@ -43,7 +43,13 @@ from hctcodec.errors import (
     SentinelConflict,
     UnsupportedBlockOrder,
 )
-from hctcodec.hadamard import SUPPORTED_ORDERS, HadamardSpec, apply_fast, apply_inverse
+from hctcodec.hadamard import (
+    SUPPORTED_ORDERS,
+    HadamardSpec,
+    apply_fast,
+    apply_inverse,
+    lane_slices,
+)
 from hctcodec.modmath import SUPPORTED_EXPONENTS, ModulusParams
 from vectors import (
     CIPHER_BITS,
@@ -73,10 +79,10 @@ def test_key_schedule_validates_each_element():
 
 @pytest.mark.parametrize("x", [0, 1, 4, 6, 8, 11, 32])
 def test_key_schedule_refuses_exponents_outside_the_table(x):
-    # ModulusParams only checks p = 2^x - 1; the key itself must check the table,
-    # or encrypt would run mod 15 or mod 1, or divide by zero.
+    # ModulusParams takes any x and derives p = 2^x - 1; the key itself must
+    # check the table, or encrypt would run mod 15 or mod 1, or divide by zero.
     with pytest.raises(InvalidKeyElement):
-        KeySchedule((ModulusParams(3, 7), ModulusParams(x, (1 << x) - 1)))
+        KeySchedule((ModulusParams(3), ModulusParams(x)))
 
 
 def test_encrypt_worked_example():
@@ -296,7 +302,7 @@ def test_levels_that_cannot_carry_sentinels_refuse_recorded_ones(monkeypatch):
     refused = 0
     for (a, b), env in envelopes.items():
         count = env.levels[1].padded_group_count(n)
-        flags = SentinelSet.from_lanes(1 << (count - 1) * b, b, count)  # position 0
+        flags = SentinelSet._of(_positions(0, count, 1 << (count - 1) * b, b))  # position 0
         for sentinels in (flags, SentinelSet((0,))):
             record = LevelRecord(b, env.levels[1].orig_bit_len, sentinels)
             damaged = CipherEnvelope(env.version, n, (env.levels[0], record), env.payload)
@@ -568,7 +574,8 @@ def test_decrypt_checks_sentinel_lanes_at_the_edges_of_their_values():
             want = ungroup(restored, x), DecryptAnomalies(sum(map(bool, held.values())), 0)
             flags = ungroup([int(i in held) for i in range(count)], x).value
             key = KeySchedule.from_exponents([x])
-            for sentinels in (SentinelSet(sorted(held)), SentinelSet.from_lanes(flags, x, count)):
+            for sentinels in (SentinelSet(sorted(held)),
+                              SentinelSet._of(_positions(0, count, flags, x))):
                 env = CipherEnvelope(1, n, (LevelRecord(x, count * x, sentinels),), payload)
                 assert decrypt_tolerant(env, key) == want, (x, count)
                 anomalies = DecryptAnomalies()

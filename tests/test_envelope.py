@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hctcodec import bitcodec, cipher
-from hctcodec.bitcodec import BitSeq, SentinelSet
+from hctcodec.bitcodec import BitSeq, SentinelSet, _positions
 from hctcodec.cipher import (
     ENVELOPE_MAGIC,
     ENVELOPE_VERSION,
@@ -480,7 +480,8 @@ def test_every_form_of_a_sentinel_set_agrees(exponents, n):
         count = record.padded_group_count(n)
         indices = record.sentinels.indices
         given_ints = SentinelSet(indices)
-        rebuilt = SentinelSet.from_lanes(given_ints.lanes(record.x, count), record.x, count)
+        rebuilt = SentinelSet._of(
+            _positions(0, count, given_ints.lanes(record.x, count), record.x))
         forms = (record.sentinels, given_ints, rebuilt, read.sentinels)
         last = indices[-1] if indices else -1
         for form in forms:

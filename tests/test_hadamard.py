@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hctcodec import hadamard
-from hctcodec.bitcodec import SLICE_BITS, lane_slices
+from hctcodec.bitcodec import SLICE_BITS
 from hctcodec.errors import DimensionMismatch, UnsupportedBlockOrder
 from hctcodec.modmath import SUPPORTED_EXPONENTS
 from hctcodec.hadamard import (
@@ -20,6 +20,7 @@ from hctcodec.hadamard import (
     apply_lanes,
     apply_naive,
     build_matrix,
+    lane_slices,
     multiply_raw,
     self_check,
 )

@@ -33,7 +33,7 @@ def test_table_is_every_exponent_with_prime_mersenne():
     assert derived == set(SUPPORTED_EXPONENTS)
     for x in range(-64, 300):
         if x in derived:
-            assert validate_key_element(x) == ModulusParams(x, 2**x - 1)
+            assert validate_key_element(x) == ModulusParams(x)
         else:
             with pytest.raises(InvalidKeyElement):
                 validate_key_element(x)
@@ -82,11 +82,6 @@ def test_rejects_non_integers():
     for bad in (3.0, "3", None, True, False):
         with pytest.raises(InvalidKeyElement):
             validate_key_element(bad)
-
-
-def test_modulus_params_consistency_enforced():
-    with pytest.raises(ValueError):
-        ModulusParams(x=3, p=8)
 
 
 def test_inverse_worked_values():
