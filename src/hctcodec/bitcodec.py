@@ -6,26 +6,14 @@ order with zeros, and remembers two things needed for lossless inversion:
 the pre-padding bit length and the positions holding the group maximum
 2^x - 1 (which is congruent to 0 mod p and would otherwise be lost).
 
-``BitSeq`` holds a sequence once, as an MSB-first int or as bytes, and a
-bit count, so the cipher's packed level loop, the envelope and the byte
-packing never format it as text, and a file stays bytes through the
-cipher.  The bytes may be a read-only ``memoryview`` of a larger
-``bytes``: a parsed envelope's payload views the blob it was read from
-(``CipherEnvelope.from_bytes``), and the cipher, ``==`` and ``hash`` read
-that view without copying it.  ``SentinelSet`` likewise holds one form,
-a native ``array('I')`` of its ascending positions, never an int per
-position; HCT1's big-endian words appear only in ``to_words``,
-``_big_endian`` and ``from_words``.  The cipher's lane flags become
-positions once, in ``encrypt``, one piece of a level at a time
-(``_positions``), and decrypt turns the positions back into one piece's
-flags at a time (``SentinelSet.lanes``), each only over the span of the
-piece's positions and through byte tables, never text: ``translate``
-spreads flags to a byte per lane or gathers them back, and strided
-slices and whole-int masks do the rest.  So a piece without sentinels
-costs none, and no step holds a buffer the size of the level.
-The per-group helpers below (``pad_and_group``, ``ungroup``, ``truncate``,
-...) work on the '0'/'1' text form one value at a time; the tests use them
-as the oracle for the packed path.
+``BitSeq`` holds a bit sequence once, as an MSB-first int or as bytes,
+which may be a read-only view of a parsed blob; ``SentinelSet`` holds a
+level's positions once, as HCT1's big-endian 4-byte words.  Encrypt turns
+lane flags into words (``_positions``) and decrypt words into flags
+(``SentinelSet.lanes``) one piece of a level at a time, through byte
+tables, never text.  The per-group helpers (``pad_and_group``,
+``ungroup``, ``truncate``, ...) work on the '0'/'1' text form one value
+at a time; the tests use them as the oracle for the packed path.
 """
 
 import sys
@@ -33,7 +21,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import LengthUnderflow, NonZeroPadding, SentinelConflict, ValueOverflow
 
@@ -50,9 +38,8 @@ class BitSeq:
     read-only ``memoryview`` of bytes instead, which ``to_bytes`` copies
     into ``bytes`` and copy and pickle rebuild as bytes.  The other forms
     (``value``, ``bits``, ``to_bytes``) are formed on each access.  ``==``
-    and ``hash`` read the length and the held buffer (``_buffer``), ``==``
-    a view as bytes in slices of SLICE_BITS // 8 bytes, or compare two
-    ints, so all forms agree.
+    and ``hash`` read the length and the held buffer (``_buffer``, compared
+    by ``_same``), or compare two ints, so all forms agree.
     """
 
     __slots__ = ("_value", "length", "_data")
@@ -97,15 +84,7 @@ class BitSeq:
             return NotImplemented
         if self._data is None and other._data is None:
             return self._value == other._value and self.length == other.length
-        if self.length != other.length:
-            return False
-        mine, theirs, step = self._buffer(), other._buffer(), SLICE_BITS // 8
-        if type(mine) is bytes and type(theirs) is bytes:
-            return mine == theirs
-        # A memoryview compares byte by byte, bytes at memcmp speed: compare
-        # bounded slices as bytes, so no copy grows with the sequence.
-        return all(bytes(mine[i:i + step]) == bytes(theirs[i:i + step])
-                   for i in range(0, len(mine), step))
+        return self.length == other.length and _same(self._buffer(), other._buffer())
 
     def __hash__(self) -> int:
         return hash((self.length, self._buffer()))
@@ -179,84 +158,78 @@ class GroupedSeq:
 class SentinelSet:
     """Group positions that held the maximum value 2^x - 1.
 
-    A set holds its strictly ascending positions in one form, a native
-    ``array('I')``, 4 bytes a position where a tuple of ints would take 36,
-    so every position lies in 0..2^32 - 1.  ``SentinelSet(indices)`` and
-    encrypt's ``_positions``, whose array ``_of`` wraps, raise ValueError
-    for a position outside 0..2^32 - 1, and the first for one out of
-    order.  HCT1 carries the positions as big-endian 4-byte words:
-    ``from_words`` checks that they are whole words and ascend
-    (``_ascending``) and copies them into an array once, and ``to_words``
-    joins byte-swapped copies of the array's slices (``_big_endian``).
-    ``fits``, ``len``, ``indices``, ``==`` and ``hash`` read the array.
-    Decrypt asks ``fits``, then the flags of each piece it runs
-    (``lanes``): two bisections of the array find the piece's positions,
-    which mark a byte per lane only over the span from the first to the
-    last, and the lane-slot table (``_slots``) gathers those bytes into
-    flag bits, so a sparse set costs work only around its positions and no
-    step builds a buffer the size of the level.
+    A set holds its strictly ascending positions in one form, HCT1's
+    big-endian 4-byte words: ``bytes``, or a read-only ``memoryview`` of
+    the blob ``CipherEnvelope.from_bytes`` parsed, so every position lies
+    in 0..2^32 - 1.  ``SentinelSet(indices)`` packs ints and raises
+    ValueError for one outside that range or out of order; ``from_words``
+    checks words (``_ascending``) and holds them as they are; ``_of``
+    wraps encrypt's words (``_positions``) unchecked.  ``len``, ``fits``,
+    ``==``, ``hash`` and ``CipherEnvelope.to_bytes`` read the words as they
+    are; ``indices``, iteration and ``lanes`` convert them to native ints on
+    each call.  ``to_words``, copy and pickle give ``bytes``.
     """
 
     __slots__ = ("_words",)
 
     def __init__(self, indices: Iterable[int] = ()):
-        self._words = _array(indices)
-        if not _ascending(self.to_words()):
+        try:
+            self._words = b"".join(i.to_bytes(4, "big") for i in indices)
+        except OverflowError:
+            raise ValueError(_PAST) from None
+        if not _ascending(self._words):
             raise ValueError("sentinel indices must be strictly ascending")
 
+    def __reduce__(self):  # a view of a blob cannot be pickled
+        return SentinelSet._of, (self.to_words(),)
+
     @classmethod
-    def _of(cls, words: array) -> "SentinelSet":
-        """The set holding ``words``, strictly ascending positions, as they are: no check, no copy."""
+    def _of(cls, words: bytes | memoryview) -> "SentinelSet":
+        """The set holding ``words``, ascending big-endian words, as they are: no check, no copy."""
         held = object.__new__(cls)
         held._words = words
         return held
 
     @classmethod
-    def from_words(cls, data: bytes) -> "SentinelSet":
-        """The set HCT1 carries as ``data``: strictly ascending big-endian 4-byte words."""
+    def from_words(cls, data: bytes | memoryview) -> "SentinelSet":
+        """The set HCT1 carries as ``data``: strictly ascending big-endian 4-byte words.
+
+        ``bytes`` and a read-only, contiguous byte ``memoryview`` are held as
+        they are; any other buffer is copied into ``bytes`` first.
+        """
+        if not (type(data) is bytes or type(data) is memoryview and data.readonly
+                and data.format == "B" and data.c_contiguous):
+            data = bytes(memoryview(data))
         if len(data) % 4:
             raise ValueError("sentinel words must be whole 4-byte words")
         if not _ascending(data):
             raise ValueError("sentinel indices must be strictly ascending")
-        words = array("I", [0]) * (len(data) // 4)  # exact size, where frombytes leaves spare room
-        memoryview(words).cast("B")[:] = data
-        if sys.byteorder == "little":
-            words.byteswap()
-        return cls._of(words)
+        return cls._of(data)
 
     @property
     def indices(self) -> tuple[int, ...]:
         """The ascending index tuple, formatted on each access."""
-        return tuple(self._words)
+        return tuple(self)
 
     def to_words(self) -> bytes:
-        """The positions as HCT1's big-endian 4-byte words, formed on each call."""
-        return b"".join(self._big_endian())
-
-    def _big_endian(self) -> Iterator[array]:
-        """HCT1's words in copies of at most SLICE_BITS // 32 positions, for a buffered writer."""
-        step = SLICE_BITS // 32
-        for start in range(0, len(self._words), step):
-            words = self._words[start:start + step]
-            if sys.byteorder == "little":
-                words.byteswap()
-            yield words
+        """The positions as HCT1's big-endian 4-byte words; a held view is copied."""
+        return bytes(self._words)
 
     def fits(self, count: int) -> bool:
         """Whether every position lies below ``count``."""
-        return not self._words or self._words[-1] < count
+        return not self._words or int.from_bytes(self._words[-4:], "big") < count
 
-    def lanes(self, x: int, count: int, first: int = 0) -> int:
+    def lanes(self, x: int, count: int, first: int = 0, positions: array | None = None) -> int:
         """Flags of this set's positions in the ``count`` x-bit lanes from position ``first``.
 
         Lane j from the least significant end is position first + count - 1 - j.
-        Two bisections of the array find the piece's positions.  The inverse
-        of ``_positions`` (a bit scatter, Warren, *Hacker's Delight*, §7-5).
+        ``positions`` are those of the piece (``_piece``), found here when not
+        given.  The inverse of ``_positions`` (a bit scatter, Warren, *Hacker's
+        Delight*, §7-5).
         """
         end = first + count
-        words = self._words
-        low = bisect_left(words, first)
-        positions = words[low:bisect_left(words, end, low)]
+        if positions is None:
+            positions = self._piece(first, end)
         if not positions:
             return 0
         # Marks from the piece's first position to its last, a byte per lane in
@@ -275,26 +248,81 @@ class SentinelSet:
             out[column::x] = plane.to_bytes(groups, "big")
         return int.from_bytes(out, "big") << (end - 1 - stop) * x
 
+    def _piece(self, first: int, end: int, low: int = 0) -> array:
+        """The positions in ``first``..``end`` - 1 as native ints, from word ``low`` on.
+
+        Decrypt runs a level's pieces in order and passes as ``low`` the
+        count of positions before the piece, so the piece's first word is
+        found with one read; an earlier ``low`` is bisected from.  The
+        words past it are converted to native ints, as many as their
+        density predicts and doubled while they end short of the piece,
+        and a native bisection cuts them at ``end``.
+        """
+        words, total = self._words, len(self._words) // 4
+        head = _word(words, low) if low < total else end
+        if head < first:  # ``low`` lies before the piece: bisect for its first word
+            low = bisect_left(range(total), first, low, key=lambda i: _word(words, i))
+            head = _word(words, low) if low < total else end
+        if head >= end:
+            return array("I")
+        high = most = min(total, low + end - first)  # the piece has at most end - first positions
+        if most - low > 64:  # convert as many words as their density predicts
+            guess = (total - low) * (end - first) * 9 // 8 // (_word(words, total - 1) + 1 - first)
+            high = min(most, low + 64 + guess)
+        positions = _native(words[4 * low:4 * high])
+        while positions[-1] < end and high < most:
+            high = min(most, 2 * high - low)
+            positions = _native(words[4 * low:4 * high])
+        del positions[bisect_left(positions, end):]
+        return positions
+
     def __len__(self) -> int:
-        return len(self._words)
+        return len(self._words) // 4
 
     def __iter__(self):
-        return iter(self._words)
+        return iter(_native(self._words))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SentinelSet):
             return NotImplemented
-        return self._words == other._words
+        return _same(self._words, other._words)
 
     def __hash__(self) -> int:
-        return hash(self._words.tobytes())
+        return hash(self._words)  # a read-only byte view hashes in place, as its bytes do
 
     def __repr__(self) -> str:
         return f"SentinelSet({self.indices!r})"
 
 
-def _positions(first: int, lanes: int, flags: int, x: int) -> array:
-    """The ascending positions that ``flags`` marks over ``lanes`` x-bit lanes from ``first``.
+def _word(words: bytes | memoryview, i: int) -> int:
+    """Word ``i`` of big-endian 4-byte ``words``."""
+    return int.from_bytes(words[4 * i:4 * i + 4], "big")
+
+
+def _native(words: bytes | memoryview) -> array:
+    """Big-endian 4-byte ``words`` as an ``array('I')`` of native ints."""
+    native = array("I")
+    native.frombytes(words)
+    if sys.byteorder == "little":
+        native.byteswap()
+    return native
+
+
+def _same(mine: bytes | memoryview, theirs: bytes | memoryview) -> bool:
+    """Whether two byte buffers hold equal bytes.
+
+    A memoryview compares byte by byte, bytes at memcmp speed: views are
+    compared as bytes in slices of SLICE_BITS // 8, so no copy grows with them.
+    """
+    if type(mine) is bytes and type(theirs) is bytes:
+        return mine == theirs
+    step = SLICE_BITS // 8
+    return len(mine) == len(theirs) and all(
+        bytes(mine[i:i + step]) == bytes(theirs[i:i + step]) for i in range(0, len(mine), step))
+
+
+def _positions(first: int, lanes: int, flags: int, x: int) -> bytes:
+    """HCT1's words of the ascending positions ``flags`` marks over ``lanes`` lanes from ``first``.
 
     A 1 at bit j*x marks lane j from the least significant end, which is
     position first + lanes - 1 - j.  Only the lanes from the highest marked
@@ -311,7 +339,7 @@ def _positions(first: int, lanes: int, flags: int, x: int) -> array:
     the word before.
     """
     if not flags:
-        return array("I")
+        return b""
     low = ((flags & -flags).bit_length() - 1) // x  # the lanes below the lowest mark
     span = (flags.bit_length() - 1) // x + 1 - low
     top = first + lanes - low - span  # the highest marked lane's position
@@ -319,7 +347,7 @@ def _positions(first: int, lanes: int, flags: int, x: int) -> array:
         raise ValueError(_PAST)
     groups = -(-span // 8)  # padded at the least significant end, so lane k is position top + k
     data = (flags >> low * x << (8 * groups - span) * x).to_bytes(groups * x, "big")
-    positions = array("I")
+    positions = []
     for lane in range(0, 8 * groups, _WINDOW):
         chunk = data[lane * x // 8:(lane + _WINDOW) * x // 8]
         count = 8 * len(chunk) // x
@@ -333,10 +361,8 @@ def _positions(first: int, lanes: int, flags: int, x: int) -> array:
         words[3::4] = (marked & _LOW >> cut).to_bytes(count, "big").translate(None, b"\0")
         v, ones = int.from_bytes(words, "big"), int.from_bytes(b"\0\0\0\1" * len(high), "big")
         v = (v >> 1 & 0x3F80 * ones | v & 0x7F * ones) + (top + lane) * ones
-        positions.frombytes(v.to_bytes(len(words), "big"))
-    if sys.byteorder == "little":
-        positions.byteswap()
-    return positions
+        positions.append(v.to_bytes(len(words), "big"))
+    return b"".join(positions)
 
 
 @cache
@@ -353,14 +379,6 @@ _SPREAD = [(b"\0" * (1 << s) + b"\xff" * (1 << s)) * (128 >> s) for s in range(8
 _HIGH = int.from_bytes(b"".join(bytes([digit]) * 128 for digit in range(128, 256)), "big")
 _LOW = int.from_bytes(bytes(range(128, 256)) * 128, "big")
 _PAST = "sentinel indices must lie in 0..2^32 - 1"
-
-
-def _array(indices: Iterable[int]) -> array:
-    """``indices`` as an ``array('I')``; ValueError for one outside 0..2^32 - 1."""
-    try:  # iter: array would read bytes as machine words, not one int each
-        return array("I", iter(indices))
-    except OverflowError:
-        raise ValueError(_PAST) from None
 
 
 def _ascending(data: bytes) -> bool:
@@ -456,7 +474,6 @@ def truncate(bits: BitSeq, orig_bit_len: int) -> BitSeq:
     text = bits.bits
     tail = text[orig_bit_len:]
     if "1" in tail:
-        raise NonZeroPadding(
-            f"discarded padding contains {tail.count('1')} one bits"
-        )
+        raise NonZeroPadding(f"discarded padding contains {tail.count('1')} one bits, "
+                             f"the first at bit {orig_bit_len + tail.index('1')}")
     return BitSeq(text[:orig_bit_len])

@@ -10,38 +10,15 @@ exact for every input including lengths the exponents do not divide.
 Decrypt checks every level record against the key first; one tolerant
 pass then counts payload anomalies, and ``decrypt`` raises the first.
 
-Each level runs on a message of at most ``bitcodec.SLICE_BITS`` bits as
-one Python int, one x-bit lane per group (``hadamard.apply_lanes``):
-padding is a shift, sentinels are the all-ones lanes, restoring them is
-one OR and truncation one shift.  The level loops on ints (``_forward``,
-``_inverse``) are wrapped by encrypt and decrypt and called directly, with
-no envelope, by the digest and the avalanche experiment.  The forward
-transform reports the lanes that hold p on the levels that can carry
-sentinels (``_plan``).  A level's ``SentinelSet`` holds one form, a
-native ``array('I')`` of its positions, never an int per position:
-``encrypt`` formats each piece's flags into positions once, decrypt turns
-the positions of each piece it runs back into that piece's flags, for an
-in-memory and a parsed envelope alike, and only ``to_bytes`` and
-``from_bytes`` meet HCT1's big-endian words.  The digest and the avalanche
-experiment call the level loops with no envelope and form no position.
+The level loops on ints (``_forward``, ``_inverse``) run a piece of at
+most ``bitcodec.SLICE_BITS`` bits as one int, one x-bit lane per group
+(``hadamard.apply_lanes``).  Encrypt and decrypt run a longer message
+piece by piece (``_pieces``); the digest and the avalanche experiment
+call the loops directly, with no envelope, on the superblocks they need.
+The message, the payload and each level's sentinel words stay bytes, or
+read-only views of a parsed blob, so a round trip holds each byte once.
 The per-group ``bitcodec`` helpers and the per-block ``hadamard`` kernels
 describe the same steps one value at a time; tests use them as the oracle.
-
-Every level maps each S-bit superblock onto itself and pads only the
-ragged tail, so any key runs a longer message piece by piece
-(``_pieces``): each chunk of whole superblocks, then the tail, is one call
-to the same level loop on a byte range of the message.  The message and
-the payload stay bytes, and only one piece at a time is an int: each
-direction writes its pieces into one ``io.BytesIO``, whose trimmed buffer
-becomes the result, and a parsed payload is a read-only view of the blob
-(``CipherEnvelope.from_bytes``) that decrypt and ``to_bytes`` read as it
-is (``BitSeq._buffer``), so a round trip holds each byte once.  A
-level's positions grow by each piece's as the piece finishes, and
-decrypt asks each level for one piece's flags at a time, so no level's
-flags ever fill a buffer the size of the level.
-Decrypt keeps each level's first anomaly in message order.  The digest
-and the avalanche experiment read only the bytes of the prefix or the
-superblock they encrypt (``BitSeq._int``).
 
 The envelope is the self-contained ciphertext container: without the
 per-level bit lengths and sentinel sets the payload alone is not
@@ -56,7 +33,6 @@ reads alike on every path, its message starting ``level k:``.
 import io
 import math
 import struct
-from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -130,19 +106,18 @@ class CipherEnvelope:
     def to_bytes(self) -> bytes:
         """Serialize to HCT1 (big-endian); refuses what ``from_bytes`` refuses."""
         _check_header(self.version, self.block_order, len(self.levels))
-        out = io.BytesIO()  # its trimmed buffer is the result: no list of parts and their join
-        out.write(_HEADER.pack(ENVELOPE_MAGIC, self.version, self.block_order, len(self.levels)))
+        # The parts are the held buffers themselves, so the join is the only copy.
+        parts = [_HEADER.pack(ENVELOPE_MAGIC, self.version, self.block_order, len(self.levels))]
         for index, rec in enumerate(self.levels):
             _check_level(index, rec, self.block_order)
             try:
-                out.write(_LEVEL.pack(rec.x, rec.orig_bit_len, len(rec.sentinels)))
+                parts.append(_LEVEL.pack(rec.x, rec.orig_bit_len, len(rec.sentinels)))
             except struct.error as exc:
                 raise MalformedEnvelope(f"level {index}: does not fit the format: {exc}") from None
-            out.writelines(rec.sentinels._big_endian())
+            parts.append(rec.sentinels._words)
         _check_level(index, rec, self.block_order, len(self.payload))
-        out.write(_PAYLOAD_LEN.pack(len(self.payload)))
-        out.write(self.payload._buffer())
-        return out.getvalue()
+        parts += [_PAYLOAD_LEN.pack(len(self.payload)), self.payload._buffer()]
+        return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CipherEnvelope":
@@ -153,8 +128,7 @@ class CipherEnvelope:
         ``bytes`` blob is a read-only view of the blob, not a copy, so the
         blob stays alive as long as the envelope does; any other buffer, a
         mutable one included, is copied into ``bytes`` once first.  Each
-        level's sentinel words are read through a view too and copied once,
-        into the level's array.
+        level's sentinel words are a read-only view of the blob too.
         """
         view = memoryview(data if type(data) is bytes else bytes(memoryview(data)))
         what = "header"
@@ -292,17 +266,18 @@ def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> Cipher
     else:  # the chunks of whole superblocks, then the tail, byte range by byte range
         plan, bits = _plan(exponents, n, length)
         data, pieces = memoryview(plaintext._buffer()), io.BytesIO()
-        found = [array("I") for _ in plan]
+        found = [io.BytesIO() for _ in plan]
         for cut, size in _pieces(length, key, n):
             v, out, part, flags = _forward(int.from_bytes(data[cut], "big") >> -size % 8,
                                            size, exponents, n)
             pieces.write(v.to_bytes(out // 8, "big"))
-            for positions, (x, _, count, _), f in zip(found, part, flags):
-                positions.extend(_positions(8 * cut.start // x, count, f, x))
+            for words, (x, _, count, _), f in zip(found, part, flags):
+                words.write(_positions(8 * cut.start // x, count, f, x))
         payload = BitSeq.from_bytes(pieces.getvalue())  # the buffer itself, trimmed
-    # Each piece's positions ascend and follow the last piece's; the copy drops spare room.
-    levels = tuple(LevelRecord(x, bits_in, SentinelSet._of(positions[:]))
-                   for (x, bits_in, _, _), positions in zip(plan, found))
+        found = [words.getvalue() for words in found]
+    # Each piece's positions ascend and follow the last piece's: no second order check.
+    levels = tuple(LevelRecord(x, bits_in, SentinelSet._of(words))
+                   for (x, bits_in, _, _), words in zip(plan, found))
     return CipherEnvelope(ENVELOPE_VERSION, n, levels, payload)
 
 
@@ -344,10 +319,11 @@ def _inverse(v: int, plan: list, marks: list, n: int, head: int = 0) -> tuple[in
     """Undo the plan's levels in reverse on the payload int ``v``, restoring each level's flags.
 
     Returns the int, the sentinel conflict and padding violation counts and
-    each level's first anomaly, or None: (level, position, value) for the
-    lowest sentinel lane not holding 0, else (level, None, one bits) for
-    nonzero padding.  ``v`` starts ``head`` bits into every level, so its
-    positions count the ``head // x`` lanes before it.
+    each level's first anomaly, or None: (level, position, value, None) for
+    the lowest sentinel lane not holding 0, else (level, None, one bits,
+    first one bit's index in the level's padded output) for nonzero padding.
+    ``v`` starts ``head`` bits into every level, so its positions count the
+    ``head // x`` lanes before it and its bits the ``head`` bits.
     """
     conflicts = violations = 0
     found = [None] * len(plan)
@@ -365,13 +341,14 @@ def _inverse(v: int, plan: list, marks: list, n: int, head: int = 0) -> tuple[in
             if held:
                 conflicts += held.bit_count()
                 lane = (held.bit_length() - 1) // x
-                found[level] = level, head // x + count - 1 - lane, v >> lane * x & p
+                found[level] = level, head // x + count - 1 - lane, v >> lane * x & p, None
         drop = count * x - length
         if drop:
             padding = v & (1 << drop) - 1
             if padding:
                 violations += 1
-                found[level] = found[level] or (level, None, padding.bit_count())
+                found[level] = found[level] or (
+                    level, None, padding.bit_count(), head + count * x - padding.bit_length())
             v >>= drop
     return v, conflicts, violations, found
 
@@ -397,10 +374,14 @@ def _decrypt_levels(
         return BitSeq.from_int(v, length), DecryptAnomalies(conflicts, violations), found
     data, pieces, found = memoryview(envelope.payload._buffer()), io.BytesIO(), [None] * len(plan)
     conflicts = violations = 0
+    lows = [0] * len(plan)  # each level's positions before the piece
     for cut, size in _pieces(length, key, n):
-        levels = _plan(key._exponents, n, size)[0]
-        marks = [record.sentinels.lanes(x, count, 8 * cut.start // x)
-                 for record, (x, _, count, _) in zip(envelope.levels, levels)]
+        levels, marks = _plan(key._exponents, n, size)[0], []
+        for level, (record, (x, _, count, _)) in enumerate(zip(envelope.levels, levels)):
+            first = 8 * cut.start // x
+            positions = record.sentinels._piece(first, first + count, lows[level])
+            lows[level] += len(positions)
+            marks.append(record.sentinels.lanes(x, count, first, positions) if positions else 0)
         v, held, bad, part = _inverse(int.from_bytes(data[cut], "big"), levels, marks,
                                       n, 8 * cut.start)
         pieces.write((v << -size % 8).to_bytes(-(-size // 8), "big"))
@@ -419,9 +400,10 @@ def decrypt(envelope: CipherEnvelope, key: KeySchedule) -> BitSeq:
     and its first payload anomaly (SentinelConflict / NonZeroPadding) is raised.
     """
     bits, _, found = _decrypt_levels(envelope, key)
-    for level, position, value in filter(None, reversed(found)):
+    for level, position, value, bit in filter(None, reversed(found)):
         if position is None:
-            raise NonZeroPadding(f"level {level}: discarded padding contains {value} one bits")
+            raise NonZeroPadding(f"level {level}: discarded padding contains {value} one bits, "
+                                 f"the first at bit {bit}")
         raise SentinelConflict(f"level {level}: sentinel position {position} holds {value}, "
                                f"expected 0")
     return bits

@@ -70,16 +70,20 @@ MUTANTS = [
            "    del e, o\n",
            "",
            (HADAMARD + "test_one_kernel_call_holds_at_most_twelve_times_its_piece",)),
-    # SentinelSet holds native positions; HCT1's words only cross from_words
-    # and to_words.
+    # SentinelSet holds HCT1's big-endian words: bytes, or a view of the
+    # parsed blob, never a copy of it.
     Mutant("constructor accepts unordered positions", "bitcodec.py",
-           "        if not _ascending(self.to_words()):\n",
+           "        if not _ascending(self._words):\n",
            "        if False:\n",
            ("tests/test_bitcodec.py::test_sentinel_set_validation",)),
-    Mutant("positions read from bytes as machine words", "bitcodec.py",
-           'array("I", iter(indices))',
-           'array("I", indices)',
+    Mutant("positions packed as machine words", "bitcodec.py",
+           'i.to_bytes(4, "big") for i in indices',
+           "i.to_bytes(4, sys.byteorder) for i in indices",
            ("tests/test_bitcodec.py::test_parsed_words_must_strictly_ascend",)),
+    Mutant("from_words copies the parsed words", "bitcodec.py",
+           "        return cls._of(data)\n",
+           "        return cls._of(bytes(data))\n",
+           ("tests/test_cipher.py::test_parsed_envelope_holds_its_sentinels_as_packed_words",)),
     Mutant("flags over more than 2^32 lanes skip the 4-byte check", "bitcodec.py",
            "if top < 0 or top + span > 1 << 32:",
            "if top < 0:",
@@ -115,6 +119,10 @@ MUTANTS = [
            "head // x + count - 1 - lane",
            "count - 1 - lane",
            ("tests/test_cipher.py::test_chunk_path_matches_the_per_level_path",)),
+    Mutant("padding's first one bit counted from its piece", "cipher.py",
+           "head + count * x - padding.bit_length()",
+           "count * x - padding.bit_length()",
+           ("tests/test_cipher.py::test_nonzero_padding_names_its_first_one_bit",)),
     Mutant("a later piece's anomaly merged before an earlier one's", "cipher.py",
            "[a or b for a, b in zip(found, part)]",
            "[b or a for a, b in zip(found, part)]",
@@ -125,9 +133,9 @@ MUTANTS = [
            "_positions(8 * cut.start // x, count, f, x)",
            "_positions(0, count, f, x)",
            ("tests/test_cipher.py::test_flag_sets_of_the_chunk_path_and_the_level_loop_are_equal",)),
-    Mutant("encrypt hands its grown array over untrimmed", "cipher.py",
-           "SentinelSet._of(positions[:])",
-           "SentinelSet._of(positions)",
+    Mutant("encrypt hands over a view of its level's buffer", "cipher.py",
+           "[words.getvalue() for words in found]",
+           "[words.getbuffer() for words in found]",
            ("tests/test_cipher.py::test_a_long_envelope_holds_four_bytes_per_sentinel",)),
     # Flags and positions convert through byte tables, per lane slot and per
     # window of local indices.
@@ -140,9 +148,17 @@ MUTANTS = [
            "(top + lane - (lane > 0)) * ones",
            ("tests/test_bitcodec.py::test_table_conversions_at_their_edges",)),
     Mutant("words bisect stops one lane short of a piece's end", "bitcodec.py",
-           "bisect_left(words, end, low)",
-           "bisect_left(words, end - 1, low)",
+           "bisect_left(positions, end)",
+           "bisect_left(positions, end - 1)",
            ("tests/test_bitcodec.py::test_piece_flags_match_the_text_path",)),
+    Mutant("a piece's words are found one word late", "bitcodec.py",
+           "bisect_left(range(total), first, low,",
+           "bisect_left(range(total), first + 1, low,",
+           ("tests/test_bitcodec.py::test_piece_flags_match_the_text_path",)),
+    Mutant("a dense piece's words stop at the density guess", "bitcodec.py",
+           "while positions[-1] < end and high < most:",
+           "while False:",
+           ("tests/test_bitcodec.py::test_a_dense_piece_before_a_far_position",)),
     # The modulus is derived from x, and the kernel's slices start with the short one.
     Mutant("modulus loses its - 1", "modmath.py",
            "return (1 << self.x) - 1",

@@ -5,7 +5,6 @@ import pickle
 import random
 import struct
 import tracemalloc
-from array import array
 from itertools import accumulate, islice
 
 import pytest
@@ -362,6 +361,11 @@ def test_sentinel_set_past_four_bytes():
     assert back == top and back.indices == (2**32 - 1,)
 
 
+def words(indices):
+    """Reference: ``indices`` as HCT1's big-endian 4-byte words."""
+    return struct.pack(f">{len(indices)}I", *indices)
+
+
 def text_lanes(indices, x, count):
     """Reference: a '1' at the lowest bit of every listed lane, parsed as text."""
     marks = bytearray(b"0") * (count * x)
@@ -396,7 +400,7 @@ def test_sparse_and_dense_conversions_match_the_text_path():
             ):
                 flags = text_lanes(indices, x, count)
                 assert SentinelSet(indices).lanes(x, count) == flags, (x, count, len(indices))
-                assert tuple(_positions(0, count, flags, x)) == indices, (
+                assert _positions(0, count, flags, x) == words(indices), (
                     x, count, len(indices),
                 )
 
@@ -419,12 +423,12 @@ def test_table_conversions_at_their_edges():
         for count, indices in cases:
             flags = text_lanes(indices, x, count)
             for first in (0, 1, 127, 128, 2**14 - 1, 2**14, 2**16 - 3, 2**24 - 1, 2**32 - count):
-                shifted = array("I", [first + i for i in indices])
+                shifted = words([first + i for i in indices])
                 assert _positions(first, count, flags, x) == shifted, (x, count, first)
                 assert SentinelSet._of(shifted).lanes(x, count, first) == flags, (x, count, first)
-            assert tuple(_positions(0, count, flags, x)) == indices
+            assert _positions(0, count, flags, x) == words(indices)
             assert SentinelSet(indices).lanes(x, count) == flags
-        assert _positions(2**32 - 1, 1, 1, x) == array("I", [2**32 - 1])
+        assert _positions(2**32 - 1, 1, 1, x) == words([2**32 - 1])
         # Past 2^32 - 1 alone, or after a position whose word a carry would
         # reach, or a flag above the lanes given (a negative position).
         for first, count, flags in ((2**32, 1, 1), (2**32 - 2, 3, text_lanes((0, 2), x, 3)),
@@ -457,7 +461,7 @@ def test_piece_flags_match_the_text_path():
         pieces = [_positions(first, lanes, flags(first, lanes), x)
                   for first, lanes in zip(firsts, sizes)]
         assert [len(piece) > 0 for piece in pieces] == [True, True, False, True, True]
-        sets = (SentinelSet(positions), SentinelSet._of(sum(pieces, array("I"))),
+        sets = (SentinelSet(positions), SentinelSet._of(b"".join(pieces)),
                 SentinelSet._of(_positions(0, count, flags(0, count), x)))
         other = 3 if x != 3 else 5
         for s in sets:
@@ -466,6 +470,27 @@ def test_piece_flags_match_the_text_path():
                 assert s.lanes(x, lanes, first) == flags(first, lanes), (x, first, lanes)
                 assert s.lanes(other, lanes, first) == flags(first, lanes, other)
             assert s.lanes(x, count) == flags(0, count)
+            low = 0  # as decrypt runs a level's pieces: in order, carrying the word offset
+            for first, lanes in zip(firsts, sizes):
+                piece = s._piece(first, first + lanes, low)
+                assert s.lanes(x, lanes, first, piece) == flags(first, lanes), (x, first, lanes)
+                low += len(piece)
+            assert low == len(positions)
+
+
+def test_a_dense_piece_before_a_far_position():
+    # lanes (_piece) converts as many of a piece's words as the density past its
+    # first word predicts, and doubles them while they end short of the
+    # piece: 1495 positions in a row before one far position take several
+    # doublings, from either end of a run or inside it.
+    positions = [*range(5, 1500), 10**6 + 7]
+    s = SentinelSet(positions)
+    for x in (2, 13):
+        for first, lanes in ((0, 1500), (0, 700), (600, 1000), (1400, 2000), (10**6, 8)):
+            inside = [p - first for p in positions if first <= p < first + lanes]
+            for low in {0, positions.index(first + inside[0])}:
+                piece = s._piece(first, first + lanes, low)
+                assert s.lanes(x, lanes, first, piece) == text_lanes(inside, x, lanes), (x, first)
 
 
 def test_flag_sets_compare_by_their_flags():
@@ -547,7 +572,8 @@ def test_truncate_strips_zero_padding():
 
 
 def test_truncate_rejects_dirty_padding():
-    with pytest.raises(NonZeroPadding):
+    with pytest.raises(NonZeroPadding, match="^discarded padding contains 1 one bits, "
+                                             "the first at bit 7$"):
         truncate(BitSeq("10100001"), 3)
 
 

@@ -457,19 +457,29 @@ def test_a_mutable_blob_is_copied_so_later_writes_leave_the_envelope():
 
 
 def test_a_parsed_envelope_pickles_and_copies_as_bytes():
+    # A view of the blob cannot be pickled: the payload and every sentinel
+    # set rebuild from bytes, and the twin equals, hashes and decrypts alike.
     plain, env = long_envelope()
-    parsed = CipherEnvelope.from_bytes(env.to_bytes())
+    blob = env.to_bytes()
+    parsed = CipherEnvelope.from_bytes(blob)
+    assert all(record.sentinels._words.obj is blob for record in parsed.levels)
+    assert len(parsed.levels[0].sentinels) > 0
     for twin in (pickle.loads(pickle.dumps(parsed)), copy.deepcopy(parsed)):
         assert type(twin.payload._data) is bytes
-        assert twin == parsed == env and twin.to_bytes() == env.to_bytes()
+        for record, held in zip(twin.levels, parsed.levels):
+            assert type(record.sentinels._words) is bytes
+            assert record.sentinels == held.sentinels and hash(record.sentinels) == hash(
+                held.sentinels)
+        assert twin == parsed == env and twin.to_bytes() == blob
         assert decrypt(twin, KEY35) == plain
 
 
 @pytest.mark.parametrize("exponents, n", [((3, 5, 31), 8), ((13,), 128), ((2, 7), 16)])
 def test_every_form_of_a_sentinel_set_agrees(exponents, n):
-    # The set encrypt records, the same positions given as ints, flags
-    # rebuilt from those ints, and the words parsed back from HCT1 are one
-    # set; and a parsed envelope writes the bytes it was read from.
+    # The set encrypt records (bytes), the same positions given as ints,
+    # flags rebuilt from those ints, and the words parsed back from HCT1 (a
+    # view of the blob) are one set; and a parsed envelope writes the bytes
+    # it was read from.
     key = KeySchedule.from_exponents(exponents)
     env = encrypt(BitSeq.from_bytes(random.Random(n).randbytes(1 << 16)), key, n)
     blob = env.to_bytes()
@@ -483,6 +493,7 @@ def test_every_form_of_a_sentinel_set_agrees(exponents, n):
         rebuilt = SentinelSet._of(
             _positions(0, count, given_ints.lanes(record.x, count), record.x))
         forms = (record.sentinels, given_ints, rebuilt, read.sentinels)
+        assert type(record.sentinels._words) is bytes and read.sentinels._words.obj is blob
         last = indices[-1] if indices else -1
         for form in forms:
             assert form == forms[0] and hash(form) == hash(forms[0])
@@ -528,3 +539,102 @@ def test_mutated_envelopes_parse_exactly_or_raise_malformed(message, exponents, 
             run(env, key)
         except CodecError:
             pass
+
+
+# The work budget of any blob: parse, strict and tolerant decrypt raise only
+# CodecError subclasses, and each call's tracemalloc peak stays under
+# BUDGET_PER_BYTE * len(blob) + BUDGET_BASE bytes.  Measured at most
+# 1.3 B/B of blob plus 0.5 MiB (the lane kernel's mask cache, filled cold);
+# the bounds allow twice that.
+BUDGET_PER_BYTE, BUDGET_BASE = 2.6, 1 << 20
+LONG_KEYS = [(3, 5, 31), (2, 7), (13,), (5, 3, 2), (31, 19, 17, 13), (2, 31)]
+
+
+def some(draw, rng, plausible, strategy):
+    """``plausible``, or a value of ``strategy`` one time in sixteen."""
+    return draw(strategy) if rng.random() < 1 / 16 else plausible
+
+
+@st.composite
+def field_blobs(draw):
+    """An HCT1 blob built field by field, each field either consistent with a plan or any value."""
+    exponents = draw(st.lists(st.sampled_from(SUPPORTED_EXPONENTS), min_size=1, max_size=4))
+    n = draw(st.sampled_from(SUPPORTED_ORDERS))
+    length = draw(st.integers(0, 8 << 12) | st.integers(0, 8 << 16))
+    plan, bits = cipher._plan(tuple(exponents), n, length)
+    if bits > 8 << 16:  # at most 64 KiB of payload
+        length, (plan, bits) = 0, cipher._plan(tuple(exponents), n, 0)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    blob = bytearray(some(draw, rng, ENVELOPE_MAGIC, st.binary(min_size=4, max_size=4)))
+    blob += bytes([some(draw, rng, ENVELOPE_VERSION, st.integers(0, 255)),
+                   some(draw, rng, n, st.integers(0, 255)),
+                   some(draw, rng, len(plan), st.integers(0, 255))])
+    for x, bits_in, count, _ in plan:
+        positions = sorted(rng.sample(range(count), min(count, draw(st.integers(0, 64)))))
+        words = struct.pack(f">{len(positions)}I", *positions)
+        blob += struct.pack(">BQI", some(draw, rng, x, st.integers(0, 255)),
+                            some(draw, rng, bits_in, st.integers(0, 2**64 - 1)),
+                            some(draw, rng, len(positions), st.integers(0, 2**32 - 1)))
+        blob += some(draw, rng, words, st.binary(max_size=64))
+    blob += struct.pack(">Q", some(draw, rng, bits, st.integers(0, 2**64 - 1)))
+    blob += rng.randbytes(some(draw, rng, bits // 8, st.integers(0, 1 << 16)))
+    return bytes(blob), exponents
+
+
+@st.composite
+def mutated_blobs(draw):
+    """A real envelope, S up to 31,19,17,13/128, with a few bytes overwritten, cut or inserted."""
+    exponents = draw(st.sampled_from(LONG_KEYS))
+    n = draw(st.sampled_from(SUPPORTED_ORDERS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    message = rng.randbytes(draw(st.integers(0, 1 << 13)))
+    env = encrypt(BitSeq.from_bytes(message), KeySchedule.from_exponents(exponents), n)
+    blob, payload = bytearray(env.to_bytes()), len(env.payload) // 8
+    for kind, where, chunk in draw(st.lists(edits, min_size=1, max_size=3)):
+        at = where % (len(blob) + 1)
+        if rng.random() < 0.75 and payload:  # damage the payload, which the parse accepts
+            kind, at = "overwrite", len(blob) - 1 - where % payload
+        if kind == "overwrite":
+            blob[at:at + len(chunk)] = chunk
+        elif kind == "cut":
+            del blob[at:at + len(chunk)]
+        else:
+            blob[at:at] = chunk
+    return bytes(blob), list(exponents)
+
+
+def budget_peaks(blob: bytes, exponents: list) -> list:
+    """tracemalloc peak of parsing ``blob``, then of each decrypt under a key of its
+    length and under one of another length; every call raises only CodecError."""
+    keys = [KeySchedule.from_exponents(exponents),
+            KeySchedule.from_exponents(exponents[:-1] if len(exponents) > 1 else [3, 5])]
+    peaks = []
+
+    def traced(call):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        try:
+            result = call()
+        except CodecError:
+            result = None
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return result
+
+    tracemalloc.start()
+    try:
+        env = traced(lambda: CipherEnvelope.from_bytes(blob))
+        if env is not None:
+            for run in (decrypt, decrypt_tolerant):
+                for key in keys:
+                    traced(lambda: run(env, key))
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_blobs() | mutated_blobs())
+def test_any_blob_costs_at_most_its_work_budget(case):
+    blob, exponents = case
+    peaks = budget_peaks(blob, exponents)
+    assert max(peaks) <= BUDGET_PER_BYTE * len(blob) + BUDGET_BASE, (len(blob), peaks)
