@@ -9,11 +9,12 @@ the pre-padding bit length and the positions holding the group maximum
 ``BitSeq`` holds a bit sequence once, as an MSB-first int or as bytes,
 which may be a read-only view of a parsed blob; ``SentinelSet`` holds a
 level's positions once, as HCT1's big-endian 4-byte words.  Encrypt turns
-lane flags into words (``_positions``) and decrypt words into flags
-(``SentinelSet.lanes``) one piece of a level at a time, through byte
-tables, never text.  The per-group helpers (``pad_and_group``,
-``ungroup``, ``truncate``, ...) work on the '0'/'1' text form one value
-at a time; the tests use them as the oracle for the packed path.
+lane flags into words (``_positions``) one piece of a level at a time;
+decrypt finds a piece's positions (``SentinelSet._piece``) and turns them
+into flags (``_flags``).  Both conversions run through byte tables, never
+text.  The per-group helpers (``pad_and_group``, ``ungroup``,
+``truncate``, ...) work on the '0'/'1' text form one value at a time; the
+tests use them as the oracle for the packed path.
 """
 
 import sys
@@ -166,7 +167,7 @@ class SentinelSet:
     checks words (``_ascending``) and holds them as they are; ``_of``
     wraps encrypt's words (``_positions``) unchecked.  ``len``, ``fits``,
     ``==``, ``hash`` and ``CipherEnvelope.to_bytes`` read the words as they
-    are; ``indices``, iteration and ``lanes`` convert them to native ints on
+    are; ``indices``, iteration and ``_piece`` convert them to native ints on
     each call.  ``to_words``, copy and pickle give ``bytes``.
     """
 
@@ -194,10 +195,11 @@ class SentinelSet:
     def from_words(cls, data: bytes | memoryview) -> "SentinelSet":
         """The set HCT1 carries as ``data``: strictly ascending big-endian 4-byte words.
 
-        ``bytes`` and a read-only, contiguous byte ``memoryview`` are held as
-        they are; any other buffer is copied into ``bytes`` first.
+        ``bytes`` and a contiguous byte ``memoryview`` of ``bytes`` are held
+        as they are; any other buffer, which a later write could change, is
+        copied into ``bytes`` first.
         """
-        if not (type(data) is bytes or type(data) is memoryview and data.readonly
+        if not (type(data) is bytes or type(data) is memoryview and type(data.obj) is bytes
                 and data.format == "B" and data.c_contiguous):
             data = bytes(memoryview(data))
         if len(data) % 4:
@@ -219,51 +221,17 @@ class SentinelSet:
         """Whether every position lies below ``count``."""
         return not self._words or int.from_bytes(self._words[-4:], "big") < count
 
-    def lanes(self, x: int, count: int, first: int = 0, positions: array | None = None) -> int:
-        """Flags of this set's positions in the ``count`` x-bit lanes from position ``first``.
+    def _piece(self, first: int, end: int, low: int) -> array:
+        """The positions in ``first``..``end`` - 1 as native ints.
 
-        Lane j from the least significant end is position first + count - 1 - j.
-        ``positions`` are those of the piece (``_piece``), found here when not
-        given.  The inverse of ``_positions`` (a bit scatter, Warren, *Hacker's
-        Delight*, §7-5).
-        """
-        end = first + count
-        if positions is None:
-            positions = self._piece(first, end)
-        if not positions:
-            return 0
-        # Marks from the piece's first position to its last, a byte per lane in
-        # groups of 8 that end on the last, then per lane slot one int shifted
-        # to its flag bit and written through its byte of every group.
-        stop = positions[-1]
-        groups = (stop - positions[0]) // 8 + 1
-        marks, base = bytearray(8 * groups), stop + 1 - 8 * groups
-        for i in positions:
-            marks[i - base] = 1
-        planes = {}
-        for slot, (column, shift) in enumerate(_slots(x)):
-            planes[column] = planes.get(column, 0) | int.from_bytes(marks[slot::8], "big") << shift
-        out = bytearray(x * groups)
-        for column, plane in planes.items():
-            out[column::x] = plane.to_bytes(groups, "big")
-        return int.from_bytes(out, "big") << (end - 1 - stop) * x
-
-    def _piece(self, first: int, end: int, low: int = 0) -> array:
-        """The positions in ``first``..``end`` - 1 as native ints, from word ``low`` on.
-
-        Decrypt runs a level's pieces in order and passes as ``low`` the
-        count of positions before the piece, so the piece's first word is
-        found with one read; an earlier ``low`` is bisected from.  The
-        words past it are converted to native ints, as many as their
-        density predicts and doubled while they end short of the piece,
-        and a native bisection cuts them at ``end``.
+        ``low`` is the number of positions below ``first``, so the piece's
+        positions start at word ``low``.  The words from it on are converted
+        to native ints, as many as their density predicts and doubled while
+        they end short of the piece, and a native bisection cuts them at
+        ``end``.
         """
         words, total = self._words, len(self._words) // 4
-        head = _word(words, low) if low < total else end
-        if head < first:  # ``low`` lies before the piece: bisect for its first word
-            low = bisect_left(range(total), first, low, key=lambda i: _word(words, i))
-            head = _word(words, low) if low < total else end
-        if head >= end:
+        if low >= total or _word(words, low) >= end:
             return array("I")
         high = most = min(total, low + end - first)  # the piece has at most end - first positions
         if most - low > 64:  # convert as many words as their density predicts
@@ -363,6 +331,30 @@ def _positions(first: int, lanes: int, flags: int, x: int) -> bytes:
         v = (v >> 1 & 0x3F80 * ones | v & 0x7F * ones) + (top + lane) * ones
         positions.append(v.to_bytes(len(words), "big"))
     return b"".join(positions)
+
+
+def _flags(first: int, lanes: int, positions: array, x: int) -> int:
+    """The inverse of ``_positions``: the flags of ascending ``positions``; 0 for none.
+
+    A bit scatter (Warren, *Hacker's Delight*, §7-5).
+    """
+    if not positions:
+        return 0
+    # Marks from the piece's first position to its last, a byte per lane in
+    # groups of 8 that end on the last, then per lane slot one int shifted
+    # to its flag bit and written through its byte of every group.
+    stop = positions[-1]
+    groups = (stop - positions[0]) // 8 + 1
+    marks, base = bytearray(8 * groups), stop + 1 - 8 * groups
+    for i in positions:
+        marks[i - base] = 1
+    planes = {}
+    for slot, (column, shift) in enumerate(_slots(x)):
+        planes[column] = planes.get(column, 0) | int.from_bytes(marks[slot::8], "big") << shift
+    out = bytearray(x * groups)
+    for column, plane in planes.items():
+        out[column::x] = plane.to_bytes(groups, "big")
+    return int.from_bytes(out, "big") << (first + lanes - 1 - stop) * x
 
 
 @cache

@@ -36,7 +36,7 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bitcodec import SLICE_BITS, BitSeq, SentinelSet, _positions, padded_group_count
+from .bitcodec import SLICE_BITS, BitSeq, SentinelSet, _flags, _positions, padded_group_count
 from .errors import (
     InvalidKeyElement,
     MalformedEnvelope,
@@ -361,14 +361,14 @@ def _decrypt_levels(
     Returns the bits, the counts and each level's first anomaly, as
     ``_inverse`` does; the level is that of HCT1 record k.  A message longer
     than SLICE_BITS runs piece by piece, each cut at the same byte range of
-    the payload, with each level's flags for that piece alone
-    (``SentinelSet.lanes``), and the anomalies of earlier pieces
-    come first.
+    the payload, and the anomalies of earlier pieces come first.  Each
+    level's flags are formed per piece from the count of its positions
+    before the piece; a shorter message is one piece from position 0.
     """
     plan = _check_records(envelope, key)
     n, length = envelope.block_order, envelope.levels[0].orig_bit_len
     if length <= SLICE_BITS:
-        marks = [record.sentinels.lanes(x, count)
+        marks = [_flags(0, count, record.sentinels._piece(0, count, 0), x)
                  for record, (x, _, count, _) in zip(envelope.levels, plan)]
         v, conflicts, violations, found = _inverse(envelope.payload.value, plan, marks, n)
         return BitSeq.from_int(v, length), DecryptAnomalies(conflicts, violations), found
@@ -381,7 +381,7 @@ def _decrypt_levels(
             first = 8 * cut.start // x
             positions = record.sentinels._piece(first, first + count, lows[level])
             lows[level] += len(positions)
-            marks.append(record.sentinels.lanes(x, count, first, positions) if positions else 0)
+            marks.append(_flags(first, count, positions, x))
         v, held, bad, part = _inverse(int.from_bytes(data[cut], "big"), levels, marks,
                                       n, 8 * cut.start)
         pieces.write((v << -size % 8).to_bytes(-(-size // 8), "big"))

@@ -84,6 +84,10 @@ MUTANTS = [
            "        return cls._of(data)\n",
            "        return cls._of(bytes(data))\n",
            ("tests/test_cipher.py::test_parsed_envelope_holds_its_sentinels_as_packed_words",)),
+    Mutant("from_words holds a read-only view of a writable buffer", "bitcodec.py",
+           "type(data.obj) is bytes",
+           "data.readonly",
+           ("tests/test_bitcodec.py::test_words_of_a_writable_buffer_are_copied",)),
     Mutant("flags over more than 2^32 lanes skip the 4-byte check", "bitcodec.py",
            "if top < 0 or top + span > 1 << 32:",
            "if top < 0:",
@@ -128,7 +132,7 @@ MUTANTS = [
            "[b or a for a, b in zip(found, part)]",
            ("tests/test_cipher.py::test_chunk_path_matches_the_per_level_path",)),
     # Encrypt formats each piece's flags into its level's positions once, and
-    # decrypt bisects the positions for one piece's flags at a time.
+    # decrypt finds each piece's positions from the count of those before it.
     Mutant("encrypt counts a piece's positions from lane 0", "cipher.py",
            "_positions(8 * cut.start // x, count, f, x)",
            "_positions(0, count, f, x)",
@@ -152,9 +156,13 @@ MUTANTS = [
            "bisect_left(positions, end - 1)",
            ("tests/test_bitcodec.py::test_piece_flags_match_the_text_path",)),
     Mutant("a piece's words are found one word late", "bitcodec.py",
-           "bisect_left(range(total), first, low,",
-           "bisect_left(range(total), first + 1, low,",
+           "_word(words, low)",
+           "_word(words, low + 1)",
            ("tests/test_bitcodec.py::test_piece_flags_match_the_text_path",)),
+    Mutant("decrypt's carried count is not advanced", "cipher.py",
+           "lows[level] += len(positions)",
+           "lows[level] = len(positions)",
+           ("tests/test_cipher.py::test_decrypt_finds_each_piece_from_the_count_before_it",)),
     Mutant("a dense piece's words stop at the density guess", "bitcodec.py",
            "while positions[-1] < end and high < most:",
            "while False:",

@@ -5,6 +5,7 @@ import pickle
 import random
 import struct
 import tracemalloc
+from bisect import bisect_left
 from itertools import accumulate, islice
 
 import pytest
@@ -17,6 +18,7 @@ from hctcodec.bitcodec import (
     GroupedSeq,
     SentinelSet,
     _WINDOW,
+    _flags,
     _positions,
     detect_sentinels,
     pad_and_group,
@@ -341,6 +343,20 @@ def test_parsed_words_ascend_across_slice_cuts():
                 SentinelSet.from_words(struct.pack(f">{len(broken)}I", *broken))
 
 
+def test_words_of_a_writable_buffer_are_copied():
+    # from_words holds a view only of bytes: a bytearray, a view of one and
+    # a read-only view of one are copied, so a later write to the bytearray
+    # leaves the set as checked.  A view of bytes is held as it is.
+    expected = SentinelSet((1, 5))
+    for view in (bytearray, memoryview, lambda data: memoryview(data).toreadonly()):
+        source = bytearray(struct.pack(">2I", 1, 5))
+        s = SentinelSet.from_words(view(source))
+        source[4:] = bytes(4)
+        assert s.indices == (1, 5) and s == expected and hash(s) == hash(expected)
+    blob = struct.pack(">2I", 1, 5)
+    assert SentinelSet.from_words(memoryview(blob))._words.obj is blob
+
+
 def test_sentinel_set_past_four_bytes():
     # HCT1 carries a position as a 4-byte word; one it cannot carry makes
     # no set, as a negative one makes none, whether given as an int or
@@ -364,6 +380,11 @@ def test_sentinel_set_past_four_bytes():
 def words(indices):
     """Reference: ``indices`` as HCT1's big-endian 4-byte words."""
     return struct.pack(f">{len(indices)}I", *indices)
+
+
+def set_flags(s, x, lanes, first=0):
+    """The flags of ``s`` over ``lanes`` lanes from ``first``, its piece found as decrypt does."""
+    return _flags(first, lanes, s._piece(first, first + lanes, bisect_left(s.indices, first)), x)
 
 
 def text_lanes(indices, x, count):
@@ -399,7 +420,7 @@ def test_sparse_and_dense_conversions_match_the_text_path():
                 tuple(sorted({middle[0], middle[-1]})),
             ):
                 flags = text_lanes(indices, x, count)
-                assert SentinelSet(indices).lanes(x, count) == flags, (x, count, len(indices))
+                assert set_flags(SentinelSet(indices), x, count) == flags, (x, count, len(indices))
                 assert _positions(0, count, flags, x) == words(indices), (
                     x, count, len(indices),
                 )
@@ -408,7 +429,7 @@ def test_sparse_and_dense_conversions_match_the_text_path():
 def test_table_conversions_at_their_edges():
     # _positions spreads flags to a byte per lane in windows of _WINDOW lanes
     # from the highest flagged one, and forms each position as its window's
-    # base plus a local index of two 7-bit digits; lanes gathers marks back
+    # base plus a local index of two 7-bit digits; _flags gathers marks back
     # per lane slot.  For every x both match the text reference: all lanes
     # flagged, one lane, spans that end on either side of a window cut, and
     # bases that carry into the high digit and across the bytes of a word.
@@ -425,9 +446,10 @@ def test_table_conversions_at_their_edges():
             for first in (0, 1, 127, 128, 2**14 - 1, 2**14, 2**16 - 3, 2**24 - 1, 2**32 - count):
                 shifted = words([first + i for i in indices])
                 assert _positions(first, count, flags, x) == shifted, (x, count, first)
-                assert SentinelSet._of(shifted).lanes(x, count, first) == flags, (x, count, first)
+                assert set_flags(SentinelSet._of(shifted), x, count, first) == flags, (
+                    x, count, first)
             assert _positions(0, count, flags, x) == words(indices)
-            assert SentinelSet(indices).lanes(x, count) == flags
+            assert set_flags(SentinelSet(indices), x, count) == flags
         assert _positions(2**32 - 1, 1, 1, x) == words([2**32 - 1])
         # Past 2^32 - 1 alone, or after a position whose word a carry would
         # reach, or a flag above the lanes given (a negative position).
@@ -438,12 +460,13 @@ def test_table_conversions_at_their_edges():
 
 
 def test_piece_flags_match_the_text_path():
-    # Encrypt formats each piece's flags into positions, and decrypt asks a
-    # set for the flags of one piece of a level at a time, bisecting its
-    # positions for the piece.  The sets of ints, of encrypt's pieces and of
-    # one piece for the level are one set, and its flags equal the text
-    # reference, with positions on both sides of every cut, for the pieces,
-    # for ranges across cuts, for the whole level and for another x.
+    # Encrypt formats each piece's flags into positions, and decrypt forms
+    # the flags of one piece of a level at a time from the piece's positions,
+    # found from the count of positions before it.  The sets of ints, of
+    # encrypt's pieces and of one piece for the level are one set, and its
+    # flags equal the text reference, with positions on both sides of every
+    # cut, for the pieces, for ranges across cuts, for the whole level and
+    # for another x.
     rng = random.Random(30)
     sizes = (128, 384, 128, 256, 40)
     firsts = tuple(accumulate(sizes, initial=0))
@@ -467,19 +490,19 @@ def test_piece_flags_match_the_text_path():
         for s in sets:
             assert s == sets[0] and s.indices == tuple(positions) and len(s) == len(positions)
             for first, lanes in ranges:
-                assert s.lanes(x, lanes, first) == flags(first, lanes), (x, first, lanes)
-                assert s.lanes(other, lanes, first) == flags(first, lanes, other)
-            assert s.lanes(x, count) == flags(0, count)
+                assert set_flags(s, x, lanes, first) == flags(first, lanes), (x, first, lanes)
+                assert set_flags(s, other, lanes, first) == flags(first, lanes, other)
+            assert set_flags(s, x, count) == flags(0, count)
             low = 0  # as decrypt runs a level's pieces: in order, carrying the word offset
             for first, lanes in zip(firsts, sizes):
                 piece = s._piece(first, first + lanes, low)
-                assert s.lanes(x, lanes, first, piece) == flags(first, lanes), (x, first, lanes)
+                assert _flags(first, lanes, piece, x) == flags(first, lanes), (x, first, lanes)
                 low += len(piece)
             assert low == len(positions)
 
 
 def test_a_dense_piece_before_a_far_position():
-    # lanes (_piece) converts as many of a piece's words as the density past its
+    # _piece converts as many of a piece's words as the density past its
     # first word predicts, and doubles them while they end short of the
     # piece: 1495 positions in a row before one far position take several
     # doublings, from either end of a run or inside it.
@@ -488,9 +511,8 @@ def test_a_dense_piece_before_a_far_position():
     for x in (2, 13):
         for first, lanes in ((0, 1500), (0, 700), (600, 1000), (1400, 2000), (10**6, 8)):
             inside = [p - first for p in positions if first <= p < first + lanes]
-            for low in {0, positions.index(first + inside[0])}:
-                piece = s._piece(first, first + lanes, low)
-                assert s.lanes(x, lanes, first, piece) == text_lanes(inside, x, lanes), (x, first)
+            piece = s._piece(first, first + lanes, bisect_left(positions, first))
+            assert _flags(first, lanes, piece, x) == text_lanes(inside, x, lanes), (x, first)
 
 
 def test_flag_sets_compare_by_their_flags():

@@ -3,6 +3,7 @@
 import random
 import sys
 import tracemalloc
+from bisect import bisect_left
 from itertools import islice, product
 from math import lcm
 
@@ -16,6 +17,7 @@ from hctcodec.bitcodec import (
     SLICE_BITS,
     BitSeq,
     SentinelSet,
+    _flags,
     _positions,
     detect_sentinels,
     pad_and_group,
@@ -937,7 +939,8 @@ def test_lane_flags_and_hct1_indices_decrypt_alike():
             count = length // mem.x
             assert [i in lanes for i in range(-1, count + 1)] == [
                 i in index for i in range(-1, count + 1)]
-            assert lanes.lanes(mem.x, count) == index.lanes(mem.x, count)
+            assert _flags(0, count, lanes._piece(0, count, 0), mem.x) == _flags(
+                0, count, index._piece(0, count, 0), mem.x)
             length = mem.orig_bit_len
         flips = [rng.randrange(len(env.payload)) for _ in range(2)] if len(env.payload) else []
         for flip in [None, *flips]:
@@ -1250,22 +1253,51 @@ def test_bulk_round_trip_never_forms_a_whole_message_int(monkeypatch, exponents,
             asked.append(type(self))
         return object.__getattribute__(self, name)
 
-    lanes = SentinelSet.lanes
+    flags = cipher._flags
 
-    def no_flag_int(self, x, count, first=0, positions=None):
-        if count * x > SLICE_BITS:
+    def no_flag_int(first, lanes, positions, x):
+        if lanes * x > SLICE_BITS:
             raise AssertionError("a level's flags were joined into one int")
-        return lanes(self, x, count, first, positions)
+        return flags(first, lanes, positions, x)
 
     with monkeypatch.context() as patch:
         patch.setattr(BitSeq, "__getattribute__", spied)
-        patch.setattr(SentinelSet, "lanes", no_flag_int)
+        patch.setattr(cipher, "_flags", no_flag_int)
         env = encrypt(BitSeq.from_bytes(data), key, n)
         blob = env.to_bytes()
         recovered = decrypt(CipherEnvelope.from_bytes(blob), key).to_bytes()
         assert decrypt(env, key).to_bytes() == recovered
     assert asked == [] and recovered == data
     assert len(env.levels[0].sentinels)
+
+
+@pytest.mark.parametrize("exponents, n", [((3, 5, 31), 8), ((13,), 128), ((2, 7), 16)])
+def test_decrypt_finds_each_piece_from_the_count_before_it(monkeypatch, exponents, n):
+    # Decrypt runs a level's pieces in order and finds each piece's positions
+    # from the count of the level's positions below its first lane; a short
+    # message is one piece from position 0.  In memory and parsed alike; the
+    # message starts with all-ones groups, so level 0 has sentinels.
+    key = KeySchedule.from_exponents(exponents)
+    calls, piece = [], SentinelSet._piece
+
+    def spied(self, first, end, low):
+        calls.append((self, first, low))
+        return piece(self, first, end, low)
+
+    monkeypatch.setattr(SentinelSet, "_piece", spied)
+    for size in (100, 1 << 16):
+        data = b"\xff" * 8 + random.Random(size).randbytes(size - 8)
+        env = encrypt(BitSeq.from_bytes(data), key, n)
+        assert len(env.levels[0].sentinels)
+        pieces = len(cipher._pieces(8 * size, key, n)) if 8 * size > SLICE_BITS else 1
+        for held in (env, CipherEnvelope.from_bytes(env.to_bytes())):
+            calls.clear()
+            assert decrypt(held, key).to_bytes() == data
+            assert len(calls) == pieces * len(key)
+            assert [low for _, _, low in calls] == [
+                bisect_left(s.indices, first) for s, first, _ in calls]
+            assert any(low for _, _, low in calls) == (pieces > 1)
+    assert pieces > 1
 
 
 def test_parsed_envelope_holds_its_sentinels_as_packed_words():

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hctcodec import bitcodec, cipher
-from hctcodec.bitcodec import BitSeq, SentinelSet, _positions
+from hctcodec.bitcodec import BitSeq, SentinelSet, _flags, _positions
 from hctcodec.cipher import (
     ENVELOPE_MAGIC,
     ENVELOPE_VERSION,
@@ -490,8 +490,8 @@ def test_every_form_of_a_sentinel_set_agrees(exponents, n):
         count = record.padded_group_count(n)
         indices = record.sentinels.indices
         given_ints = SentinelSet(indices)
-        rebuilt = SentinelSet._of(
-            _positions(0, count, given_ints.lanes(record.x, count), record.x))
+        flags = _flags(0, count, given_ints._piece(0, count, 0), record.x)
+        rebuilt = SentinelSet._of(_positions(0, count, flags, record.x))
         forms = (record.sentinels, given_ints, rebuilt, read.sentinels)
         assert type(record.sentinels._words) is bytes and read.sentinels._words.obj is blob
         last = indices[-1] if indices else -1
