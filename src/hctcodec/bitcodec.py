@@ -161,8 +161,8 @@ class SentinelSet:
 
     A set holds its strictly ascending positions in one form, HCT1's
     big-endian 4-byte words: ``bytes``, or a read-only ``memoryview`` of
-    the blob ``CipherEnvelope.from_bytes`` parsed, so every position lies
-    in 0..2^32 - 1.  ``SentinelSet(indices)`` packs ints and raises
+    the HCT1 blob an envelope views, so every position lies in
+    0..2^32 - 1.  ``SentinelSet(indices)`` packs ints and raises
     ValueError for one outside that range or out of order; ``from_words``
     checks words (``_ascending``) and holds them as they are; ``_of``
     wraps encrypt's words (``_positions``) unchecked.  ``len``, ``fits``,

@@ -15,8 +15,8 @@ most ``bitcodec.SLICE_BITS`` bits as one int, one x-bit lane per group
 (``hadamard.apply_lanes``).  Encrypt and decrypt run a longer message
 piece by piece (``_pieces``); the digest and the avalanche experiment
 call the loops directly, with no envelope, on the superblocks they need.
-The message, the payload and each level's sentinel words stay bytes, or
-read-only views of a parsed blob, so a round trip holds each byte once.
+An envelope from ``encrypt`` or ``from_bytes`` views one HCT1 blob, which
+``to_bytes`` returns, so a round trip holds each byte once.
 The per-group ``bitcodec`` helpers and the per-block ``hadamard`` kernels
 describe the same steps one value at a time; tests use them as the oracle.
 
@@ -102,11 +102,18 @@ class CipherEnvelope:
     block_order: int
     levels: tuple[LevelRecord, ...]
     payload: BitSeq
+    _blob = None  # the HCT1 blob the fields view (_view); not a field, so __init__ holds none
+
+    def __getstate__(self):  # a copy or pickle rebuilds its fields as bytes and holds no blob
+        return {name: held for name, held in vars(self).items() if name != "_blob"}
 
     def to_bytes(self) -> bytes:
-        """Serialize to HCT1 (big-endian); refuses what ``from_bytes`` refuses."""
+        """Serialize to HCT1 (big-endian); refuses what ``from_bytes`` refuses.
+
+        An envelope from ``encrypt`` or ``from_bytes`` returns the blob its
+        fields view, the same object on every call; any other joins its fields.
+        """
         _check_header(self.version, self.block_order, len(self.levels))
-        # The parts are the held buffers themselves, so the join is the only copy.
         parts = [_HEADER.pack(ENVELOPE_MAGIC, self.version, self.block_order, len(self.levels))]
         for index, rec in enumerate(self.levels):
             _check_level(index, rec, self.block_order)
@@ -116,21 +123,28 @@ class CipherEnvelope:
                 raise MalformedEnvelope(f"level {index}: does not fit the format: {exc}") from None
             parts.append(rec.sentinels._words)
         _check_level(index, rec, self.block_order, len(self.payload))
-        parts += [_PAYLOAD_LEN.pack(len(self.payload)), self.payload._buffer()]
-        return b"".join(parts)
+        return self._blob or b"".join(
+            [*parts, _PAYLOAD_LEN.pack(len(self.payload)), self.payload._buffer()])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CipherEnvelope":
         """Parse and fully validate an HCT1 envelope; raises MalformedEnvelope.
 
         The block order and each x must be supported, as ``encrypt`` checks,
-        so n >= 8 and the payload always fills whole bytes.  The payload of a
-        ``bytes`` blob is a read-only view of the blob, not a copy, so the
-        blob stays alive as long as the envelope does; any other buffer, a
-        mutable one included, is copied into ``bytes`` once first.  Each
-        level's sentinel words are a read-only view of the blob too.
+        so n >= 8 and the payload always fills whole bytes.  The envelope
+        views a ``bytes`` blob as it is, and any other buffer, a mutable one
+        included, after copying it into ``bytes`` once.
         """
-        view = memoryview(data if type(data) is bytes else bytes(memoryview(data)))
+        return cls._view(data if type(data) is bytes else bytes(memoryview(data)),
+                         SentinelSet.from_words)
+
+    @classmethod
+    def _view(cls, blob: bytes, words_of) -> "CipherEnvelope":
+        """The envelope holding the HCT1 ``blob``, its payload and words read-only views of it.
+
+        ``words_of`` makes each level's ``SentinelSet`` of its words' view.
+        """
+        view = memoryview(blob)
         what = "header"
         try:
             magic, version, block_order, level_count = _HEADER.unpack_from(view)
@@ -146,7 +160,7 @@ class CipherEnvelope:
                 words = _cut(view, offset + _LEVEL.size, 4 * sentinel_count)
                 offset += _LEVEL.size + len(words)
                 try:
-                    record = LevelRecord(x, orig_bit_len, SentinelSet.from_words(words))
+                    record = LevelRecord(x, orig_bit_len, words_of(words))
                 except ValueError:
                     raise MalformedEnvelope(
                         f"level {index}: sentinel indices not strictly ascending"
@@ -164,7 +178,9 @@ class CipherEnvelope:
         trailing = len(view) - offset - len(payload)
         if trailing:
             raise MalformedEnvelope(f"{trailing} trailing bytes after payload")
-        return cls(version, block_order, tuple(levels), BitSeq._packed(payload, payload_bit_len))
+        envelope = cls(version, block_order, tuple(levels), BitSeq._packed(payload, payload_bit_len))
+        object.__setattr__(envelope, "_blob", blob)
+        return envelope
 
 
 def _cut(view: memoryview, start: int, size: int) -> memoryview:
@@ -256,12 +272,15 @@ def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> Cipher
     The ciphertext bit length is a multiple of block_order * x for the last
     exponent x, so it generally differs from the plaintext length.  Empty
     input is legal and produces an empty payload with one record per level.
+    The envelope views the HCT1 blob that ``to_bytes`` returns, as a parsed
+    one does; a key of more than 255 exponents, which HCT1 cannot hold,
+    gives the fields alone.
     """
     check_order(block_order)
     n, exponents, length = block_order, key._exponents, plaintext.length
     if length <= SLICE_BITS:
         v, bits, plan, flags = _forward(plaintext.value, length, exponents, n)
-        payload = BitSeq.from_int(v, bits)
+        payload = v.to_bytes(bits // 8, "big")  # n >= 8 lanes a level: whole bytes
         found = [_positions(0, count, f, x) for (x, _, count, _), f in zip(plan, flags)]
     else:  # the chunks of whole superblocks, then the tail, byte range by byte range
         plan, bits = _plan(exponents, n, length)
@@ -273,12 +292,20 @@ def encrypt(plaintext: BitSeq, key: KeySchedule, block_order: int = 8) -> Cipher
             pieces.write(v.to_bytes(out // 8, "big"))
             for words, (x, _, count, _), f in zip(found, part, flags):
                 words.write(_positions(8 * cut.start // x, count, f, x))
-        payload = BitSeq.from_bytes(pieces.getvalue())  # the buffer itself, trimmed
+        payload = pieces.getvalue()  # the buffer itself, trimmed
         found = [words.getvalue() for words in found]
     # Each piece's positions ascend and follow the last piece's: no second order check.
-    levels = tuple(LevelRecord(x, bits_in, SentinelSet._of(words))
-                   for (x, bits_in, _, _), words in zip(plan, found))
-    return CipherEnvelope(ENVELOPE_VERSION, n, levels, payload)
+    if len(plan) > 255:  # no HCT1 header holds the levels: the fields alone, as to_bytes refuses
+        return CipherEnvelope(ENVELOPE_VERSION, n, tuple(
+            LevelRecord(x, bits_in, SentinelSet._of(words))
+            for (x, bits_in, _, _), words in zip(plan, found)), BitSeq._packed(payload, bits))
+    blob = io.BytesIO()  # HCT1 in order, each level's words dropped once written
+    blob.write(_HEADER.pack(ENVELOPE_MAGIC, ENVELOPE_VERSION, n, len(plan)))
+    for level, (x, bits_in, _, _) in enumerate(plan):
+        blob.writelines((_LEVEL.pack(x, bits_in, len(found[level]) // 4), found[level]))
+        found[level] = None
+    blob.writelines((_PAYLOAD_LEN.pack(bits), payload))
+    return CipherEnvelope._view(blob.getvalue(), SentinelSet._of)
 
 
 @dataclass

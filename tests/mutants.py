@@ -97,12 +97,22 @@ MUTANTS = [
            "        if len(data) % 4:\n",
            "        if False:\n",
            ("tests/test_bitcodec.py::test_sentinel_set_validation",)),
-    # A parsed envelope views a bytes blob and copies any other buffer once.
+    # A parsed envelope views a bytes blob and copies any other buffer once;
+    # encrypt's envelope views the blob it writes through the same parse, and
+    # to_bytes returns the blob an envelope holds.
     Mutant("from_bytes views a mutable buffer", "cipher.py",
-           "view = memoryview(data if type(data) is bytes else bytes(memoryview(data)))",
-           "view = memoryview(data)",
+           "cls._view(data if type(data) is bytes else bytes(memoryview(data)),",
+           "cls._view(data,",
            ("tests/test_envelope.py::"
             "test_a_mutable_blob_is_copied_so_later_writes_leave_the_envelope",)),
+    Mutant("from_bytes keeps no blob", "cipher.py",
+           '        object.__setattr__(envelope, "_blob", blob)\n',
+           "",
+           ("tests/test_envelope.py::test_an_envelope_holds_the_blob_its_fields_view",)),
+    Mutant("to_bytes joins although it holds a blob", "cipher.py",
+           "return self._blob or b\"\".join(",
+           "return b\"\".join(",
+           ("tests/test_envelope.py::test_an_envelope_holds_the_blob_its_fields_view",)),
     Mutant("payload slice skips its truncation check", "cipher.py",
            "payload = _cut(view, offset, payload_bit_len // 8)",
            "payload = view[offset:offset + payload_bit_len // 8]",
@@ -137,10 +147,15 @@ MUTANTS = [
            "_positions(8 * cut.start // x, count, f, x)",
            "_positions(0, count, f, x)",
            ("tests/test_cipher.py::test_flag_sets_of_the_chunk_path_and_the_level_loop_are_equal",)),
-    Mutant("encrypt hands over a view of its level's buffer", "cipher.py",
-           "[words.getvalue() for words in found]",
-           "[words.getbuffer() for words in found]",
+    Mutant("encrypt's levels copy their words out of the blob", "cipher.py",
+           "CipherEnvelope._view(blob.getvalue(), SentinelSet._of)",
+           "CipherEnvelope._view(blob.getvalue(), lambda words: SentinelSet._of(bytes(words)))",
            ("tests/test_cipher.py::test_a_long_envelope_holds_four_bytes_per_sentinel",)),
+    Mutant("encrypt keeps each level's words once written", "cipher.py",
+           "        found[level] = None\n",
+           "",
+           ("tests/test_cipher.py::"
+            "test_round_trip_peak_memory_does_not_grow_with_size[exponents1-8-4.6]",)),
     # Flags and positions convert through byte tables, per lane slot and per
     # window of local indices.
     Mutant("a lane slot's table reads the wrong bit", "bitcodec.py",

@@ -6,6 +6,7 @@ import pickle
 import random
 import re
 import struct
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -474,15 +475,55 @@ def test_a_parsed_envelope_pickles_and_copies_as_bytes():
         assert decrypt(twin, KEY35) == plain
 
 
+@pytest.mark.parametrize("size", [5, 1 << 16])
+def test_an_envelope_holds_the_blob_its_fields_view(size):
+    # Encrypt writes HCT1 once and views it, as from_bytes views the blob it
+    # parses, and to_bytes returns that blob.  An envelope __init__ builds
+    # (by hand, or by replace) joins its own fields; a copy or pickle twin
+    # rebuilds its fields as bytes and holds no blob.  5 bytes run as one
+    # piece, 64 KiB under 3,5,31 at n = 8 as chunks and a tail.
+    key = KeySchedule.from_exponents([3, 5, 31])
+    plain = BitSeq.from_bytes(random.Random(size).randbytes(size))
+    env = encrypt(plain, key, 8)
+    blob = env.to_bytes()
+    assert type(blob) is bytes and env.to_bytes() is blob
+    assert env.payload._data.obj is blob and env.payload._data.readonly
+    assert all(record.sentinels._words.obj is blob for record in env.levels)
+    assert CipherEnvelope.from_bytes(blob).to_bytes() is blob
+    joined = replace(env).to_bytes()
+    assert joined == blob and joined is not blob
+    flipped = replace(env, payload=env.payload.flip(0))
+    written = flipped.to_bytes()
+    assert written != blob and CipherEnvelope.from_bytes(written) == flipped != env
+    for twin in (copy.deepcopy(env), pickle.loads(pickle.dumps(env))):
+        assert twin._blob is None and twin == env and twin.to_bytes() == blob
+    assert decrypt(env, key) == plain
+    assert size < 8 or len(env.levels[0].sentinels) > 0
+
+
+def test_a_key_hct1_cannot_hold_encrypts_to_its_fields_alone():
+    # HCT1's header counts at most 255 levels, so encrypt under a longer key
+    # writes no blob: the envelope decrypts in memory, and to_bytes refuses it.
+    key = KeySchedule.from_exponents([3, 5] * 128)
+    plain = BitSeq.from_bytes(b"held in memory")
+    env = encrypt(plain, key, 8)
+    assert len(env.levels) == 256 and env._blob is None
+    assert decrypt(env, key) == plain
+    with pytest.raises(MalformedEnvelope,
+                       match=r"^level count 256 does not fit the format \(1\.\.255\)$"):
+        env.to_bytes()
+
+
 @pytest.mark.parametrize("exponents, n", [((3, 5, 31), 8), ((13,), 128), ((2, 7), 16)])
 def test_every_form_of_a_sentinel_set_agrees(exponents, n):
-    # The set encrypt records (bytes), the same positions given as ints,
-    # flags rebuilt from those ints, and the words parsed back from HCT1 (a
-    # view of the blob) are one set; and a parsed envelope writes the bytes
-    # it was read from.
+    # The set encrypt records, the same positions given as ints, flags
+    # rebuilt from those ints, and the words parsed back from HCT1 are one
+    # set; encrypt's and the parsed words are read-only views of the
+    # exact-size blob, and a parsed envelope writes the bytes it was read from.
     key = KeySchedule.from_exponents(exponents)
     env = encrypt(BitSeq.from_bytes(random.Random(n).randbytes(1 << 16)), key, n)
     blob = env.to_bytes()
+    assert type(blob) is bytes and sys.getsizeof(blob) == sys.getsizeof(b"") + len(blob)
     parsed = CipherEnvelope.from_bytes(blob)
     assert parsed.to_bytes() == blob
     assert parsed == env
@@ -493,7 +534,9 @@ def test_every_form_of_a_sentinel_set_agrees(exponents, n):
         flags = _flags(0, count, given_ints._piece(0, count, 0), record.x)
         rebuilt = SentinelSet._of(_positions(0, count, flags, record.x))
         forms = (record.sentinels, given_ints, rebuilt, read.sentinels)
-        assert type(record.sentinels._words) is bytes and read.sentinels._words.obj is blob
+        for words in (record.sentinels._words, read.sentinels._words):
+            assert type(words) is memoryview and words.obj is blob and words.readonly
+            assert len(words) == 4 * len(record.sentinels)
         last = indices[-1] if indices else -1
         for form in forms:
             assert form == forms[0] and hash(form) == hash(forms[0])

@@ -86,7 +86,7 @@ def test_every_definition_has_a_caller_beyond_the_unit_tests():
 
 # Non-blank lines under src/hctcodec.  A change that needs more raises this
 # ceiling and says why in CHANGES.md.
-SOURCE_LINES = 1578
+SOURCE_LINES = 1601
 
 
 def test_source_lines_stay_at_or_below_their_ceiling():
